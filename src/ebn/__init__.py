@@ -60,7 +60,6 @@ from .semantics import (
     SBase,
     SemValue,
     SFun,
-    ShapeMismatch,
     SInl,
     SInr,
     SPair,
@@ -86,6 +85,7 @@ from .syntax import (
     ParseError,
     Prod,
     PrimApp,
+    ShapeMismatch,
     Snd,
     Sum,
     Term,

@@ -1,14 +1,13 @@
 """Command-line front door: parse, typecheck, normalize, interpret, demos.
 
 Exit codes: 0 success, 1 syntax/type error, 2 runtime error (division by
-zero), 64 usage error.
+zero), 64 usage error, 66 unreadable input file.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -36,18 +35,7 @@ from .syntax import (
 )
 
 USAGE_ERROR = 64
-
-
-@dataclass
-class CliConfig:
-    command: str
-    inline: str | None = None
-    path: str | None = None
-    prims: str = "smart"
-    output: str = "sexpr"
-    demo_name: str | None = None
-    demo_arg: int | None = None
-    naive: bool = False
+NO_INPUT = 66
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -103,21 +91,21 @@ def _prim_env(kind: str):
     return smart_prim_env() if kind == "smart" else naive_prim_env()
 
 
-def _cmd_norm(cfg: CliConfig, source: str) -> int:
+def _cmd_norm(args, source: str) -> int:
     term = parse_term(source)
-    out = norm(term, rational_signature(), _prim_env(cfg.prims))
-    print(pretty_term(out) if cfg.output == "pretty" else print_term(out))
+    out = norm(term, rational_signature(), _prim_env(args.prims))
+    print(pretty_term(out) if args.output == "pretty" else print_term(out))
     return 0
 
 
-def _cmd_check(cfg: CliConfig, source: str) -> int:
+def _cmd_check(args, source: str) -> int:
     term = parse_term(source)
     ty = infer({}, rational_signature(), term)
-    print(pretty_type(ty) if cfg.output == "pretty" else print_type(ty))
+    print(pretty_type(ty) if args.output == "pretty" else print_type(ty))
     return 0
 
 
-def _cmd_run(cfg: CliConfig, source: str) -> int:
+def _cmd_run(source: str) -> int:
     term = parse_term(source)
     infer({}, rational_signature(), term)
     print(format_value(run(term)))
@@ -152,27 +140,22 @@ def _cmd_demo_power(n: int, naive: bool) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    cfg = CliConfig(
-        command=args.command,
-        inline=getattr(args, "inline", None),
-        path=getattr(args, "file", None),
-        prims=getattr(args, "prims", "smart"),
-        output=getattr(args, "output", "sexpr"),
-        demo_name=getattr(args, "demo_name", None),
-        demo_arg=getattr(args, "n", None),
-        naive=getattr(args, "naive", False),
-    )
     try:
-        if cfg.command == "norm":
-            return _cmd_norm(cfg, _read_source(args))
-        if cfg.command == "check":
-            return _cmd_check(cfg, _read_source(args))
-        if cfg.command == "run":
-            return _cmd_run(cfg, _read_source(args))
-        if cfg.command == "demo" and cfg.demo_name == "chars":
-            return _cmd_demo_chars(_read_source(args))
-        if cfg.command == "demo" and cfg.demo_name == "power":
-            return _cmd_demo_power(cfg.demo_arg, cfg.naive)
+        if args.command == "demo" and args.demo_name == "power":
+            return _cmd_demo_power(args.n, args.naive)
+        try:
+            source = _read_source(args)
+        except (OSError, UnicodeDecodeError) as e:
+            print(f"ebn: error: cannot read {args.file}: {e}", file=sys.stderr)
+            return NO_INPUT
+        if args.command == "norm":
+            return _cmd_norm(args, source)
+        if args.command == "check":
+            return _cmd_check(args, source)
+        if args.command == "run":
+            return _cmd_run(source)
+        if args.command == "demo" and args.demo_name == "chars":
+            return _cmd_demo_chars(source)
     except (ParseError, TypingError) as e:
         print(f"ebn: error: {e}", file=sys.stderr)
         return 1

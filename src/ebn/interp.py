@@ -22,6 +22,7 @@ from .syntax import (
     Lit,
     Pair,
     PrimApp,
+    ShapeMismatch,
     Snd,
     Term,
     UnitVal,
@@ -31,11 +32,6 @@ from .syntax import (
 
 class RuntimeDivisionByZero(Exception):
     pass
-
-
-class ShapeMismatch(Exception):
-    """A runtime value had the wrong shape; unreachable from well-typed
-    terms."""
 
 
 class ConcreteValue:

@@ -1,6 +1,10 @@
-"""The rational base-type table, primitive signatures, and the two semantic
-environments: a smart one that folds and simplifies online, and a naive one
-that residualizes every arithmetic application unchanged.
+"""The rational primitives, defined once in the rule table `RULES`, and
+everything read from it: the signature and the two semantic environments.
+
+Each row gives an op's type, its fold on two literals and its left and right
+unit.  The smart environment folds literal pairs and drops units online; the
+naive one residualizes every application unchanged.  Both reflect residual
+code at the op's result type, so a residual `==` branches through a `case`.
 
 Rationals are exact `fractions.Fraction` values: always in lowest terms with
 a positive denominator, so structural equality is value equality.
@@ -8,8 +12,10 @@ a positive denominator, so structural equality is value equality.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Mapping
 
 from .control import Residual, ret
@@ -20,7 +26,6 @@ from .semantics import (
     PrimEnv,
     SBase,
     SemValue,
-    ShapeMismatch,
     SInl,
     SInr,
     SUnit,
@@ -35,6 +40,7 @@ from .syntax import (
     Lit,
     ObjType,
     PrimApp,
+    ShapeMismatch,
     Sum,
     Term,
     Unit,
@@ -49,7 +55,6 @@ RAT = Base("Q")
 BOOL: ObjType = Sum(Unit(), Unit())
 
 _ONE = Fraction(1)
-_ZERO = Fraction(0)
 
 
 class DivisionByZero(Exception):
@@ -92,21 +97,43 @@ def _is_rational(v: object) -> bool:
     return isinstance(v, Fraction)
 
 
+def _div(v: Fraction, w: Fraction) -> Fraction:
+    if w == 0:
+        raise DivisionByZero(f"{v} / 0")
+    return v / w
+
+
+@dataclass(frozen=True)
+class PrimRule:
+    """One rational primitive: its type, its fold on two literals, and the
+    literal its left or right argument may be dropped at (None: no unit
+    law)."""
+
+    type: PrimType
+    fold: Callable[[Fraction, Fraction], object]
+    left_unit: Fraction | None
+    right_unit: Fraction | None
+
+
+# No zero-annihilation rule for *: folding 0 * m would drop m's code.
+RULES: Mapping[str, PrimRule] = {
+    "==": PrimRule(PrimType((RAT, RAT), BOOL), operator.eq, None, None),
+    "*": PrimRule(PrimType((RAT, RAT), RAT), operator.mul, _ONE, _ONE),
+    "/": PrimRule(PrimType((RAT, RAT), RAT), _div, None, _ONE),
+}
+
+
 def rational_signature() -> PrimSignature:
-    """The shipped table: base Q with ==, *, and / (== yields the sum-encoded
+    """Base Q with the ops of RULES: ==, *, and / (== yields the sum-encoded
     Bool)."""
     return PrimSignature(
         bases={"Q": _is_rational},
-        prims={
-            "==": PrimType((RAT, RAT), BOOL),
-            "*": PrimType((RAT, RAT), RAT),
-            "/": PrimType((RAT, RAT), RAT),
-        },
+        prims={op: rule.type for op, rule in RULES.items()},
     )
 
 
 # ---------------------------------------------------------------------------
-# Smart semantic environment
+# Semantic environments
 
 
 def _rat_payload(v: SemValue) -> BaseValue:
@@ -119,93 +146,61 @@ def _code(p: BaseValue) -> Term:
     return p.code if isinstance(p, Exp) else lit(p.literal)
 
 
-def _rat(p: BaseValue) -> Residual[SemValue]:
-    return ret(SBase("Q", p))
+def _embed(ty: ObjType, host: object) -> SemValue:
+    """A folded host result as a semantic value of the result type: a
+    literal at a base type, a tag at Bool."""
+    if isinstance(ty, Base):
+        return SBase(ty.name, Val(host))
+    return SInr(SUnit()) if host else SInl(SUnit())
+
+
+def _apply(
+    op: str, smart: bool, args: tuple[SemValue, ...], names: NameSupply
+) -> Residual[SemValue]:
+    """Apply a table primitive.  Smart: two literals fold, and a unit literal
+    on its side is dropped.  Otherwise the application is residual code,
+    reflected at the result type, so a residual == branches through a case."""
+    rule = RULES[op]
+    a, b = args
+    pa, pb = _rat_payload(a), _rat_payload(b)
+    if smart:
+        if isinstance(pa, Val) and isinstance(pb, Val):
+            return ret(_embed(rule.type.result, rule.fold(pa.literal, pb.literal)))
+        if isinstance(pa, Val) and pa.literal == rule.left_unit:
+            return ret(b)
+        if isinstance(pb, Val) and pb.literal == rule.right_unit:
+            return ret(a)
+    code = PrimApp(op, (_code(pa), _code(pb)))
+    return reflect(AtType(rule.type.result), code, names)
 
 
 def smart_mul(a: SemValue, b: SemValue) -> Residual[SemValue]:
     """Multiplication that folds literal pairs and drops unit factors."""
-    pa, pb = _rat_payload(a), _rat_payload(b)
-    match (pa, pb):
-        case (Val(literal=v), Val(literal=w)):
-            return _rat(Val(v * w))
-        case (Val(literal=v), Exp(code=n)) if v == _ONE:
-            return _rat(Exp(n))
-        case (Val(literal=v), Exp(code=n)):
-            return _rat(Exp(PrimApp("*", (lit(v), n))))
-        case (Exp(code=m), Val(literal=w)) if w == _ONE:
-            return _rat(Exp(m))
-        case (Exp(code=m), Val(literal=w)):
-            return _rat(Exp(PrimApp("*", (m, lit(w)))))
-        case (Exp(code=m), Exp(code=n)):
-            return _rat(Exp(PrimApp("*", (m, n))))
-    raise ShapeMismatch("malformed base payloads")
+    return _apply("*", True, (a, b), NameSupply())
 
 
 def smart_div(a: SemValue, b: SemValue) -> Residual[SemValue]:
-    """Division, mirroring smart_mul; folding onto a zero divisor is an
-    error rather than a residual."""
-    pa, pb = _rat_payload(a), _rat_payload(b)
-    match (pa, pb):
-        case (Val(literal=v), Val(literal=w)):
-            if w == _ZERO:
-                raise DivisionByZero(f"{v} / 0")
-            return _rat(Val(v / w))
-        case (Val(literal=v), Exp(code=n)):
-            return _rat(Exp(PrimApp("/", (lit(v), n))))
-        case (Exp(code=m), Val(literal=w)) if w == _ONE:
-            return _rat(Exp(m))
-        case (Exp(code=m), Val(literal=w)):
-            return _rat(Exp(PrimApp("/", (m, lit(w)))))
-        case (Exp(code=m), Exp(code=n)):
-            return _rat(Exp(PrimApp("/", (m, n))))
-    raise ShapeMismatch("malformed base payloads")
+    """Division that folds literal pairs and drops a unit divisor; folding
+    onto a zero divisor raises DivisionByZero."""
+    return _apply("/", True, (a, b), NameSupply())
 
 
 def smart_eq(a: SemValue, b: SemValue, names: NameSupply) -> Residual[SemValue]:
     """Equality test: two literals decide the Bool immediately; any residual
     argument reflects the comparison at Bool, which is where residual
     branching enters the output."""
-    pa, pb = _rat_payload(a), _rat_payload(b)
-    if isinstance(pa, Val) and isinstance(pb, Val):
-        return ret(SInr(SUnit()) if pa.literal == pb.literal else SInl(SUnit()))
-    return reflect(AtType(BOOL), PrimApp("==", (_code(pa), _code(pb))), names)
+    return _apply("==", True, (a, b), names)
 
 
 def smart_prim_env() -> PrimEnv:
-    return {
-        "==": lambda args, names: smart_eq(args[0], args[1], names),
-        "*": lambda args, names: smart_mul(args[0], args[1]),
-        "/": lambda args, names: smart_div(args[0], args[1]),
-    }
-
-
-# ---------------------------------------------------------------------------
-# Naive semantic environment
-
-
-def _naive_arith(op: str):
-    def entry(args, names) -> Residual[SemValue]:
-        pa, pb = _rat_payload(args[0]), _rat_payload(args[1])
-        return _rat(Exp(PrimApp(op, (_code(pa), _code(pb)))))
-
-    return entry
-
-
-def _naive_eq(args, names: NameSupply) -> Residual[SemValue]:
-    pa, pb = _rat_payload(args[0]), _rat_payload(args[1])
-    return reflect(AtType(BOOL), PrimApp("==", (_code(pa), _code(pb))), names)
+    return {op: partial(_apply, op, True) for op in RULES}
 
 
 def naive_prim_env() -> PrimEnv:
-    """No simplification: every arithmetic application residualizes as code;
-    == still reflects at Bool since the branching is structural, not an
+    """No simplification: every application residualizes as code; == still
+    reflects at Bool since the branching is structural, not an
     optimization."""
-    return {
-        "==": _naive_eq,
-        "*": _naive_arith("*"),
-        "/": _naive_arith("/"),
-    }
+    return {op: partial(_apply, op, False) for op in RULES}
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from .syntax import (
     Pair,
     PrimApp,
     Prod,
+    ShapeMismatch,
     Snd,
     Sum,
     Term,
@@ -36,11 +37,6 @@ from .syntax import (
     UnknownPrimitive,
     Var,
 )
-
-
-class ShapeMismatch(Exception):
-    """A semantic value's shape contradicts the expected type; unreachable
-    from well-typed input."""
 
 
 # ---------------------------------------------------------------------------

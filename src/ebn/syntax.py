@@ -201,6 +201,12 @@ class UnknownBaseType(TypingError):
     pass
 
 
+class ShapeMismatch(Exception):
+    """A value's shape contradicts its expected type: a semantic value met by
+    the normalizer or a concrete value met by the interpreter.  Unreachable
+    from well-typed input."""
+
+
 class TypeMismatch(TypingError):
     def __init__(self, expected, found, path: tuple[int, ...] = ()):
         self.expected = expected

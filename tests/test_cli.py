@@ -1,6 +1,6 @@
 import pytest
 
-from ebn.cli import USAGE_ERROR, main
+from ebn.cli import NO_INPUT, USAGE_ERROR, main
 
 IDENTITY_APP = "(app (lam (x Q) (var x)) (lit 3 Q))"
 
@@ -119,3 +119,13 @@ def test_demo_chars(capsys, tmp_path):
     path.write_text("(cat eps eps)", encoding="utf-8")
     assert main(["demo", "chars", "--file", str(path)]) == 0
     assert "normal form: eps" in capsys.readouterr().out
+
+
+def test_unreadable_file_exits_66(tmp_path, capsys):
+    bad_utf8 = tmp_path / "latin1.sexp"
+    bad_utf8.write_bytes(b"(lit 1 Q) ; caf\xe9")
+    for path in (tmp_path / "missing.sexp", tmp_path, bad_utf8):
+        assert main(["norm", "--file", str(path)]) == NO_INPUT == 66
+        err = capsys.readouterr().err
+        assert f"ebn: error: cannot read {path}" in err
+        assert "Traceback" not in err

@@ -91,6 +91,10 @@ def test_run_shape_errors():
         run(Fst(lit(1)))
     with pytest.raises(ShapeMismatch):
         run(PrimApp("nope", ()))
+    import ebn.interp
+    import ebn.semantics
+
+    assert ebn.interp.ShapeMismatch is ebn.semantics.ShapeMismatch
 
 
 def test_format_value():

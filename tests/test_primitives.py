@@ -138,6 +138,8 @@ def test_div_val_val_folds():
 
 def test_div_val_exp_residualizes():
     assert payload_of(smart_div(val(3), exp(N))) == exp(PrimApp("/", (lit(3), N)))
+    # / has no left unit
+    assert payload_of(smart_div(val(1), exp(N))) == exp(PrimApp("/", (lit(1), N)))
 
 
 def test_div_exp_one_simplifies():
@@ -189,11 +191,16 @@ def test_naive_residualizes_unconditionally():
     assert payload_of(env["/"]((val(1), val(2)), ns)) == exp(
         PrimApp("/", (lit(1), lit(2)))
     )
+    assert payload_of(env["/"]((val(3), val(0)), ns)) == exp(
+        PrimApp("/", (lit(3), lit(0)))
+    )
 
 
 def test_naive_eq_still_reflects():
     got = branching_of(naive_prim_env()["=="]((exp(M), val(0)), NameSupply()))
     assert got == _expected_branching(PrimApp("==", (M, lit(0))))
+    got = branching_of(naive_prim_env()["=="]((val(2), val(2)), NameSupply()))
+    assert got == _expected_branching(PrimApp("==", (lit(2), lit(2))))
 
 
 # ---------------------------------------------------------------------------
