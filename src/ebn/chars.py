@@ -12,7 +12,7 @@ import sys
 from dataclasses import dataclass
 from typing import Callable, TextIO
 
-from .syntax import ParseError, TokenStream, tokenize
+from .syntax import TokenStream
 
 
 class CharsTerm:
@@ -130,27 +130,24 @@ def format_chars(t: CharsTerm) -> str:
 
 def _parse(ts: TokenStream) -> CharsTerm:
     tok = ts.next("a chars term")
-    if tok.kind == "atom" and tok.text == "eps":
+    if tok == "eps":
         return Eps()
-    if tok.kind != "(":
-        raise ParseError(f"expected a chars term, found {tok.text!r}", tok.line, tok.col)
-    head = ts.expect("atom", "'chr' or 'cat'")
-    if head.text == "chr":
+    if tok != "(":
+        raise ts.error(f"expected a chars term, found {tok!r}")
+    head = ts.atom("'chr' or 'cat'")
+    if head == "chr":
         s = ts.next("a one-character string")
-        if s.kind != "string" or len(s.text) != 1:
-            raise ParseError("chr takes a one-character string", s.line, s.col)
-        ts.expect(")", "')'")
-        return Chr(s.text)
-    if head.text == "cat":
+        if s[0] != '"' or len(s) != 3:
+            raise ts.error("chr takes a one-character string")
+        ts.close()
+        return Chr(s[1])
+    if head == "cat":
         l = _parse(ts)
         r = _parse(ts)
-        ts.expect(")", "')'")
+        ts.close()
         return Append(l, r)
-    raise ParseError(f"unknown chars form {head.text!r}", head.line, head.col)
+    raise ts.error(f"unknown chars form {head!r}")
 
 
 def parse_chars(text: str) -> CharsTerm:
-    ts = TokenStream(tokenize(text))
-    t = _parse(ts)
-    ts.expect_end()
-    return t
+    return TokenStream(text).read(_parse)

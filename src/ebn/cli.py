@@ -1,7 +1,8 @@
 """Command-line front door: parse, typecheck, normalize, interpret, demos.
 
 Exit codes: 0 success, 1 syntax/type error, 2 runtime error (division by
-zero), 64 usage error, 66 unreadable input file.
+zero), 64 usage error, 66 unreadable input file, 70 internal error (the term
+nests or sequences deeper than Python's recursion limit allows).
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .syntax import (
 
 USAGE_ERROR = 64
 NO_INPUT = 66
+INTERNAL_ERROR = 70  # EX_SOFTWARE
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -162,6 +164,9 @@ def main(argv=None) -> int:
     except (DivisionByZero, RuntimeDivisionByZero) as e:
         print(f"ebn: runtime error: division by zero ({e})", file=sys.stderr)
         return 2
+    except RecursionError:
+        print("ebn: internal error: term too deep for Python's recursion limit", file=sys.stderr)
+        return INTERNAL_ERROR
     raise AssertionError("unreachable: argparse enforces the command set")
 
 

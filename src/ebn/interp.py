@@ -27,6 +27,7 @@ from .syntax import (
     Term,
     UnitVal,
     Var,
+    format_rational,
 )
 
 
@@ -153,9 +154,7 @@ def format_value(v: ConcreteValue) -> str:
         case CUnit():
             return "unit"
         case CRat(value=q):
-            if q.denominator == 1:
-                return str(q.numerator)
-            return f"{q.numerator}/{q.denominator}"
+            return format_rational(q)
         case CPair(first=a, second=b):
             return f"<{format_value(a)}, {format_value(b)}>"
         case CInl(value=a):

@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
-from typing import Any, Iterator, Mapping
+from typing import Any, Callable, Iterator, Mapping, TypeVar
 
 
 # ---------------------------------------------------------------------------
@@ -399,10 +400,17 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(int(text))
 
 
+def _digits(n: int) -> str:
+    try:
+        return str(n)
+    except ValueError:  # past sys.get_int_max_str_digits(); Decimal has no cap
+        return str(Decimal(n))
+
+
 def format_rational(q: Fraction) -> str:
     if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+        return _digits(q.numerator)
+    return f"{_digits(q.numerator)}/{_digits(q.denominator)}"
 
 
 # ---------------------------------------------------------------------------
@@ -421,208 +429,179 @@ class AnnotationMissing(ParseError):
     """A lam/inl/inr form is missing its type annotation."""
 
 
-@dataclass(frozen=True)
-class SToken:
-    kind: str  # "(", ")", "atom", "string"
-    text: str
-    line: int
-    col: int
+_T = TypeVar("_T")
+
+# A token is a parenthesis, a string (quotes kept; the closing one is missing
+# only in an unterminated string), an atom, or a line comment.  Whitespace
+# matches nothing, so `findall` skips it.
+_TOKEN_RE = re.compile(r'[()]|"[^"\n]*"?|[^\s();"]+|;[^\n]*')
 
 
-def tokenize(text: str) -> list[SToken]:
+def tokenize(text: str) -> list[str]:
     """Split s-expression source into tokens; `;` starts a line comment,
-    double quotes delimit single-character strings for the chars language."""
-    out: list[SToken] = []
-    line, col, i = 1, 1, 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            line, col, i = line + 1, 1, i + 1
-        elif c.isspace():
-            col, i = col + 1, i + 1
-        elif c == ";":
-            while i < n and text[i] != "\n":
-                i += 1
-        elif c in "()":
-            out.append(SToken(c, c, line, col))
-            col, i = col + 1, i + 1
-        elif c == '"':
-            sl, sc = line, col
-            j = i + 1
-            while j < n and text[j] not in '"\n':
-                j += 1
-            if j >= n or text[j] != '"':
-                raise ParseError("unterminated string", sl, sc)
-            out.append(SToken("string", text[i + 1 : j], sl, sc))
-            col += j + 1 - i
-            i = j + 1
-        else:
-            sl, sc = line, col
-            j = i
-            while j < n and not text[j].isspace() and text[j] not in '();"':
-                j += 1
-            out.append(SToken("atom", text[i:j], sl, sc))
-            col += j - i
-            i = j
-    return out
+    double quotes delimit single-character strings for the chars language.
+    A token's first character gives its kind: `(`, `)`, `"` or an atom."""
+    tokens = [t for t in _TOKEN_RE.findall(text) if t[0] != ";"]
+    if '"' in text:
+        for i, t in enumerate(tokens):
+            if t[0] == '"' and (len(t) == 1 or t[-1] != '"'):
+                raise ParseError("unterminated string", *_position(text, i))
+    return tokens
+
+
+def _position(text: str, index: int) -> tuple[int, int]:
+    """Line and column of token `index` of `text`, or of the end of the last
+    token when there are not that many.  Only errors pay for this."""
+    pos = 0
+    tokens = (m for m in _TOKEN_RE.finditer(text) if m.group()[0] != ";")
+    for i, m in enumerate(tokens):
+        if i == index:
+            pos = m.start()
+            break
+        pos = m.end()
+    return text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
 
 
 class TokenStream:
-    def __init__(self, tokens: list[SToken]):
-        self._tokens = tokens
-        self._pos = 0
+    """The tokens of one text, read left to right.  The text is kept so that
+    an error can work out its token's line and column."""
 
-    def _eof_pos(self) -> tuple[int, int]:
-        if self._tokens:
-            last = self._tokens[-1]
-            return last.line, last.col + len(last.text)
-        return 1, 1
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens = tokenize(text)
+        self.pos = 0
 
-    def peek(self) -> SToken | None:
-        if self._pos < len(self._tokens):
-            return self._tokens[self._pos]
-        return None
+    def error(
+        self, message: str, at: int | None = None, cls: type[ParseError] = ParseError
+    ) -> ParseError:
+        """A `cls` at token `at`, by default the last one read."""
+        return cls(message, *_position(self.text, self.pos - 1 if at is None else at))
 
-    def next(self, what: str = "token") -> SToken:
-        tok = self.peek()
-        if tok is None:
-            raise ParseError(f"unexpected end of input, expected {what}", *self._eof_pos())
-        self._pos += 1
+    def peek(self) -> str | None:
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+
+    def next(self, what: str = "token") -> str:
+        try:
+            tok = self.tokens[self.pos]
+        except IndexError:
+            raise self.error(f"unexpected end of input, expected {what}", self.pos) from None
+        self.pos += 1
         return tok
 
-    def expect(self, kind: str, what: str) -> SToken:
+    def expect(self, paren: str, what: str) -> None:
         tok = self.next(what)
-        if tok.kind != kind:
-            raise ParseError(f"expected {what}, found {tok.text!r}", tok.line, tok.col)
+        if tok != paren:
+            raise self.error(f"expected {what}, found {tok!r}")
+
+    def close(self) -> None:
+        self.expect(")", "')'")
+
+    def atom(self, what: str) -> str:
+        tok = self.next(what)
+        if tok[0] in '()"':
+            raise self.error(f"expected {what}, found {tok!r}")
         return tok
 
-    def expect_end(self) -> None:
-        tok = self.peek()
-        if tok is not None:
-            raise ParseError(f"trailing input {tok.text!r}", tok.line, tok.col)
+    def read(self, parse: Callable[[TokenStream], _T]) -> _T:
+        """`parse` applied to the whole stream: input left over is an error."""
+        out = parse(self)
+        if self.pos < len(self.tokens):
+            raise self.error(f"trailing input {self.tokens[self.pos]!r}", self.pos)
+        return out
 
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_']*")
+_TYPE_FORMS = {"arrow": Arrow, "prod": Prod, "sum": Sum}
+# Forms whose operands are all terms: head -> (constructor, arity).
+_TERM_FORMS = {
+    "app": (App, 2), "pair": (Pair, 2), "fst": (Fst, 1), "snd": (Snd, 1), "case": (Case, 3)
+}
 
 
 def _parse_type(ts: TokenStream) -> ObjType:
     tok = ts.next("a type")
-    if tok.kind == "atom":
-        if tok.text == "unit":
-            return Unit()
-        if _NAME_RE.fullmatch(tok.text):
-            return Base(tok.text)
-        raise ParseError(f"malformed base type name {tok.text!r}", tok.line, tok.col)
-    if tok.kind != "(":
-        raise ParseError(f"expected a type, found {tok.text!r}", tok.line, tok.col)
-    head = ts.expect("atom", "a type constructor")
-    if head.text not in ("arrow", "prod", "sum"):
-        raise ParseError(f"unknown type form {head.text!r}", head.line, head.col)
-    a = _parse_type(ts)
-    b = _parse_type(ts)
-    ts.expect(")", "')'")
-    if head.text == "arrow":
-        return Arrow(a, b)
-    if head.text == "prod":
-        return Prod(a, b)
-    return Sum(a, b)
+    if tok == "(":
+        head = ts.atom("a type constructor")
+        if head not in _TYPE_FORMS:
+            raise ts.error(f"unknown type form {head!r}")
+        a = _parse_type(ts)
+        b = _parse_type(ts)
+        ts.close()
+        return _TYPE_FORMS[head](a, b)
+    if tok[0] in ')"':
+        raise ts.error(f"expected a type, found {tok!r}")
+    if tok == "unit":
+        return Unit()
+    if _NAME_RE.fullmatch(tok):
+        return Base(tok)
+    raise ts.error(f"malformed base type name {tok!r}")
 
 
 def _parse_term(ts: TokenStream) -> Term:
     tok = ts.next("a term")
-    if tok.kind == "atom":
-        if tok.text == "unit":
+    if tok != "(":
+        if tok == "unit":
             return UnitVal()
-        raise ParseError(f"unexpected atom {tok.text!r}", tok.line, tok.col)
-    if tok.kind != "(":
-        raise ParseError(f"expected a term, found {tok.text!r}", tok.line, tok.col)
-    head = ts.expect("atom", "a term constructor")
-    match head.text:
+        if tok[0] in ')"':
+            raise ts.error(f"expected a term, found {tok!r}")
+        raise ts.error(f"unexpected atom {tok!r}")
+    head = ts.atom("a term constructor")
+    form = _TERM_FORMS.get(head)
+    if form is not None:
+        make, arity = form
+        args: list[Term] = []
+        # A plain loop: before Python 3.12 a comprehension adds a frame per level.
+        for _ in range(arity):
+            args.append(_parse_term(ts))
+        ts.close()
+        return make(*args)
+    at_head = ts.pos - 1
+    match head:
         case "lit":
-            val = ts.expect("atom", "a rational literal")
             try:
-                q = parse_rational(val.text)
+                q = parse_rational(ts.atom("a rational literal"))
             except ValueError as e:
-                raise ParseError(str(e), val.line, val.col) from None
-            base = ts.expect("atom", "a base type name")
-            ts.expect(")", "')'")
-            return Lit(q, base.text)
+                raise ts.error(str(e)) from None
+            base = ts.atom("a base type name")
+            ts.close()
+            return Lit(q, base)
         case "prim":
-            name = ts.expect("atom", "a primitive name")
-            args: list[Term] = []
-            while True:
-                nxt = ts.peek()
-                if nxt is not None and nxt.kind == ")":
-                    ts.next()
-                    return PrimApp(name.text, tuple(args))
+            name = ts.atom("a primitive name")
+            args = []
+            while ts.peek() != ")":
                 args.append(_parse_term(ts))
+            ts.next()
+            return PrimApp(name, tuple(args))
         case "var":
-            name = ts.expect("atom", "a variable name")
-            ts.expect(")", "')'")
-            return Var(name.text)
+            name = ts.atom("a variable name")
+            ts.close()
+            return Var(name)
         case "lam":
             ts.expect("(", "'(' before the binder")
-            binder = ts.expect("atom", "a binder name")
-            nxt = ts.peek()
-            if nxt is not None and nxt.kind == ")":
-                raise AnnotationMissing(
-                    f"binder {binder.text!r} has no type annotation", binder.line, binder.col
-                )
+            binder = ts.atom("a binder name")
+            if ts.peek() == ")":
+                raise ts.error(f"binder {binder!r} has no type annotation", cls=AnnotationMissing)
             annot = _parse_type(ts)
             ts.expect(")", "')' after the binder")
             body = _parse_term(ts)
-            ts.expect(")", "')'")
-            return Lam(binder.text, annot, body)
-        case "app":
-            f = _parse_term(ts)
-            a = _parse_term(ts)
-            ts.expect(")", "')'")
-            return App(f, a)
-        case "pair":
-            a = _parse_term(ts)
-            b = _parse_term(ts)
-            ts.expect(")", "')'")
-            return Pair(a, b)
-        case "fst":
-            a = _parse_term(ts)
-            ts.expect(")", "')'")
-            return Fst(a)
-        case "snd":
-            a = _parse_term(ts)
-            ts.expect(")", "')'")
-            return Snd(a)
+            ts.close()
+            return Lam(binder, annot, body)
         case "inl" | "inr":
             arg = _parse_term(ts)
-            nxt = ts.peek()
-            if nxt is not None and nxt.kind == ")":
-                raise AnnotationMissing(
-                    f"{head.text} has no sum type annotation", head.line, head.col
-                )
+            if ts.peek() == ")":
+                raise ts.error(f"{head} has no sum type annotation", at_head, AnnotationMissing)
             annot = _parse_type(ts)
-            ts.expect(")", "')'")
-            return Inl(arg, annot) if head.text == "inl" else Inr(arg, annot)
-        case "case":
-            s = _parse_term(ts)
-            l = _parse_term(ts)
-            r = _parse_term(ts)
-            ts.expect(")", "')'")
-            return Case(s, l, r)
-    raise ParseError(f"unknown term form {head.text!r}", head.line, head.col)
+            ts.close()
+            return Inl(arg, annot) if head == "inl" else Inr(arg, annot)
+    raise ts.error(f"unknown term form {head!r}", at_head)
 
 
 def parse_term(text: str) -> Term:
-    ts = TokenStream(tokenize(text))
-    t = _parse_term(ts)
-    ts.expect_end()
-    return t
+    return TokenStream(text).read(_parse_term)
 
 
 def parse_type(text: str) -> ObjType:
-    ts = TokenStream(tokenize(text))
-    ty = _parse_type(ts)
-    ts.expect_end()
-    return ty
+    return TokenStream(text).read(_parse_type)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,11 @@
+from decimal import Decimal
+from fractions import Fraction
+
 import pytest
 
-from ebn.cli import NO_INPUT, USAGE_ERROR, main
+from ebn.cli import INTERNAL_ERROR, NO_INPUT, USAGE_ERROR, main
+from ebn.interp import CRat, format_value
+from ebn.syntax import format_rational
 
 IDENTITY_APP = "(app (lam (x Q) (var x)) (lit 3 Q))"
 
@@ -128,4 +133,29 @@ def test_unreadable_file_exits_66(tmp_path, capsys):
         assert main(["norm", "--file", str(path)]) == NO_INPUT == 66
         err = capsys.readouterr().err
         assert f"ebn: error: cannot read {path}" in err
+        assert "Traceback" not in err
+
+
+def test_huge_rationals_print(capsys):
+    # Past Python's default cap of 4,300 digits for int -> str.
+    assert format_rational(Fraction(10**5000)) == "1" + "0" * 5000
+    assert format_value(CRat(Fraction(-1, 10**5000))) == "-1/1" + "0" * 5000
+    assert main(["demo", "power", "16384"]) == 0
+    f3 = next(line for line in capsys.readouterr().out.splitlines() if line.startswith("f(3) = "))
+    assert int(Decimal(f3.removeprefix("f(3) = "))) == 3**16384
+
+
+def _mul_tree(depth: int) -> str:
+    if depth == 0:
+        return "(var x)"
+    return f"(prim * {_mul_tree(depth - 1)} {_mul_tree(depth - 1)})"
+
+
+def test_recursion_limit_exits_70(capsys):
+    tree = f"(lam (x Q) {_mul_tree(8)})"  # fails in norm
+    deep_fst = "(fst " * 2000 + "unit" + ")" * 2000  # fails in the reader
+    for argv in (["norm", "--inline", tree], ["check", "--inline", deep_fst]):
+        assert main(argv) == INTERNAL_ERROR == 70
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("ebn: internal error:")
         assert "Traceback" not in err

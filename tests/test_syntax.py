@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from ebn.chars import parse_chars
 from ebn.examples import power
 from ebn.primitives import BOOL, RAT, lit, rational_signature
 from ebn.syntax import (
@@ -33,6 +34,7 @@ from ebn.syntax import (
     Var,
     alpha_eq,
     beta_normal,
+    children,
     free_vars,
     infer,
     parse_term,
@@ -279,6 +281,8 @@ def test_parse_whitespace_and_comments():
     """
     t = parse_term(text)
     assert isinstance(t, Case)
+    for tail in ("; done", "; done\n", ";c\n"):
+        assert parse_term("(var x)" + tail) == Var("x")
 
 
 def test_parse_errors_carry_position():
@@ -288,6 +292,25 @@ def test_parse_errors_carry_position():
     with pytest.raises(ParseError) as exc:
         parse_term("(lam (x Q) (var x)) trailing")
     assert exc.value.col == 21
+    with pytest.raises(ParseError) as exc:
+        parse_term("(pair ; a comment\n  unit\n\t(bad))")
+    assert (exc.value.line, exc.value.col) == (3, 3)
+    assert exc.value.message == "unknown term form 'bad'"
+    with pytest.raises(ParseError) as exc:
+        parse_chars('(chr "a"')
+    assert (exc.value.line, exc.value.col) == (1, 9)
+    with pytest.raises(ParseError) as exc:
+        parse_chars('(cat eps\n (chr "a))')
+    assert (exc.value.line, exc.value.col, exc.value.message) == (2, 7, "unterminated string")
+
+
+def test_parse_reads_deep_chains():
+    depth = 800
+    for head in ("prim f", "app (var f)", "fst", "lam (x Q)"):
+        t = parse_term(f"({head} " * depth + "unit" + ")" * depth)
+        for _ in range(depth):
+            t = children(t)[-1]
+        assert t == UnitVal()
 
 
 def test_parse_annotation_missing():
