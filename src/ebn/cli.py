@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 syntax/type error, 2 runtime error (division by
 zero), 64 usage error, 66 unreadable input file, 70 internal error (the term
-nests or sequences deeper than Python's recursion limit allows).
+nests or sequences deeper than Python's recursion limit allows), 71 out of
+memory.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from .syntax import (
 USAGE_ERROR = 64
 NO_INPUT = 66
 INTERNAL_ERROR = 70  # EX_SOFTWARE
+OUT_OF_MEMORY = 71  # EX_OSERR
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -167,6 +169,9 @@ def main(argv=None) -> int:
     except RecursionError:
         print("ebn: internal error: term too deep for Python's recursion limit", file=sys.stderr)
         return INTERNAL_ERROR
+    except MemoryError:
+        print("ebn: error: out of memory", file=sys.stderr)
+        return OUT_OF_MEMORY
     raise AssertionError("unreachable: argparse enforces the command set")
 
 

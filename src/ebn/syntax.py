@@ -1,8 +1,10 @@
 """Object-language types and terms: typing, alpha-equivalence, beta-normality,
 and the s-expression reader/printer.
 
-Terms are plain immutable trees.  Binders (lam, inl, inr) carry explicit type
-annotations so that type inference is synthesis-only.
+Terms are plain immutable values.  A term may share a subterm by reference
+(normal forms do), so it is a DAG that stands for a tree.  Binders (lam, inl,
+inr) carry explicit type annotations so that type inference is
+synthesis-only.
 """
 
 from __future__ import annotations
@@ -372,15 +374,22 @@ def _alpha(a: Term, b: Term, m1: dict[str, int], m2: dict[str, int], depth: int)
 
 def beta_normal(t: Term) -> bool:
     """True iff t contains no beta redex: no applied lambda, projected pair,
-    or case on an injection."""
-    match t:
-        case App(fun=Lam()):
-            return False
-        case Fst(arg=Pair()) | Snd(arg=Pair()):
-            return False
-        case Case(scrutinee=Inl()) | Case(scrutinee=Inr()):
-            return False
-    return all(beta_normal(c) for c in children(t))
+    or case on an injection.  Visits each distinct node once, without
+    recursion."""
+    seen = {id(t)}
+    stack = [t]
+    while stack:
+        u = stack.pop()
+        match u:
+            case App(fun=Lam()) | Fst(arg=Pair()) | Snd(arg=Pair()):
+                return False
+            case Case(scrutinee=Inl() | Inr()):
+                return False
+        for c in children(u):
+            if id(c) not in seen:
+                seen.add(id(c))
+                stack.append(c)
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -623,35 +632,76 @@ def print_type(ty: ObjType) -> str:
     raise TypeError(f"not a type: {ty!r}")
 
 
-def print_term(t: Term) -> str:
-    """Deterministic s-expression rendering; re-parses to an equal term."""
+def _render(t: Term, node: Callable[[Term, Callable[[Term], str]], str]) -> str:
+    """The text of `t`, where `node(u, go)` formats the node `u` and `go(c)` is
+    the text of its child `c`.  Normal forms share subterms by reference, so a
+    term is a DAG: each distinct node is formatted once, children first and
+    without recursion, and its text is dropped once its last parent has used
+    it."""
+    parents = {id(t): 0}
+    order: list[Term] = []  # the distinct nodes, each after all its children
+    stack = [(t, iter(children(t)))]
+    while stack:
+        u, kids = stack[-1]
+        for c in kids:
+            k = id(c)
+            if k in parents:
+                parents[k] += 1
+                continue
+            parents[k] = 1
+            grand = children(c)
+            if grand:
+                stack.append((c, iter(grand)))
+                break
+            order.append(c)  # a leaf is done as soon as it is found
+        else:
+            stack.pop()
+            order.append(u)
+    texts: dict[int, str] = {}
+
+    def go(c: Term) -> str:
+        k = id(c)
+        parents[k] -= 1
+        return texts[k] if parents[k] else texts.pop(k)
+
+    for u in order:
+        texts[id(u)] = node(u, go)
+    return texts[id(t)]
+
+
+def _print_node(t: Term, go: Callable[[Term], str]) -> str:
     match t:
         case Lit(value=v, base=b):
             return f"(lit {format_rational(v)} {b})"
         case PrimApp(name=c, args=args):
-            inner = "".join(f" {print_term(a)}" for a in args)
+            inner = "".join(f" {go(a)}" for a in args)
             return f"(prim {c}{inner})"
         case UnitVal():
             return "unit"
         case Var(name=x):
             return f"(var {x})"
         case Lam(binder=x, annot=a, body=n):
-            return f"(lam ({x} {print_type(a)}) {print_term(n)})"
+            return f"(lam ({x} {print_type(a)}) {go(n)})"
         case App(fun=f, arg=a):
-            return f"(app {print_term(f)} {print_term(a)})"
+            return f"(app {go(f)} {go(a)})"
         case Pair(first=a, second=b):
-            return f"(pair {print_term(a)} {print_term(b)})"
+            return f"(pair {go(a)} {go(b)})"
         case Fst(arg=a):
-            return f"(fst {print_term(a)})"
+            return f"(fst {go(a)})"
         case Snd(arg=a):
-            return f"(snd {print_term(a)})"
+            return f"(snd {go(a)})"
         case Inl(arg=a, annot=ty):
-            return f"(inl {print_term(a)} {print_type(ty)})"
+            return f"(inl {go(a)} {print_type(ty)})"
         case Inr(arg=a, annot=ty):
-            return f"(inr {print_term(a)} {print_type(ty)})"
+            return f"(inr {go(a)} {print_type(ty)})"
         case Case(scrutinee=s, left=l, right=r):
-            return f"(case {print_term(s)} {print_term(l)} {print_term(r)})"
+            return f"(case {go(s)} {go(l)} {go(r)})"
     raise TypeError(f"not a term: {t!r}")
+
+
+def print_term(t: Term) -> str:
+    """Deterministic s-expression rendering; re-parses to an equal term."""
+    return _render(t, _print_node)
 
 
 def pretty_type(ty: ObjType, prec: int = 0) -> str:
@@ -672,9 +722,19 @@ def pretty_type(ty: ObjType, prec: int = 0) -> str:
     raise TypeError(f"not a type: {ty!r}")
 
 
-def pretty_term(t: Term, prec: int = 0) -> str:
-    """Human-oriented surface syntax: `\\x:Q. ...`, `<a, b>`, infix binary
-    primitives.  Deterministic; not meant to be re-parsed."""
+_TIGHT = (App, Fst, Snd, Inl, Inr, Case)
+
+
+def _paren(t: Term, text: str, prec: int) -> str:
+    """`text`, the pretty form of `t`, as an operand at precedence `prec`: an
+    application-like form is parenthesised above 1, a lambda above 0.  So a
+    node's own text does not depend on where it appears."""
+    if prec > 1 and isinstance(t, _TIGHT) or prec > 0 and isinstance(t, Lam):
+        return f"({text})"
+    return text
+
+
+def _pretty_node(t: Term, go: Callable[[Term], str]) -> str:
     match t:
         case Lit(value=v):
             return format_rational(v)
@@ -682,31 +742,30 @@ def pretty_term(t: Term, prec: int = 0) -> str:
             return "unit"
         case Var(name=x):
             return x
-        case PrimApp(name=c, args=args) if len(args) == 2:
-            return f"({pretty_term(args[0])} {c} {pretty_term(args[1])})"
+        case PrimApp(name=c, args=(a, b)):
+            return f"({go(a)} {c} {go(b)})"
         case PrimApp(name=c, args=args):
-            return f"{c}({', '.join(pretty_term(a) for a in args)})"
+            return f"{c}({', '.join(map(go, args))})"
         case Pair(first=a, second=b):
-            return f"<{pretty_term(a)}, {pretty_term(b)}>"
+            return f"<{go(a)}, {go(b)}>"
         case Lam(binder=x, annot=a, body=n):
-            s = f"\\{x}:{pretty_type(a)}. {pretty_term(n)}"
-            return f"({s})" if prec > 0 else s
+            return f"\\{x}:{pretty_type(a)}. {go(n)}"
         case App(fun=f, arg=a):
-            s = f"{pretty_term(f, 1)} {pretty_term(a, 2)}"
-            return f"({s})" if prec > 1 else s
+            return f"{_paren(f, go(f), 1)} {_paren(a, go(a), 2)}"
         case Fst(arg=a):
-            s = f"fst {pretty_term(a, 2)}"
-            return f"({s})" if prec > 1 else s
+            return f"fst {_paren(a, go(a), 2)}"
         case Snd(arg=a):
-            s = f"snd {pretty_term(a, 2)}"
-            return f"({s})" if prec > 1 else s
+            return f"snd {_paren(a, go(a), 2)}"
         case Inl(arg=a):
-            s = f"inl {pretty_term(a, 2)}"
-            return f"({s})" if prec > 1 else s
+            return f"inl {_paren(a, go(a), 2)}"
         case Inr(arg=a):
-            s = f"inr {pretty_term(a, 2)}"
-            return f"({s})" if prec > 1 else s
-        case Case(scrutinee=s0, left=l, right=r):
-            s = f"case {pretty_term(s0, 2)} {pretty_term(l, 2)} {pretty_term(r, 2)}"
-            return f"({s})" if prec > 1 else s
+            return f"inr {_paren(a, go(a), 2)}"
+        case Case(scrutinee=s, left=l, right=r):
+            return f"case {_paren(s, go(s), 2)} {_paren(l, go(l), 2)} {_paren(r, go(r), 2)}"
     raise TypeError(f"not a term: {t!r}")
+
+
+def pretty_term(t: Term, prec: int = 0) -> str:
+    """Human-oriented surface syntax: `\\x:Q. ...`, `<a, b>`, infix binary
+    primitives.  Deterministic; not meant to be re-parsed."""
+    return _paren(t, _render(t, _pretty_node), prec)

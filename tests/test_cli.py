@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from ebn.cli import INTERNAL_ERROR, NO_INPUT, USAGE_ERROR, main
+from ebn import cli
+from ebn.cli import INTERNAL_ERROR, NO_INPUT, OUT_OF_MEMORY, USAGE_ERROR, main
 from ebn.interp import CRat, format_value
 from ebn.syntax import format_rational
 
@@ -159,3 +160,14 @@ def test_recursion_limit_exits_70(capsys):
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("ebn: internal error:")
         assert "Traceback" not in err
+
+
+def test_out_of_memory_exits_71(monkeypatch, capsys):
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "norm", exhausted)
+    assert main(["norm", "--inline", IDENTITY_APP]) == OUT_OF_MEMORY == 71
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("ebn: error:")
+    assert "Traceback" not in err

@@ -1,12 +1,16 @@
 import random
+import sys
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+from ebn import syntax
 from ebn.chars import parse_chars
-from ebn.examples import power
-from ebn.primitives import BOOL, RAT, lit, rational_signature
+from ebn.examples import power, power_prime
+from ebn.nbe import norm
+from ebn.primitives import BOOL, RAT, lit, mk_if, naive_prim_env, rational_signature, smart_prim_env
 from ebn.syntax import (
     AnnotationMissing,
     App,
@@ -39,6 +43,7 @@ from ebn.syntax import (
     infer,
     parse_term,
     parse_type,
+    pretty_term,
     print_term,
     print_type,
     subterms,
@@ -253,6 +258,22 @@ def test_beta_normal_closed_under_subterms(t):
         assert all(beta_normal(s) for s in subterms(t))
 
 
+def _fst_chain(depth: int):
+    t = UnitVal()
+    for _ in range(depth):
+        t = Fst(t)
+    return t
+
+
+def test_beta_normal_deep_and_shared():
+    assert sys.getrecursionlimit() == 1000
+    assert beta_normal(_fst_chain(3000))
+    redex = Fst(Pair(lit(1), lit(2)))
+    shared = PrimApp("*", (redex, lit(3)))
+    assert not beta_normal(Pair(shared, shared))
+    assert not beta_normal(Case(Var("s"), Lam("a", Unit(), shared), Lam("b", Unit(), shared)))
+
+
 # ---------------------------------------------------------------------------
 # parsing and printing
 
@@ -361,3 +382,97 @@ def test_round_trip_preserves_types():
 def test_free_vars():
     t = Lam("x", RAT, PrimApp("*", (Var("x"), Var("y"))))
     assert free_vars(t) == {"y"}
+
+
+# ---------------------------------------------------------------------------
+# printing shared terms
+
+
+def unshare(t):
+    """A copy of `t` in which no node is shared: every subterm is rebuilt."""
+
+    def copy(v):
+        if isinstance(v, tuple):
+            return tuple(map(copy, v))
+        return unshare(v) if isinstance(v, syntax.Term) else v
+
+    return replace(t, **{f.name: copy(getattr(t, f.name)) for f in fields(t)})
+
+
+def _dag_size(t) -> int:
+    seen = set()
+    stack = [t]
+    while stack:
+        u = stack.pop()
+        if id(u) not in seen:
+            seen.add(id(u))
+            stack.extend(children(u))
+    return len(seen)
+
+
+def _tree_size(t) -> int:
+    return 1 + sum(map(_tree_size, children(t)))
+
+
+def _assert_prints_as_tree(t):
+    flat = unshare(t)
+    assert print_term(t) == print_term(flat)
+    for prec in (0, 1, 2):
+        assert pretty_term(t, prec) == pretty_term(flat, prec)
+
+
+def _bool_chain(k: int):
+    """k residual tests in sequence: `shift` puts the rest of the chain in
+    both branches of each, as one shared object."""
+    x = Var("x")
+    body = Var(f"a{k}")
+    for i in range(k, 0, -1):
+        prev = Var(f"a{i - 1}") if i > 1 else x
+        test = mk_if(
+            PrimApp("==", (x, lit(i))),
+            PrimApp("*", (prev, lit(2))),
+            PrimApp("/", (prev, lit(3))),
+        )
+        body = App(Lam(f"a{i}", RAT, body), test)
+    return Lam("x", RAT, body)
+
+
+def test_printers_ignore_sharing_in_normal_forms():
+    cases = [(6, norm(_bool_chain(6), SIG, smart_prim_env()))]
+    for env in (smart_prim_env(), naive_prim_env()):
+        for make in (power, power_prime):
+            for k in range(1, 9):
+                for n in (2**k - 1, -(2**k - 1)):
+                    cases.append((k, norm(make(n), SIG, env)))
+    for k, t in cases:
+        _assert_prints_as_tree(t)
+        # The property says something only where the term shares.
+        assert k == 1 or _dag_size(t) < _tree_size(t)
+
+
+@given(_raw_terms)
+def test_printers_ignore_sharing(t):
+    # In `App(t, t)` the one node is an operand at precedence 1 and 2.
+    for shared in (Pair(t, t), PrimApp("*", (t, t)), Case(Var("s"), t, t), App(t, t)):
+        _assert_prints_as_tree(shared)
+
+
+def test_printers_format_each_shared_node_once(monkeypatch):
+    t = lit(3)
+    for _ in range(12):
+        t = PrimApp("*", (t, t))
+    calls = []
+    real = syntax.format_rational
+    monkeypatch.setattr(syntax, "format_rational", lambda q: calls.append(q) or real(q))
+    assert print_term(t).count("(lit 3 Q)") == 4096
+    assert len(calls) == 1
+    assert pretty_term(t).count("3") == 4096
+    assert len(calls) == 2
+
+
+def test_printers_handle_deep_chains():
+    assert sys.getrecursionlimit() == 1000
+    depth = 3000
+    t = _fst_chain(depth)
+    assert print_term(t) == "(fst " * depth + "unit" + ")" * depth
+    assert pretty_term(t) == "fst (" * (depth - 1) + "fst unit" + ")" * (depth - 1)
