@@ -35,7 +35,7 @@ from .examples import (
     power_prime,
 )
 from .interp import ConcreteValue, RuntimeDivisionByZero, format_value, run
-from .nbe import AtType, ConvertNeg, ConvertPos, NameSupply, ReifyPlan, norm, reflect, reify
+from .nbe import NameSupply, norm, reflect, reify
 from .primitives import (
     BOOL,
     RAT,

@@ -74,9 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
     demo_sub = p_demo.add_subparsers(dest="demo_name", required=True)
 
     p_chars = demo_sub.add_parser("chars", help="normalize a string-language term")
-    group = p_chars.add_mutually_exclusive_group(required=True)
-    group.add_argument("--file", metavar="PATH")
-    group.add_argument("--inline", metavar="TERM")
+    _add_input_flags(p_chars)
 
     p_power = demo_sub.add_parser("power", help="generate and normalize a power function")
     p_power.add_argument("n", type=int)
@@ -129,10 +127,8 @@ def _cmd_demo_chars(source: str) -> int:
 
 
 def _cmd_demo_power(n: int, naive: bool) -> int:
-    sig = rational_signature()
-    env = naive_prim_env() if naive else smart_prim_env()
     generated = power(n)
-    normal = norm(generated, sig, env)
+    normal = norm(generated, rational_signature(), _prim_env("naive" if naive else "smart"))
     print(f"generated:   {print_term(generated)}")
     print(f"normal form: {print_term(normal)}")
     print(f"pretty:      {pretty_term(normal)}")

@@ -5,8 +5,7 @@ function types; reflection turns code (typically a fresh variable) into a
 semantic value.  At sum types reflection captures the continuation with
 `shift` and materializes it in both branches of a residual case, so code
 consuming a residual sum is branched over once, at the point the sum is
-destructed.  Convert plans let clients splice host-level coercions into
-either direction, with the usual polarity discipline.
+destructed.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ from .semantics import (
     SPair,
     SUnit,
     Val,
-    apply_fun,
     eval_term,
 )
 from .syntax import (
@@ -65,42 +63,8 @@ class NameSupply:
         return name
 
 
-class ReifyPlan:
-    __slots__ = ()
-
-
-@dataclass(frozen=True)
-class AtType(ReifyPlan):
-    type: ObjType
-
-
-@dataclass(frozen=True)
-class ConvertPos(ReifyPlan):
-    """Reify-side coercion: embed the value, then reify at the inner plan."""
-
-    inner: ReifyPlan
-    embed: Callable[[SemValue], SemValue]
-
-
-@dataclass(frozen=True)
-class ConvertNeg(ReifyPlan):
-    """Reflect-side coercion: reflect at the inner plan, then project."""
-
-    inner: ReifyPlan
-    project: Callable[[SemValue], SemValue]
-
-
-def reify(plan: ReifyPlan, value: SemValue, names: NameSupply) -> Term:
-    """Map a semantic value of the plan's type back to a term."""
-    match plan:
-        case ConvertPos(inner=inner, embed=embed):
-            return reify(inner, embed(value), names)
-        case ConvertNeg():
-            raise ShapeMismatch("ConvertNeg plans apply to reflection only")
-        case AtType(type=ty):
-            pass
-        case _:
-            raise TypeError(f"not a reify plan: {plan!r}")
+def reify(ty: ObjType, value: SemValue, names: NameSupply) -> Term:
+    """Map a semantic value of type ty back to a term."""
     match ty:
         case Base(name=b):
             if isinstance(value, SBase) and value.base == b:
@@ -119,40 +83,28 @@ def reify(plan: ReifyPlan, value: SemValue, names: NameSupply) -> Term:
                 raise ShapeMismatch(f"expected a function value, found {type(value).__name__}")
             x = names.fresh()
             body = reset(
-                reflect(AtType(a), Var(x), names)
+                reflect(a, Var(x), names)
                 .bind(value.apply)
-                .map(lambda w: reify(AtType(b), w, names))
+                .map(lambda w: reify(b, w, names))
             )
             return Lam(x, a, body)
         case Prod(left=a, right=b):
             if not isinstance(value, SPair):
                 raise ShapeMismatch(f"expected a pair value, found {type(value).__name__}")
-            return Pair(
-                reify(AtType(a), value.first, names),
-                reify(AtType(b), value.second, names),
-            )
+            return Pair(reify(a, value.first, names), reify(b, value.second, names))
         case Sum(left=a, right=b):
             if isinstance(value, SInl):
-                return Inl(reify(AtType(a), value.value, names), ty)
+                return Inl(reify(a, value.value, names), ty)
             if isinstance(value, SInr):
-                return Inr(reify(AtType(b), value.value, names), ty)
+                return Inr(reify(b, value.value, names), ty)
             raise ShapeMismatch(f"expected a tagged value, found {type(value).__name__}")
     raise TypeError(f"not a type: {ty!r}")
 
 
-def reflect(plan: ReifyPlan, code: Term, names: NameSupply) -> Residual[SemValue]:
-    """Map a term of the plan's type into the semantic domain.  At sum type
-    this asks for the continuation and duplicates it into both branches of a
-    residual case on `code`."""
-    match plan:
-        case ConvertNeg(inner=inner, project=project):
-            return reflect(inner, code, names).map(project)
-        case ConvertPos():
-            raise ShapeMismatch("ConvertPos plans apply to reification only")
-        case AtType(type=ty):
-            pass
-        case _:
-            raise TypeError(f"not a reify plan: {plan!r}")
+def reflect(ty: ObjType, code: Term, names: NameSupply) -> Residual[SemValue]:
+    """Map a term of type ty into the semantic domain.  At sum type this asks
+    for the continuation and duplicates it into both branches of a residual
+    case on `code`."""
     match ty:
         case Base(name=b):
             return ret(SBase(b, Exp(code)))
@@ -160,25 +112,19 @@ def reflect(plan: ReifyPlan, code: Term, names: NameSupply) -> Residual[SemValue
             return ret(SUnit())
         case Arrow(dom=a, cod=b):
             def applied(arg: SemValue) -> Residual[SemValue]:
-                return reflect(AtType(b), App(code, reify(AtType(a), arg, names)), names)
+                return reflect(b, App(code, reify(a, arg, names)), names)
 
             return ret(SFun(applied))
         case Prod(left=a, right=b):
-            return reflect(AtType(a), Fst(code), names).bind(
-                lambda l: reflect(AtType(b), Snd(code), names).map(
-                    lambda r: SPair(l, r)
-                )
+            return reflect(a, Fst(code), names).bind(
+                lambda l: reflect(b, Snd(code), names).map(lambda r: SPair(l, r))
             )
         case Sum(left=a, right=b):
             def split(k: Callable[[SemValue], Term]) -> Term:
                 xl = names.fresh()
-                left_body = reset(
-                    reflect(AtType(a), Var(xl), names).map(lambda v: k(SInl(v)))
-                )
+                left_body = reset(reflect(a, Var(xl), names).map(lambda v: k(SInl(v))))
                 xr = names.fresh()
-                right_body = reset(
-                    reflect(AtType(b), Var(xr), names).map(lambda v: k(SInr(v)))
-                )
+                right_body = reset(reflect(b, Var(xr), names).map(lambda v: k(SInr(v))))
                 return Case(code, Lam(xl, a, left_body), Lam(xr, b, right_body))
 
             return shift(split)
@@ -192,4 +138,4 @@ def norm(t: Term, sig, prims) -> Term:
     ty = infer({}, sig, t)
     names = NameSupply()
     comp = eval_term(t, prims, {}, names)
-    return reset(comp.map(lambda v: reify(AtType(ty), v, names)))
+    return reset(comp.map(lambda v: reify(ty, v, names)))

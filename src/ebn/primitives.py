@@ -19,10 +19,9 @@ from functools import partial
 from typing import Callable, Mapping
 
 from .control import Residual, ret
-from .nbe import AtType, NameSupply, reflect
+from .nbe import NameSupply, reflect, reify
 from .semantics import (
     BaseValue,
-    Exp,
     PrimEnv,
     SBase,
     SemValue,
@@ -142,10 +141,6 @@ def _rat_payload(v: SemValue) -> BaseValue:
     raise ShapeMismatch(f"expected a Q value, found {type(v).__name__}")
 
 
-def _code(p: BaseValue) -> Term:
-    return p.code if isinstance(p, Exp) else lit(p.literal)
-
-
 def _embed(ty: ObjType, host: object) -> SemValue:
     """A folded host result as a semantic value of the result type: a
     literal at a base type, a tag at Bool."""
@@ -170,8 +165,8 @@ def _apply(
             return ret(b)
         if isinstance(pb, Val) and pb.literal == rule.right_unit:
             return ret(a)
-    code = PrimApp(op, (_code(pa), _code(pb)))
-    return reflect(AtType(rule.type.result), code, names)
+    code = PrimApp(op, (reify(RAT, a, names), reify(RAT, b, names)))
+    return reflect(rule.type.result, code, names)
 
 
 def smart_mul(a: SemValue, b: SemValue) -> Residual[SemValue]:

@@ -336,40 +336,37 @@ def _infer(env: dict[str, ObjType], sig, t: Term, path: tuple[int, ...]) -> ObjT
 
 def alpha_eq(t1: Term, t2: Term) -> bool:
     """Structural equality up to consistent renaming of bound variables;
-    free variables must match by name, annotations structurally."""
-    return _alpha(t1, t2, {}, {}, 0)
-
-
-def _alpha(a: Term, b: Term, m1: dict[str, int], m2: dict[str, int], depth: int) -> bool:
-    if type(a) is not type(b):
-        return False
-    match a:
-        case Lit(value=v, base=c):
-            return v == b.value and c == b.base
-        case PrimApp(name=n, args=args):
-            return (
-                n == b.name
-                and len(args) == len(b.args)
-                and all(_alpha(x, y, m1, m2, depth) for x, y in zip(args, b.args))
-            )
-        case UnitVal():
-            return True
-        case Var(name=x):
-            i, j = m1.get(x), m2.get(b.name)
-            if i is None and j is None:
-                return x == b.name
-            return i is not None and i == j
-        case Lam(binder=x, annot=ann, body=n):
-            if ann != b.annot:
-                return False
-            return _alpha(n, b.body, {**m1, x: depth}, {**m2, b.binder: depth}, depth + 1)
-        case Inl(arg=x, annot=ann) | Inr(arg=x, annot=ann):
-            return ann == b.annot and _alpha(x, b.arg, m1, m2, depth)
-        case _:
-            return all(
-                _alpha(x, y, m1, m2, depth)
-                for x, y in zip(children(a), children(b))
-            )
+    free variables must match by name, annotations structurally.  Walks an
+    explicit stack of (a, b, m1, m2, depth) pairs, where m1 and m2 map each
+    side's binders in scope to their depth."""
+    stack = [(t1, t2, {}, {}, 0)]
+    while stack:
+        a, b, m1, m2, depth = stack.pop()
+        if type(a) is not type(b):
+            return False
+        match a:
+            case Lit(value=v, base=c):
+                if v != b.value or c != b.base:
+                    return False
+            case PrimApp(name=n, args=args):
+                if n != b.name or len(args) != len(b.args):
+                    return False
+                stack.extend((x, y, m1, m2, depth) for x, y in zip(args, b.args))
+            case Var(name=x):
+                i = m1.get(x)
+                if i != m2.get(b.name) or (i is None and x != b.name):
+                    return False
+            case Lam(binder=x, annot=ann, body=n):
+                if ann != b.annot:
+                    return False
+                stack.append((n, b.body, {**m1, x: depth}, {**m2, b.binder: depth}, depth + 1))
+            case Inl(arg=x, annot=ann) | Inr(arg=x, annot=ann):
+                if ann != b.annot:
+                    return False
+                stack.append((x, b.arg, m1, m2, depth))
+            case _:
+                stack.extend((x, y, m1, m2, depth) for x, y in zip(children(a), children(b)))
+    return True
 
 
 def beta_normal(t: Term) -> bool:

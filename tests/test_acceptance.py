@@ -8,7 +8,7 @@ from ebn.chars import Append, Chr, Eps, is_canonical, norm_chars
 from ebn.control import bind, reset, ret
 from ebn.examples import power, power_dprime
 from ebn.interp import CUnit, run
-from ebn.nbe import AtType, NameSupply, norm, reify
+from ebn.nbe import NameSupply, norm, reify
 from ebn.primitives import (
     BOOL,
     RAT,
@@ -215,7 +215,7 @@ def test_criterion_8_smart_table_exactness():
 
 def test_criterion_9_sum_reification_shape():
     ty = Arrow(Sum(Unit(), Unit()), Unit())
-    got = reify(AtType(ty), SFun(lambda v: ret(SUnit())), NameSupply())
+    got = reify(ty, SFun(lambda v: ret(SUnit())), NameSupply())
     assert got == Lam(
         "x0",
         Sum(Unit(), Unit()),

@@ -1,3 +1,6 @@
+import functools
+import random
+import re
 from decimal import Decimal
 from fractions import Fraction
 
@@ -6,7 +9,9 @@ import pytest
 from ebn import cli
 from ebn.cli import INTERNAL_ERROR, NO_INPUT, OUT_OF_MEMORY, USAGE_ERROR, main
 from ebn.interp import CRat, format_value
-from ebn.syntax import format_rational
+from ebn.syntax import format_rational, print_term
+
+from conftest import ACCEPT_TYPES, TermGen, min_depth
 
 IDENTITY_APP = "(app (lam (x Q) (var x)) (lit 3 Q))"
 
@@ -171,3 +176,38 @@ def test_out_of_memory_exits_71(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("ebn: error:")
     assert "Traceback" not in err
+
+
+DOCUMENTED_EXITS = {0, 1, 2, USAGE_ERROR, NO_INPUT, INTERNAL_ERROR, OUT_OF_MEMORY}
+_DIV_BY_ZERO = "(prim / (lit 1 Q) (lit 0 Q))"
+
+
+def _damaged_sources(rng: random.Random, count: int):
+    """Generated well-typed terms, each followed by a truncation, an insertion
+    of each of `(`, `)`, `"`, `;`, an atom and a division by zero at a random
+    offset, and the term with its first literal replaced by that division."""
+    gen = TermGen(rng)
+    for i in range(count):
+        ty = ACCEPT_TYPES[i % len(ACCEPT_TYPES)]
+        text = print_term(gen.gen(ty, {}, rng.randint(max(1, min_depth(ty)), 5)))
+        yield text
+        yield text[: rng.randrange(len(text))]
+        for snippet in ("(", ")", '"', ";", "q", _DIV_BY_ZERO):
+            at = rng.randrange(len(text) + 1)
+            yield text[:at] + snippet + text[at:]
+        yield re.sub(r"\(lit \S+ Q\)", _DIV_BY_ZERO, text, count=1)
+
+
+def test_cli_never_prints_a_traceback(monkeypatch, capsys):
+    # main builds a fresh argparse parser per call, which would dominate
+    # thousands of in-process calls; parsing does not change the parser
+    monkeypatch.setattr(cli, "build_parser", functools.cache(cli.build_parser))
+    seen = set()
+    for source in _damaged_sources(random.Random(2024), 150):
+        for command in (["norm"], ["norm", "--prims", "naive"], ["check"], ["run"]):
+            code = main([*command, "--inline", source])
+            err = capsys.readouterr().err
+            assert code in DOCUMENTED_EXITS, (command, source, code, err)
+            assert "Traceback" not in err, (command, source, err)
+            seen.add(code)
+    assert {0, 1, 2} <= seen

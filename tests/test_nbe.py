@@ -5,9 +5,6 @@ import pytest
 from ebn.control import reset, ret
 from ebn.interp import run
 from ebn.nbe import (
-    AtType,
-    ConvertNeg,
-    ConvertPos,
     NameSupply,
     norm,
     reflect,
@@ -51,6 +48,8 @@ from ebn.syntax import (
     alpha_eq,
     beta_normal,
     infer,
+    parse_term,
+    print_term,
 )
 
 from conftest import TermGen, agree_on_probes
@@ -70,13 +69,13 @@ def test_name_supply_is_deterministic():
 
 def test_reify_semantic_identity():
     v = SFun(lambda arg: ret(arg))
-    t = reify(AtType(Arrow(RAT, RAT)), v, NameSupply())
+    t = reify(Arrow(RAT, RAT), v, NameSupply())
     assert t == Lam("x0", RAT, Var("x0"))
 
 
 def test_reify_constant_unit_function_over_sum():
-    plan = AtType(Arrow(Sum(Unit(), Unit()), Unit()))
-    t = reify(plan, SFun(lambda v: ret(SUnit())), NameSupply())
+    ty = Arrow(Sum(Unit(), Unit()), Unit())
+    t = reify(ty, SFun(lambda v: ret(SUnit())), NameSupply())
     assert t == Lam(
         "x0",
         Sum(Unit(), Unit()),
@@ -90,44 +89,25 @@ def test_reify_constant_unit_function_over_sum():
 
 
 def test_reify_base_val_emits_literal():
-    assert reify(AtType(RAT), SBase("Q", Val(3)), NameSupply()) == lit(3)
+    assert reify(RAT, SBase("Q", Val(3)), NameSupply()) == lit(3)
 
 
 def test_reify_base_exp_emits_code():
-    assert reify(AtType(RAT), SBase("Q", Exp(Var("m"))), NameSupply()) == Var("m")
+    assert reify(RAT, SBase("Q", Exp(Var("m"))), NameSupply()) == Var("m")
 
 
 def test_reify_pair_and_sum():
     v = SPair(SBase("Q", Val(1)), SInr(SUnit()))
     ty = Prod(RAT, Sum(RAT, Unit()))
-    got = reify(AtType(ty), v, NameSupply())
+    got = reify(ty, v, NameSupply())
     assert got == Pair(lit(1), Inr(UnitVal(), Sum(RAT, Unit())))
 
 
 def test_reify_shape_mismatch():
     with pytest.raises(ShapeMismatch):
-        reify(AtType(RAT), SUnit(), NameSupply())
+        reify(RAT, SUnit(), NameSupply())
     with pytest.raises(ShapeMismatch):
-        reify(AtType(Arrow(RAT, RAT)), SUnit(), NameSupply())
-
-
-def test_convert_plans():
-    # embed a bare payload into a pair on the way down; project it out on
-    # the way up
-    pos = ConvertPos(AtType(Prod(RAT, RAT)), lambda v: SPair(v, v))
-    t = reify(pos, SBase("Q", Val(2)), NameSupply())
-    assert t == Pair(lit(2), lit(2))
-
-    neg = ConvertNeg(AtType(Prod(RAT, RAT)), lambda v: v.first)
-    names = NameSupply()
-    comp = reflect(neg, Var("p"), names)
-    got = reset(comp.map(lambda v: reify(AtType(RAT), v, names)))
-    assert got == Fst(Var("p"))
-
-    with pytest.raises(ShapeMismatch):
-        reify(neg, SUnit(), NameSupply())
-    with pytest.raises(ShapeMismatch):
-        reflect(pos, Var("p"), NameSupply())
+        reify(Arrow(RAT, RAT), SUnit(), NameSupply())
 
 
 # ---------------------------------------------------------------------------
@@ -136,20 +116,20 @@ def test_convert_plans():
 
 def test_reflect_base_is_residual_code():
     out = []
-    reflect(AtType(RAT), Var("y"), NameSupply()).run(lambda v: (out.append(v), UnitVal())[1])
+    reflect(RAT, Var("y"), NameSupply()).run(lambda v: (out.append(v), UnitVal())[1])
     assert out == [SBase("Q", Exp(Var("y")))]
 
 
 def test_reflect_eta_expands_functions():
     names = NameSupply()
-    comp = reflect(AtType(Arrow(RAT, RAT)), Var("f"), names)
-    got = reset(comp.map(lambda v: reify(AtType(Arrow(RAT, RAT)), v, names)))
+    comp = reflect(Arrow(RAT, RAT), Var("f"), names)
+    got = reset(comp.map(lambda v: reify(Arrow(RAT, RAT), v, names)))
     assert got == Lam("x0", RAT, App(Var("f"), Var("x0")))
 
 
 def test_reflect_bool_materializes_branching():
     names = NameSupply()
-    comp = reflect(AtType(BOOL), Var("b"), names)
+    comp = reflect(BOOL, Var("b"), names)
 
     def consume(v: SemValue):
         return lit(0) if isinstance(v, SInl) else lit(1)
@@ -164,8 +144,8 @@ def test_reflect_bool_materializes_branching():
 
 def test_reflect_product_splits_projections():
     names = NameSupply()
-    comp = reflect(AtType(Prod(RAT, RAT)), Var("p"), names)
-    got = reset(comp.map(lambda v: reify(AtType(Prod(RAT, RAT)), v, names)))
+    comp = reflect(Prod(RAT, RAT), Var("p"), names)
+    got = reset(comp.map(lambda v: reify(Prod(RAT, RAT), v, names)))
     assert got == Pair(Fst(Var("p")), Snd(Var("p")))
 
 
@@ -186,6 +166,23 @@ def test_norm_eta_expands_sum_free_programs():
     got = norm(t, SIG, smart_prim_env())
     assert got == Lam(
         "x0", Arrow(RAT, RAT), Lam("x1", RAT, App(Var("x0"), Var("x1")))
+    )
+
+
+def test_norm_product_of_sums_golden():
+    # reflect at Prod splits fst before snd; each residual sum names its
+    # left binder before its right one and duplicates the continuation
+    # into both branches
+    t = parse_term("(lam (p (prod (sum unit unit) (sum Q unit))) (var p))")
+    assert print_term(norm(t, SIG, smart_prim_env())) == (
+        "(lam (x0 (prod (sum unit unit) (sum Q unit))) "
+        "(case (fst (var x0)) "
+        "(lam (x1 unit) (case (snd (var x0)) "
+        "(lam (x2 Q) (pair (inl unit (sum unit unit)) (inl (var x2) (sum Q unit)))) "
+        "(lam (x3 unit) (pair (inl unit (sum unit unit)) (inr unit (sum Q unit)))))) "
+        "(lam (x4 unit) (case (snd (var x0)) "
+        "(lam (x5 Q) (pair (inr unit (sum unit unit)) (inl (var x5) (sum Q unit)))) "
+        "(lam (x6 unit) (pair (inr unit (sum unit unit)) (inr unit (sum Q unit))))))))"
     )
 
 

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from ebn.control import reset
 from ebn.interp import CRat, run
-from ebn.nbe import AtType, NameSupply, norm, reify
+from ebn.nbe import NameSupply, norm, reify
 from ebn.primitives import (
     BOOL,
     RAT,
@@ -66,7 +66,7 @@ def branching_of(comp):
     """Render an equality reflection as the case it materializes, with the
     Bool reified in each branch."""
     names = NameSupply(prefix="k")
-    return reset(comp.map(lambda v: reify(AtType(BOOL), v, names)))
+    return reset(comp.map(lambda v: reify(BOOL, v, names)))
 
 
 M = Var("m")

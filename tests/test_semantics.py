@@ -3,7 +3,7 @@ import random
 import pytest
 
 from ebn.control import reset, ret
-from ebn.nbe import AtType, NameSupply, norm, reify
+from ebn.nbe import NameSupply, norm, reify
 from ebn.primitives import (
     BOOL,
     RAT,
@@ -68,7 +68,7 @@ def eval_closed(t):
 def test_eval_literal_reifies_to_itself():
     names = NameSupply()
     comp = eval_term(lit(3), smart_prim_env(), {}, names)
-    out = reset(comp.map(lambda v: reify(AtType(RAT), v, names)))
+    out = reset(comp.map(lambda v: reify(RAT, v, names)))
     assert out == lit(3)
 
 

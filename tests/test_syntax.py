@@ -153,6 +153,44 @@ def test_alpha_eq_bound_vs_free():
     assert not alpha_eq(Lam("x", RAT, Var("x")), Lam("y", RAT, Var("x")))
 
 
+def _chain(depth: int, wrap, leaf):
+    t = leaf
+    for i in range(depth):
+        t = wrap(i, t)
+    return t
+
+
+_CHAIN_WRAPS = {
+    "prim *": lambda i, t: PrimApp("*", (lit(i), t)),
+    "lam": lambda i, t: Lam(f"v{i}", RAT, t),
+    "fst": lambda i, t: Fst(t),
+    "case": lambda i, t: Case(Var("s"), Lam("l", Unit(), t), Lam("r", Unit(), UnitVal())),
+}
+
+
+@pytest.mark.parametrize("head", _CHAIN_WRAPS)
+def test_alpha_eq_walks_deep_chains(head):
+    assert sys.getrecursionlimit() == 1000
+    depth, wrap = 3000, _CHAIN_WRAPS[head]
+    t = _chain(depth, wrap, Var("v0"))
+    assert alpha_eq(t, _chain(depth, wrap, Var("v0")))
+    assert not alpha_eq(t, _chain(depth, wrap, Var("v1")))
+
+
+def test_alpha_eq_deep_binders():
+    depth = 3000
+
+    def lams(stem, odd_annot):
+        def wrap(i, t):
+            return Lam(f"{stem}{i}", odd_annot if i == depth // 2 else RAT, t)
+
+        return _chain(depth, wrap, Var(f"{stem}0"))
+
+    assert alpha_eq(lams("v", RAT), lams("w", RAT))
+    assert not alpha_eq(lams("v", RAT), lams("v", Unit()))
+    assert not alpha_eq(lams("v", RAT), lams("w", Unit()))
+
+
 _names = st.sampled_from(["a", "b", "c", "x", "y", "z"])
 _rationals = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 9))
 _types = st.recursive(
