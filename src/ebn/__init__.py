@@ -35,7 +35,7 @@ from .examples import (
     power_prime,
 )
 from .interp import ConcreteValue, RuntimeDivisionByZero, format_value, run
-from .nbe import NameSupply, norm, reflect, reify
+from .nbe import NameSupply, eval_term, norm, reflect, reify
 from .primitives import (
     BOOL,
     RAT,
@@ -49,14 +49,13 @@ from .primitives import (
     mk_true,
     naive_prim_env,
     rational_signature,
-    smart_div,
-    smart_eq,
-    smart_mul,
     smart_prim_env,
 )
 from .semantics import (
     BaseValue,
+    Closure,
     Exp,
+    Reflected,
     SBase,
     SemValue,
     SFun,
@@ -65,8 +64,6 @@ from .semantics import (
     SPair,
     SUnit,
     Val,
-    eval_term,
-    shape_matches,
 )
 from .syntax import (
     AnnotationMissing,

@@ -2,13 +2,15 @@
 
 Exit codes: 0 success, 1 syntax/type error, 2 runtime error (division by
 zero), 64 usage error, 66 unreadable input file, 70 internal error (the term
-nests or sequences deeper than Python's recursion limit allows), 71 out of
-memory.
+nests deeper than the reader, the type checker or the interpreter can follow
+within Python's recursion limit, about 1,000 levels; the normalizer itself has
+no such bound), 71 out of memory.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -54,7 +56,9 @@ def _add_input_flags(p: argparse.ArgumentParser) -> None:
     group.add_argument("--inline", metavar="TERM", help="read the term from the argument")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `ebn` argument parser, built once: parsing does not change it."""
     parser = _ArgumentParser(prog="ebn", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

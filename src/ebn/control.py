@@ -4,6 +4,11 @@ A computation is a first-class function from a continuation to a finished
 Term; `shift` may invoke the captured continuation zero or more times, and
 `reset` delimits how far it reaches.  There is no global continuation state,
 so the monad laws are directly testable.
+
+This is the executable specification of the normalizer's control: `nbe.py`
+runs the same equations as a defunctionalised machine, and uses `Residual`
+only at its edges, where a host function meets the machine (`eval_term` and
+`reflect` return a computation; an `SFun` value returns one).
 """
 
 from __future__ import annotations

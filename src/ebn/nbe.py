@@ -1,4 +1,5 @@
-"""Type-directed reification and reflection, plus the top-level normalizer.
+"""The normalizer: evaluation, type-directed reification and reflection, run
+as one abstract machine.
 
 Reification turns a semantic value back into syntax, eta-expanding at
 function types; reflection turns code (typically a fresh variable) into a
@@ -6,16 +7,31 @@ semantic value.  At sum types reflection captures the continuation with
 `shift` and materializes it in both branches of a residual case, so code
 consuming a residual sum is branched over once, at the point the sum is
 destructed.
+
+These equations are the CPS evaluator of `control.py` defunctionalised
+(Danvy & Nielsen, "Defunctionalization at Work", 2001): one loop `_run` in
+four modes (evaluate a term, return a value to the continuation, reify a
+value, reflect code).  A continuation is an immutable linked list of tuple
+frames `(tag, rest, ...)` that ends in `None`, the delimiter of the nearest
+`reset`.  The resets themselves are meta-frames on a Python list: the body of
+a lambda being reified, and each branch of a residual case.  `shift` at a
+sum keeps a pointer to the current frames and runs them once per branch;
+frames are never mutated, so the second run copies nothing.  The left branch
+finishes before the right branch's binder is drawn, so fresh names come out
+in the same order as from the CPS code.  Python stack use does not grow with
+the term.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
-from .control import Residual, reset, ret, shift
+from .control import Residual
 from .semantics import (
+    Closure,
     Exp,
+    PrimEnv,
+    Reflected,
     SBase,
     SemValue,
     SFun,
@@ -25,7 +41,8 @@ from .semantics import (
     SPair,
     SUnit,
     Val,
-    eval_term,
+    ValueEnv,
+    reify_base,
 )
 from .syntax import (
     App,
@@ -39,12 +56,15 @@ from .syntax import (
     Lit,
     ObjType,
     Pair,
+    PrimApp,
     Prod,
     Snd,
     Sum,
     Term,
     Unit,
+    UnboundVariable,
     UnitVal,
+    UnknownPrimitive,
     Var,
     infer,
 )
@@ -63,79 +83,308 @@ class NameSupply:
         return name
 
 
+# Machine modes.  Modes and frame tags are small ints, which CPython caches,
+# so the loop compares them with `is`.
+EVAL, RETURN, REIFY, REFLECT = range(4)
+
+# Continuation frames `(tag, rest, *fields)`; a value returns into the frame.
+(
+    ARG,  # (term, env): the function arrived; evaluate its argument
+    CALL,  # (fun,): the argument arrived; apply fun to it
+    CALL_WITH,  # (arg,): a case branch arrived; apply it to arg, the payload
+    PRIM_ARG,  # (args, i, acc, env, impl): argument i - 1 arrived
+    CASE,  # (left, right, env): the scrutinee arrived; pick a branch
+    PAIR_SND,  # (term, env): the first component arrived; evaluate the second
+    PAIR,  # (first,): the second component arrived
+    FST,
+    SND,
+    INL,
+    INR,
+    REIFY_AT,  # (ty,): reify the value at ty
+    REIFY_SND,  # (ty, second): the first component's code arrived
+    PAIR_CODE,  # (first,): the second component's code arrived
+    WRAP_INL,  # (sum type,): the payload's code arrived
+    WRAP_INR,
+    REFLECT_APP,  # (code, cod): the argument's code arrived
+    REFLECT_SND,  # (ty, code): the first projection's value arrived
+    HOST,  # (f,): the host function f takes the value
+) = range(19)
+
+# Meta-frames, one per reset in progress; each receives the answer (a term)
+# that reaches the delimiter.
+(
+    LAM_BODY,  # (outer frames, x, a): build Lam(x, a, answer)
+    SPLIT_RIGHT,  # (code, a, b, captured frames, xl): run the right branch
+    BUILD_CASE,  # (code, a, b, xl, left answer, xr): build the case
+) = range(3)
+
+# The frame each one-argument term form pushes while its argument runs.
+_UNARY = {Fst: FST, Snd: SND, Inl: INL, Inr: INR}
+
+_UNIT = SUnit()
+
+
+def _mismatch(expected: str, value) -> ShapeMismatch:
+    return ShapeMismatch(f"expected {expected}, found {type(value).__name__}")
+
+
+def _run(mode, k, prims, names, term=None, env=None, ty=None, value=None, code=None):
+    """Run the machine from one state to the answer at its outermost
+    delimiter.  The registers: `term` and `env` in EVAL, `value` in RETURN,
+    `ty` and `value` in REIFY, `ty` and `code` in REFLECT."""
+    meta = []
+    while True:
+        if mode is EVAL:
+            cls = type(term)
+            if cls is Var:
+                try:
+                    value = env[term.name]
+                except KeyError:
+                    raise UnboundVariable(
+                        f"variable {term.name!r} missing from the value environment"
+                    ) from None
+            elif cls is PrimApp:
+                args = term.args
+                try:
+                    impl = prims[term.name]
+                except KeyError:
+                    raise UnknownPrimitive(f"no semantic entry for primitive {term.name!r}") from None
+                if args:
+                    k = (PRIM_ARG, k, args, 1, (), env, impl)
+                    term = args[0]
+                    continue
+                value = impl((), names)
+                if type(value) is tuple:
+                    ty, code = value
+                    mode = REFLECT
+                    continue
+            elif cls is App:
+                k = (ARG, k, term.arg, env)
+                term = term.fun
+                continue
+            elif cls is Lit:
+                value = SBase(term.base, Val(term.value))
+            elif cls is Lam:
+                value = Closure(term.binder, term.body, env, prims)
+            elif cls is Case:
+                k = (CASE, k, term.left, term.right, env)
+                term = term.scrutinee
+                continue
+            elif cls is Pair:
+                k = (PAIR_SND, k, term.second, env)
+                term = term.first
+                continue
+            elif cls in _UNARY:
+                k = (_UNARY[cls], k)
+                term = term.arg
+                continue
+            elif cls is UnitVal:
+                value = _UNIT
+            else:
+                raise TypeError(f"not a term: {term!r}")
+        elif mode is REIFY:
+            cls = type(ty)
+            if cls is Base:
+                value = reify_base(ty.name, value)
+            elif cls is Arrow:
+                if type(value) not in (Closure, Reflected, SFun):
+                    raise _mismatch("a function value", value)
+                x = names.fresh()
+                meta.append((LAM_BODY, k, x, ty.dom))
+                k = (CALL, (REIFY_AT, None, ty.cod), value)
+                ty = ty.dom
+                code = Var(x)
+                mode = REFLECT
+                continue
+            elif cls is Sum:
+                if type(value) is SInl:
+                    k = (WRAP_INL, k, ty)
+                    ty = ty.left
+                elif type(value) is SInr:
+                    k = (WRAP_INR, k, ty)
+                    ty = ty.right
+                else:
+                    raise _mismatch("a tagged value", value)
+                value = value.value
+                continue
+            elif cls is Prod:
+                if type(value) is not SPair:
+                    raise _mismatch("a pair value", value)
+                k = (REIFY_SND, k, ty.right, value.second)
+                ty = ty.left
+                value = value.first
+                continue
+            elif cls is Unit:
+                if type(value) is not SUnit:
+                    raise _mismatch("a unit value", value)
+                value = UnitVal()
+            else:
+                raise TypeError(f"not a type: {ty!r}")
+        elif mode is REFLECT:
+            cls = type(ty)
+            if cls is Base:
+                value = SBase(ty.name, Exp(code))
+            elif cls is Sum:  # shift: both branches continue with frames k
+                x = names.fresh()
+                meta.append((SPLIT_RIGHT, code, ty.left, ty.right, k, x))
+                k = (INL, k)
+                ty = ty.left
+                code = Var(x)
+                continue
+            elif cls is Arrow:
+                value = Reflected(code, ty.dom, ty.cod)
+            elif cls is Prod:
+                k = (REFLECT_SND, k, ty.right, code)
+                ty = ty.left
+                code = Fst(code)
+                continue
+            elif cls is Unit:
+                value = _UNIT
+            else:
+                raise TypeError(f"not a type: {ty!r}")
+
+        # RETURN: hand `value` to the innermost frame.
+        mode = RETURN
+        if k is None:  # the delimiter: `value` is the answer of a reset
+            if not meta:
+                return value
+            frame = meta.pop()
+            tag = frame[0]
+            if tag is LAM_BODY:
+                _, k, x, a = frame
+                value = Lam(x, a, value)
+            elif tag is SPLIT_RIGHT:
+                _, code, a, b, captured, xl = frame
+                x = names.fresh()
+                meta.append((BUILD_CASE, code, a, b, xl, value, x))
+                k = (INR, captured)
+                ty = b
+                code = Var(x)
+                mode = REFLECT
+            else:
+                _, code, a, b, xl, left, xr = frame
+                value = Case(code, Lam(xl, a, left), Lam(xr, b, value))
+            continue
+        tag = k[0]
+        if tag is PRIM_ARG:
+            _, k, args, i, acc, env, impl = k
+            acc += (value,)
+            if i < len(args):
+                k = (PRIM_ARG, k, args, i + 1, acc, env, impl)
+                term = args[i]
+                mode = EVAL
+                continue
+            value = impl(acc, names)
+            if type(value) is tuple:
+                ty, code = value
+                mode = REFLECT
+        elif tag is CALL or tag is CALL_WITH:
+            if tag is CALL:
+                _, k, fun = k
+                arg = value
+            else:
+                _, k, arg = k
+                fun = value
+            cls = type(fun)
+            if cls is Closure:
+                env = fun.env.copy()
+                env[fun.binder] = arg
+                term = fun.body
+                prims = fun.prims
+                mode = EVAL
+            elif cls is Reflected:
+                k = (REFLECT_APP, k, fun.code, fun.cod)
+                ty = fun.dom
+                value = arg
+                mode = REIFY
+            elif cls is SFun:
+                value = fun.apply(arg).run(
+                    lambda v, k=k, prims=prims: _run(RETURN, k, prims, names, value=v)
+                )
+                k = None
+            else:
+                raise _mismatch("a function value", fun)
+        elif tag is ARG:
+            _, rest, term, env = k
+            k = (CALL, rest, value)
+            mode = EVAL
+        elif tag is CASE:
+            _, k, left, right, env = k
+            if type(value) is SInl:
+                term = left
+            elif type(value) is SInr:
+                term = right
+            else:
+                raise _mismatch("a tagged case scrutinee", value)
+            k = (CALL_WITH, k, value.value)
+            mode = EVAL
+        elif tag is REIFY_AT:
+            _, k, ty = k
+            mode = REIFY
+        elif tag is INL or tag is INR:
+            value = SInl(value) if tag is INL else SInr(value)
+            k = k[1]
+        elif tag is PAIR_SND:
+            _, rest, term, env = k
+            k = (PAIR, rest, value)
+            mode = EVAL
+        elif tag is PAIR:
+            value = SPair(k[2], value)
+            k = k[1]
+        elif tag is FST or tag is SND:
+            if type(value) is not SPair:
+                raise _mismatch("a pair value", value)
+            value = value.first if tag is FST else value.second
+            k = k[1]
+        elif tag is REFLECT_APP:
+            _, k, fun_code, ty = k
+            code = App(fun_code, value)
+            mode = REFLECT
+        elif tag is REIFY_SND:
+            _, rest, ty, second = k
+            k = (PAIR_CODE, rest, value)
+            value = second
+            mode = REIFY
+        elif tag is PAIR_CODE:
+            value = Pair(k[2], value)
+            k = k[1]
+        elif tag is WRAP_INL or tag is WRAP_INR:
+            value = (Inl if tag is WRAP_INL else Inr)(value, k[2])
+            k = k[1]
+        elif tag is REFLECT_SND:
+            _, rest, ty, whole = k
+            k = (PAIR, rest, value)
+            code = Snd(whole)
+            mode = REFLECT
+        else:  # HOST
+            value = k[2](value)
+            k = k[1]
+
+
+def eval_term(t: Term, prims: PrimEnv, env: ValueEnv, names: NameSupply) -> Residual[SemValue]:
+    """Evaluate a well-typed term, as a computation whose continuation is a
+    host function.  Literals become Val payloads, primitive arguments are
+    forced left to right before dispatch, lambdas close over their
+    environment, and case evaluates only the branch selected by the
+    scrutinee's tag."""
+    return Residual(lambda kf: _run(EVAL, (HOST, None, kf), prims, names, term=t, env=dict(env)))
+
+
 def reify(ty: ObjType, value: SemValue, names: NameSupply) -> Term:
     """Map a semantic value of type ty back to a term."""
-    match ty:
-        case Base(name=b):
-            if isinstance(value, SBase) and value.base == b:
-                payload = value.payload
-                if isinstance(payload, Exp):
-                    return payload.code
-                assert isinstance(payload, Val)
-                return Lit(payload.literal, b)
-            raise ShapeMismatch(f"expected a {b} value, found {type(value).__name__}")
-        case Unit():
-            if isinstance(value, SUnit):
-                return UnitVal()
-            raise ShapeMismatch(f"expected a unit value, found {type(value).__name__}")
-        case Arrow(dom=a, cod=b):
-            if not isinstance(value, SFun):
-                raise ShapeMismatch(f"expected a function value, found {type(value).__name__}")
-            x = names.fresh()
-            body = reset(
-                reflect(a, Var(x), names)
-                .bind(value.apply)
-                .map(lambda w: reify(b, w, names))
-            )
-            return Lam(x, a, body)
-        case Prod(left=a, right=b):
-            if not isinstance(value, SPair):
-                raise ShapeMismatch(f"expected a pair value, found {type(value).__name__}")
-            return Pair(reify(a, value.first, names), reify(b, value.second, names))
-        case Sum(left=a, right=b):
-            if isinstance(value, SInl):
-                return Inl(reify(a, value.value, names), ty)
-            if isinstance(value, SInr):
-                return Inr(reify(b, value.value, names), ty)
-            raise ShapeMismatch(f"expected a tagged value, found {type(value).__name__}")
-    raise TypeError(f"not a type: {ty!r}")
+    return _run(REIFY, None, None, names, ty=ty, value=value)
 
 
 def reflect(ty: ObjType, code: Term, names: NameSupply) -> Residual[SemValue]:
     """Map a term of type ty into the semantic domain.  At sum type this asks
     for the continuation and duplicates it into both branches of a residual
     case on `code`."""
-    match ty:
-        case Base(name=b):
-            return ret(SBase(b, Exp(code)))
-        case Unit():
-            return ret(SUnit())
-        case Arrow(dom=a, cod=b):
-            def applied(arg: SemValue) -> Residual[SemValue]:
-                return reflect(b, App(code, reify(a, arg, names)), names)
-
-            return ret(SFun(applied))
-        case Prod(left=a, right=b):
-            return reflect(a, Fst(code), names).bind(
-                lambda l: reflect(b, Snd(code), names).map(lambda r: SPair(l, r))
-            )
-        case Sum(left=a, right=b):
-            def split(k: Callable[[SemValue], Term]) -> Term:
-                xl = names.fresh()
-                left_body = reset(reflect(a, Var(xl), names).map(lambda v: k(SInl(v))))
-                xr = names.fresh()
-                right_body = reset(reflect(b, Var(xr), names).map(lambda v: k(SInr(v))))
-                return Case(code, Lam(xl, a, left_body), Lam(xr, b, right_body))
-
-            return shift(split)
-    raise TypeError(f"not a type: {ty!r}")
+    return Residual(lambda kf: _run(REFLECT, (HOST, None, kf), None, names, ty=ty, code=code))
 
 
-def norm(t: Term, sig, prims) -> Term:
+def norm(t: Term, sig, prims: PrimEnv) -> Term:
     """Normalize a closed well-typed term: evaluate it, then reify the result
     at its inferred type.  Output is closed, beta-normal, type-preserving,
     and deterministic (fresh names start at x0)."""
     ty = infer({}, sig, t)
-    names = NameSupply()
-    comp = eval_term(t, prims, {}, names)
-    return reset(comp.map(lambda v: reify(ty, v, names)))
+    return _run(EVAL, (REIFY_AT, None, ty), prims, NameSupply(), term=t, env={})

@@ -3,8 +3,9 @@ everything read from it: the signature and the two semantic environments.
 
 Each row gives an op's type, its fold on two literals and its left and right
 unit.  The smart environment folds literal pairs and drops units online; the
-naive one residualizes every application unchanged.  Both reflect residual
-code at the op's result type, so a residual `==` branches through a `case`.
+naive one residualizes every application unchanged.  Both hand residual
+code back to the normalizer, which reflects it at the op's result type, so a
+residual `==` branches through a `case`.
 
 Rationals are exact `fractions.Fraction` values: always in lowest terms with
 a positive denominator, so structural equality is value equality.
@@ -18,8 +19,7 @@ from fractions import Fraction
 from functools import partial
 from typing import Callable, Mapping
 
-from .control import Residual, ret
-from .nbe import NameSupply, reflect, reify
+from .nbe import NameSupply
 from .semantics import (
     BaseValue,
     PrimEnv,
@@ -29,6 +29,7 @@ from .semantics import (
     SInr,
     SUnit,
     Val,
+    reify_base,
 )
 from .syntax import (
     Base,
@@ -87,9 +88,6 @@ class PrimSignature:
         for name, decl in self.prims.items():
             for ty in (*decl.args, decl.result):
                 validate_type(ty, self)
-
-    def arity(self, name: str) -> int:
-        return len(self.prims[name].args)
 
 
 def _is_rational(v: object) -> bool:
@@ -151,40 +149,22 @@ def _embed(ty: ObjType, host: object) -> SemValue:
 
 def _apply(
     op: str, smart: bool, args: tuple[SemValue, ...], names: NameSupply
-) -> Residual[SemValue]:
+) -> SemValue | tuple[ObjType, Term]:
     """Apply a table primitive.  Smart: two literals fold, and a unit literal
     on its side is dropped.  Otherwise the application is residual code,
-    reflected at the result type, so a residual == branches through a case."""
+    returned for the normalizer to reflect at the result type, so a residual
+    == branches through a case."""
     rule = RULES[op]
     a, b = args
     pa, pb = _rat_payload(a), _rat_payload(b)
     if smart:
         if isinstance(pa, Val) and isinstance(pb, Val):
-            return ret(_embed(rule.type.result, rule.fold(pa.literal, pb.literal)))
+            return _embed(rule.type.result, rule.fold(pa.literal, pb.literal))
         if isinstance(pa, Val) and pa.literal == rule.left_unit:
-            return ret(b)
+            return b
         if isinstance(pb, Val) and pb.literal == rule.right_unit:
-            return ret(a)
-    code = PrimApp(op, (reify(RAT, a, names), reify(RAT, b, names)))
-    return reflect(rule.type.result, code, names)
-
-
-def smart_mul(a: SemValue, b: SemValue) -> Residual[SemValue]:
-    """Multiplication that folds literal pairs and drops unit factors."""
-    return _apply("*", True, (a, b), NameSupply())
-
-
-def smart_div(a: SemValue, b: SemValue) -> Residual[SemValue]:
-    """Division that folds literal pairs and drops a unit divisor; folding
-    onto a zero divisor raises DivisionByZero."""
-    return _apply("/", True, (a, b), NameSupply())
-
-
-def smart_eq(a: SemValue, b: SemValue, names: NameSupply) -> Residual[SemValue]:
-    """Equality test: two literals decide the Bool immediately; any residual
-    argument reflects the comparison at Bool, which is where residual
-    branching enters the output."""
-    return _apply("==", True, (a, b), names)
+            return a
+    return rule.type.result, PrimApp(op, (reify_base("Q", a), reify_base("Q", b)))
 
 
 def smart_prim_env() -> PrimEnv:

@@ -13,6 +13,7 @@ import re
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
+from operator import attrgetter
 from typing import Any, Callable, Iterator, Mapping, TypeVar
 
 
@@ -134,23 +135,29 @@ class Case(Term):
     right: Term
 
 
+# Each term class's children, in order; a table lookup costs the same for
+# every class, where a match tries its arms in turn.
+_CHILDREN: dict[type, Callable[[Term], tuple[Term, ...]]] = {
+    Lit: lambda t: (),
+    UnitVal: lambda t: (),
+    Var: lambda t: (),
+    PrimApp: attrgetter("args"),
+    Lam: lambda t: (t.body,),
+    App: attrgetter("fun", "arg"),
+    Pair: attrgetter("first", "second"),
+    Fst: lambda t: (t.arg,),
+    Snd: lambda t: (t.arg,),
+    Inl: lambda t: (t.arg,),
+    Inr: lambda t: (t.arg,),
+    Case: attrgetter("scrutinee", "left", "right"),
+}
+
+
 def children(t: Term) -> tuple[Term, ...]:
-    match t:
-        case Lit() | UnitVal() | Var():
-            return ()
-        case PrimApp(args=args):
-            return args
-        case Lam(body=b):
-            return (b,)
-        case App(fun=f, arg=a):
-            return (f, a)
-        case Pair(first=a, second=b):
-            return (a, b)
-        case Fst(arg=a) | Snd(arg=a) | Inl(arg=a) | Inr(arg=a):
-            return (a,)
-        case Case(scrutinee=s, left=l, right=r):
-            return (s, l, r)
-    raise TypeError(f"not a term: {t!r}")
+    get = _CHILDREN.get(type(t))
+    if get is None:
+        raise TypeError(f"not a term: {t!r}")
+    return get(t)
 
 
 def subterms(t: Term) -> Iterator[Term]:
@@ -337,11 +344,21 @@ def _infer(env: dict[str, ObjType], sig, t: Term, path: tuple[int, ...]) -> ObjT
 def alpha_eq(t1: Term, t2: Term) -> bool:
     """Structural equality up to consistent renaming of bound variables;
     free variables must match by name, annotations structurally.  Walks an
-    explicit stack of (a, b, m1, m2, depth) pairs, where m1 and m2 map each
-    side's binders in scope to their depth."""
-    stack = [(t1, t2, {}, {}, 0)]
+    explicit stack of term pairs.  m1 and m2 map each side's binder names to
+    the levels they are bound at, innermost last: entering a Lam pushes its
+    binders and leaves an undo entry under its body, so time grows linearly
+    with binder depth."""
+    m1: dict[str, list[int]] = {}
+    m2: dict[str, list[int]] = {}
+    level = 0
+    stack: list = [(t1, t2)]
     while stack:
-        a, b, m1, m2, depth = stack.pop()
+        a, b = stack.pop()
+        if a is None:  # undo: leaving the Lam that bound the names in b
+            m1[b[0]].pop()
+            m2[b[1]].pop()
+            level -= 1
+            continue
         if type(a) is not type(b):
             return False
         match a:
@@ -351,21 +368,26 @@ def alpha_eq(t1: Term, t2: Term) -> bool:
             case PrimApp(name=n, args=args):
                 if n != b.name or len(args) != len(b.args):
                     return False
-                stack.extend((x, y, m1, m2, depth) for x, y in zip(args, b.args))
+                stack.extend(zip(args, b.args))
             case Var(name=x):
-                i = m1.get(x)
-                if i != m2.get(b.name) or (i is None and x != b.name):
+                s1, s2 = m1.get(x), m2.get(b.name)
+                i = s1[-1] if s1 else None
+                if i != (s2[-1] if s2 else None) or (i is None and x != b.name):
                     return False
             case Lam(binder=x, annot=ann, body=n):
                 if ann != b.annot:
                     return False
-                stack.append((n, b.body, {**m1, x: depth}, {**m2, b.binder: depth}, depth + 1))
+                m1.setdefault(x, []).append(level)
+                m2.setdefault(b.binder, []).append(level)
+                level += 1
+                stack.append((None, (x, b.binder)))
+                stack.append((n, b.body))
             case Inl(arg=x, annot=ann) | Inr(arg=x, annot=ann):
                 if ann != b.annot:
                     return False
-                stack.append((x, b.arg, m1, m2, depth))
+                stack.append((x, b.arg))
             case _:
-                stack.extend((x, y, m1, m2, depth) for x, y in zip(children(a), children(b)))
+                stack.extend(zip(children(a), children(b)))
     return True
 
 

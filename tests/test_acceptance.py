@@ -15,9 +15,6 @@ from ebn.primitives import (
     lit,
     naive_prim_env,
     rational_signature,
-    smart_div,
-    smart_eq,
-    smart_mul,
     smart_prim_env,
 )
 from ebn.semantics import Exp, SBase, SFun, SInl, SInr, SUnit, Val
@@ -41,7 +38,7 @@ from ebn.syntax import (
 from conftest import agree_on_probes, gen_rational, term_depth, ACCEPT_TYPES
 from test_chars import gen_chars
 from test_control import ARROWS, KONTS, LEAVES, battery, observationally_equal
-from test_primitives import branching_of, exp, payload_of, val
+from test_primitives import branching_of, exp, payload_of, prim, val
 
 SIG = rational_signature()
 
@@ -177,39 +174,39 @@ def test_criterion_8_smart_table_exactness():
         )
 
     # ==, 4 rows
-    assert payload_of(smart_eq(val(2), val(2), NameSupply())) == SInr(SUnit())
-    assert payload_of(smart_eq(val(2), val(3), NameSupply())) == SInl(SUnit())
-    assert branching_of(smart_eq(val(2), exp(N), NameSupply())) == case_on(
+    assert payload_of(prim("==", val(2), val(2))) == SInr(SUnit())
+    assert payload_of(prim("==", val(2), val(3))) == SInl(SUnit())
+    assert branching_of(prim("==", val(2), exp(N))) == case_on(
         PrimApp("==", (lit(2), N))
     )
-    assert branching_of(smart_eq(exp(M), val(3), NameSupply())) == case_on(
+    assert branching_of(prim("==", exp(M), val(3))) == case_on(
         PrimApp("==", (M, lit(3)))
     )
-    assert branching_of(smart_eq(exp(M), exp(N), NameSupply())) == case_on(
+    assert branching_of(prim("==", exp(M), exp(N))) == case_on(
         PrimApp("==", (M, N))
     )
     # *, 6 rows
-    assert payload_of(smart_mul(val(2), val(3))) == val(6)
-    assert payload_of(smart_mul(val(1), exp(N))) == exp(N)
-    assert payload_of(smart_mul(val(5), exp(N))) == exp(PrimApp("*", (lit(5), N)))
-    assert payload_of(smart_mul(exp(M), val(1))) == exp(M)
-    assert payload_of(smart_mul(exp(M), val(7))) == exp(PrimApp("*", (M, lit(7))))
-    assert payload_of(smart_mul(exp(M), exp(N))) == exp(PrimApp("*", (M, N)))
+    assert payload_of(prim("*", val(2), val(3))) == val(6)
+    assert payload_of(prim("*", val(1), exp(N))) == exp(N)
+    assert payload_of(prim("*", val(5), exp(N))) == exp(PrimApp("*", (lit(5), N)))
+    assert payload_of(prim("*", exp(M), val(1))) == exp(M)
+    assert payload_of(prim("*", exp(M), val(7))) == exp(PrimApp("*", (M, lit(7))))
+    assert payload_of(prim("*", exp(M), exp(N))) == exp(PrimApp("*", (M, N)))
     # /, 5 rows
-    assert payload_of(smart_div(val(1), val(2))) == val(Fraction(1, 2))
-    assert payload_of(smart_div(val(3), exp(N))) == exp(PrimApp("/", (lit(3), N)))
-    assert payload_of(smart_div(exp(M), val(1))) == exp(M)
-    assert payload_of(smart_div(exp(M), val(4))) == exp(PrimApp("/", (M, lit(4))))
-    assert payload_of(smart_div(exp(M), exp(N))) == exp(PrimApp("/", (M, N)))
+    assert payload_of(prim("/", val(1), val(2))) == val(Fraction(1, 2))
+    assert payload_of(prim("/", val(3), exp(N))) == exp(PrimApp("/", (lit(3), N)))
+    assert payload_of(prim("/", exp(M), val(1))) == exp(M)
+    assert payload_of(prim("/", exp(M), val(4))) == exp(PrimApp("/", (M, lit(4))))
+    assert payload_of(prim("/", exp(M), exp(N))) == exp(PrimApp("/", (M, N)))
 
     rng = random.Random(64123)
     for _ in range(100):
         a, b = gen_rational(rng), gen_rational(rng)
-        assert payload_of(smart_mul(val(a), val(b))) == SBase("Q", Val(a * b))
+        assert payload_of(prim("*", val(a), val(b))) == SBase("Q", Val(a * b))
         if b != 0:
-            assert payload_of(smart_div(val(a), val(b))) == SBase("Q", Val(a / b))
+            assert payload_of(prim("/", val(a), val(b))) == SBase("Q", Val(a / b))
         expected = SInr(SUnit()) if a == b else SInl(SUnit())
-        assert payload_of(smart_eq(val(a), val(b), NameSupply())) == expected
+        assert payload_of(prim("==", val(a), val(b))) == expected
     _passed(8, "all 15 table rows plus 100 literal folds")
 
 

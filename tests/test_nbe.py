@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -39,6 +40,7 @@ from ebn.syntax import (
     Inr,
     Lam,
     Pair,
+    PrimApp,
     Prod,
     Snd,
     Sum,
@@ -47,6 +49,7 @@ from ebn.syntax import (
     Var,
     alpha_eq,
     beta_normal,
+    children,
     infer,
     parse_term,
     print_term,
@@ -278,3 +281,63 @@ def test_norm_propagates_typing_errors():
         norm(Var("ghost"), SIG, smart_prim_env())
     with pytest.raises(TypeMismatch):
         norm(App(lit(1), lit(2)), SIG, smart_prim_env())
+
+
+# ---------------------------------------------------------------------------
+# Stack safety: the machine's Python stack use does not grow with the term
+
+
+def _mul_tree(depth: int):
+    """A balanced `*`-tree with 2^depth leaves under (lam (x Q) ...); every
+    fourth leaf is a literal."""
+    level = [Var("x") if i % 4 else lit(i + 2) for i in range(2**depth)]
+    while len(level) > 1:
+        level = [PrimApp("*", (level[i], level[i + 1])) for i in range(0, len(level), 2)]
+    return Lam("x", RAT, level[0])
+
+
+def _leaves(t):
+    """The leaves of a `*`-tree or a right-nested tuple, left to right."""
+    out, stack = [], [t]
+    while stack:
+        u = stack.pop()
+        if isinstance(u, (PrimApp, Pair)):
+            stack.extend(reversed(children(u)))
+        else:
+            out.append(u)
+    return out
+
+
+def test_norm_depth_14_tree_at_default_limit():
+    assert sys.getrecursionlimit() == 1000
+    t = _mul_tree(14)
+    got = norm(t, SIG, smart_prim_env())
+    assert isinstance(got, Lam) and got.binder == "x0"
+    # no two literals meet under one `*` and none is 1, so the tree keeps
+    # its shape
+    assert _leaves(got.body) == [
+        Var("x0") if isinstance(leaf, Var) else leaf for leaf in _leaves(t.body)
+    ]
+
+
+def test_norm_900_tuple_at_default_limit():
+    assert sys.getrecursionlimit() == 1000
+    t = Var("x")
+    for i in range(899):
+        t = Pair(lit(i) if i % 2 else Var("x"), t)
+    got = norm(Lam("x", RAT, t), SIG, smart_prim_env())
+    want = Var("x0")
+    for i in range(899):
+        want = Pair(lit(i) if i % 2 else Var("x0"), want)
+    assert _leaves(got.body) == _leaves(want)
+    assert alpha_eq(got, Lam("x0", RAT, want))
+
+
+def test_norm_900_left_chain_at_default_limit():
+    assert sys.getrecursionlimit() == 1000
+    t, want = Var("x"), Var("x0")
+    for i in range(899):
+        t = PrimApp("*", (t, lit(i + 2) if i % 3 == 0 else Var("x")))
+        want = PrimApp("*", (want, lit(i + 2) if i % 3 == 0 else Var("x0")))
+    got = norm(Lam("x", RAT, t), SIG, smart_prim_env())
+    assert alpha_eq(got, Lam("x0", RAT, want))

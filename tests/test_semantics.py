@@ -3,7 +3,7 @@ import random
 import pytest
 
 from ebn.control import reset, ret
-from ebn.nbe import NameSupply, norm, reify
+from ebn.nbe import NameSupply, eval_term, norm, reify
 from ebn.primitives import (
     BOOL,
     RAT,
@@ -14,6 +14,7 @@ from ebn.primitives import (
     smart_prim_env,
 )
 from ebn.semantics import (
+    Closure,
     SBase,
     SFun,
     ShapeMismatch,
@@ -21,8 +22,6 @@ from ebn.semantics import (
     SPair,
     SUnit,
     Val,
-    eval_term,
-    shape_matches,
 )
 from ebn.syntax import (
     App,
@@ -40,6 +39,7 @@ from ebn.syntax import (
     UnknownPrimitive,
     Var,
     alpha_eq,
+    infer,
 )
 
 from conftest import TermGen, ACCEPT_TYPES
@@ -100,12 +100,12 @@ def test_eval_case_only_runs_chosen_branch():
 def test_eval_structural_values():
     assert eval_closed(UnitVal()) == SUnit()
     assert eval_closed(Pair(lit(1), UnitVal())) == SPair(SBase("Q", Val(1)), SUnit())
-    assert isinstance(eval_closed(Lam("x", RAT, Var("x"))), SFun)
+    assert isinstance(eval_closed(Lam("x", RAT, Var("x"))), Closure)
 
 
 def test_eval_unknown_primitive():
     with pytest.raises(UnknownPrimitive):
-        eval_term(PrimApp("+", (lit(1), lit(1))), smart_prim_env(), {}, NameSupply())
+        eval_closed(PrimApp("+", (lit(1), lit(1))))
 
 
 def test_eval_left_to_right_argument_order():
@@ -176,6 +176,16 @@ def test_semantic_beta_laws_on_generated_terms():
             assert alpha_eq(a, b)
 
 
+def shape_matches(value, ty):
+    """`reify` is the shape check: it reads a value back at a type and raises
+    `ShapeMismatch` at the first node where the two disagree."""
+    try:
+        reify(ty, value, NameSupply())
+    except ShapeMismatch:
+        return False
+    return True
+
+
 def test_shape_matches():
     assert shape_matches(SBase("Q", Val(1)), RAT)
     assert not shape_matches(SBase("Q", Val(1)), Unit())
@@ -187,6 +197,8 @@ def test_shape_matches():
 
 
 def test_eval_results_match_type_shapes():
+    # reify checks the value's shape at every node of the type, function
+    # bodies included
     rng = random.Random(99)
     gen = TermGen(rng)
     for ty in ACCEPT_TYPES:
@@ -194,13 +206,12 @@ def test_eval_results_match_type_shapes():
             t = gen.gen(ty, {}, 2)
             try:
                 v = eval_closed(t)
+                code = reify(ty, v, NameSupply())
             except DivisionByZero:
                 continue
-            assert shape_matches(v, ty)
+            assert infer({}, SIG, code) == ty
 
 
 def test_apply_non_function_is_shape_mismatch():
-    from ebn.semantics import apply_fun
-
     with pytest.raises(ShapeMismatch):
-        apply_fun(SUnit(), SUnit())
+        eval_closed(App(UnitVal(), UnitVal()))

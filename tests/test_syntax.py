@@ -191,6 +191,35 @@ def test_alpha_eq_deep_binders():
     assert not alpha_eq(lams("v", RAT), lams("w", Unit()))
 
 
+def test_alpha_eq_restores_outer_binding_after_a_lam():
+    def shadowed(inner_body, after):
+        # (lam x (pair (lam x' inner_body) after)), binders named x and x'
+        return lambda x, x2: Lam(x, RAT, Pair(Lam(x2, RAT, inner_body(x, x2)), after(x, x2)))
+
+    same_names = shadowed(lambda x, x2: Var(x2), lambda x, x2: Var(x))("x", "x")
+    assert alpha_eq(same_names, shadowed(lambda x, x2: Var(x2), lambda x, x2: Var(x))("a", "b"))
+    # the inner body refers to the outer binder
+    assert not alpha_eq(same_names, shadowed(lambda x, x2: Var(x), lambda x, x2: Var(x))("a", "b"))
+    # after the inner lam, its name is free again
+    assert not alpha_eq(same_names, shadowed(lambda x, x2: Var(x2), lambda x, x2: Var(x2))("a", "b"))
+    left = Pair(Lam("x", RAT, Var("x")), Var("x"))
+    assert alpha_eq(left, Pair(Lam("y", RAT, Var("y")), Var("x")))
+    assert not alpha_eq(left, Pair(Lam("x", RAT, Var("x")), Var("y")))
+
+
+def test_alpha_eq_renamed_20000_deep_binders():
+    depth = 20000
+
+    def lams(stem, odd_annot):
+        def wrap(i, t):
+            return Lam(f"{stem}{i}", odd_annot if i == depth // 2 else RAT, t)
+
+        return _chain(depth, wrap, Pair(Var(f"{stem}0"), Var(f"{stem}{depth - 1}")))
+
+    assert alpha_eq(lams("v", RAT), lams("w", RAT))
+    assert not alpha_eq(lams("v", RAT), lams("w", Unit()))
+
+
 _names = st.sampled_from(["a", "b", "c", "x", "y", "z"])
 _rationals = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 9))
 _types = st.recursive(
@@ -420,6 +449,17 @@ def test_round_trip_preserves_types():
 def test_free_vars():
     t = Lam("x", RAT, PrimApp("*", (Var("x"), Var("y"))))
     assert free_vars(t) == {"y"}
+
+
+def test_children_in_order_and_only_of_terms():
+    s, l, r = Var("s"), Lam("l", Unit(), UnitVal()), Lam("r", Unit(), UnitVal())
+    assert children(Case(s, l, r)) == (s, l, r)
+    assert children(PrimApp("*", (s, l))) == (s, l)
+    assert children(Inr(s, BOOL)) == (s,)
+    assert children(lit(1)) == ()
+    for not_a_term in (RAT, None, (s,)):
+        with pytest.raises(TypeError, match="not a term"):
+            children(not_a_term)
 
 
 # ---------------------------------------------------------------------------
