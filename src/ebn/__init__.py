@@ -104,7 +104,6 @@ from .syntax import (
     pretty_type,
     print_term,
     print_type,
-    subterms,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

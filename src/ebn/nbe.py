@@ -133,6 +133,7 @@ def _run(mode, k, prims, names, term=None, env=None, ty=None, value=None, code=N
     delimiter.  The registers: `term` and `env` in EVAL, `value` in RETURN,
     `ty` and `value` in REIFY, `ty` and `code` in REFLECT."""
     meta = []
+    lits = {}  # id of a source Lit -> its value, which keeps the Lit alive
     while True:
         if mode is EVAL:
             cls = type(term)
@@ -163,7 +164,9 @@ def _run(mode, k, prims, names, term=None, env=None, ty=None, value=None, code=N
                 term = term.fun
                 continue
             elif cls is Lit:
-                value = SBase(term.base, Val(term.value))
+                value = lits.get(id(term))
+                if value is None:
+                    value = lits[id(term)] = SBase(term.base, Val(term.value, term))
             elif cls is Lam:
                 value = Closure(term.binder, term.body, env, prims)
             elif cls is Case:
@@ -363,8 +366,9 @@ def _run(mode, k, prims, names, term=None, env=None, ty=None, value=None, code=N
 
 def eval_term(t: Term, prims: PrimEnv, env: ValueEnv, names: NameSupply) -> Residual[SemValue]:
     """Evaluate a well-typed term, as a computation whose continuation is a
-    host function.  Literals become Val payloads, primitive arguments are
-    forced left to right before dispatch, lambdas close over their
+    host function.  Each source literal becomes one Val payload per run,
+    which keeps its Lit for reification; primitive arguments are forced left
+    to right before dispatch, lambdas close over their
     environment, and case evaluates only the branch selected by the
     scrutinee's tag."""
     return Residual(lambda kf: _run(EVAL, (HOST, None, kf), prims, names, term=t, env=dict(env)))

@@ -16,7 +16,6 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from typing import Callable, Mapping
 
 from .nbe import NameSupply
@@ -147,35 +146,40 @@ def _embed(ty: ObjType, host: object) -> SemValue:
     return SInr(SUnit()) if host else SInl(SUnit())
 
 
-def _apply(
-    op: str, smart: bool, args: tuple[SemValue, ...], names: NameSupply
-) -> SemValue | tuple[ObjType, Term]:
-    """Apply a table primitive.  Smart: two literals fold, and a unit literal
-    on its side is dropped.  Otherwise the application is residual code,
-    returned for the normalizer to reflect at the result type, so a residual
-    == branches through a case."""
+def _entry(op: str, smart: bool):
+    """The semantic entry `(args, names)` of a table primitive.  Smart: two
+    literals fold, and a unit literal on its side is dropped.  Otherwise the
+    application is residual code, returned for the normalizer to reflect at
+    the result type, so a residual == branches through a case."""
     rule = RULES[op]
-    a, b = args
-    pa, pb = _rat_payload(a), _rat_payload(b)
-    if smart:
-        if isinstance(pa, Val) and isinstance(pb, Val):
-            return _embed(rule.type.result, rule.fold(pa.literal, pb.literal))
-        if isinstance(pa, Val) and pa.literal == rule.left_unit:
-            return b
-        if isinstance(pb, Val) and pb.literal == rule.right_unit:
-            return a
-    return rule.type.result, PrimApp(op, (reify_base("Q", a), reify_base("Q", b)))
+    fold, left_unit, right_unit = rule.fold, rule.left_unit, rule.right_unit
+    result = rule.type.result
+
+    def apply(args: tuple[SemValue, ...], names: NameSupply) -> SemValue | tuple[ObjType, Term]:
+        a, b = args
+        pa, pb = _rat_payload(a), _rat_payload(b)
+        if smart:
+            if type(pa) is Val:
+                if type(pb) is Val:
+                    return _embed(result, fold(pa.literal, pb.literal))
+                if left_unit is not None and pa.literal == left_unit:
+                    return b
+            if right_unit is not None and type(pb) is Val and pb.literal == right_unit:
+                return a
+        return result, PrimApp(op, (reify_base("Q", a), reify_base("Q", b)))
+
+    return apply
 
 
 def smart_prim_env() -> PrimEnv:
-    return {op: partial(_apply, op, True) for op in RULES}
+    return {op: _entry(op, True) for op in RULES}
 
 
 def naive_prim_env() -> PrimEnv:
     """No simplification: every application residualizes as code; == still
     reflects at Bool since the branching is structural, not an
     optimization."""
-    return {op: partial(_apply, op, False) for op in RULES}
+    return {op: _entry(op, False) for op in RULES}
 
 
 # ---------------------------------------------------------------------------

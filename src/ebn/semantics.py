@@ -11,7 +11,7 @@ function.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Union
 
 from .control import Residual
@@ -35,9 +35,13 @@ class Exp(BaseValue):
 
 @dataclass(frozen=True)
 class Val(BaseValue):
-    """An actual literal of the base type's carrier."""
+    """An actual literal of the base type's carrier.  `term` is the source
+    `Lit` it was read from, if any: reification hands that node back, so every
+    copy of a literal in a normal form is the one source node.  It takes no
+    part in equality."""
 
     literal: Any
+    term: Lit | None = field(default=None, compare=False, repr=False)
 
 
 class SemValue:
@@ -112,8 +116,11 @@ PrimEnv = Mapping[str, PrimImpl]
 
 def reify_base(base: str, value: SemValue) -> Term:
     """Read a value of a base type back as code: a residual is its code, a
-    literal becomes `Lit`."""
+    literal read from the source is its source `Lit`, and any other literal
+    (a folded one) becomes a new `Lit`."""
     if type(value) is SBase and value.base == base:
         payload = value.payload
-        return payload.code if type(payload) is Exp else Lit(payload.literal, base)
+        if type(payload) is Exp:
+            return payload.code
+        return payload.term or Lit(payload.literal, base)
     raise ShapeMismatch(f"expected a {base} value, found {type(value).__name__}")

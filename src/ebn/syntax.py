@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from operator import attrgetter
-from typing import Any, Callable, Iterator, Mapping, TypeVar
+from typing import Any, Callable, Mapping, TypeVar
 
 
 # ---------------------------------------------------------------------------
@@ -160,13 +160,6 @@ def children(t: Term) -> tuple[Term, ...]:
     return get(t)
 
 
-def subterms(t: Term) -> Iterator[Term]:
-    """Yield t and every subterm of t, preorder."""
-    yield t
-    for c in children(t):
-        yield from subterms(c)
-
-
 def free_vars(t: Term) -> frozenset[str]:
     match t:
         case Var(name=x):
@@ -226,17 +219,17 @@ class TypeMismatch(TypingError):
         super().__init__(f"expected {exp}, found {fnd}", path)
 
 
-def validate_type(ty: ObjType, sig, path: tuple[int, ...] = ()) -> None:
+def validate_type(ty: ObjType, sig) -> None:
     """Check every base name in `ty` is registered in the signature."""
     match ty:
         case Base(name=n):
             if n not in sig.bases:
-                raise UnknownBaseType(f"unknown base type {n!r}", path)
+                raise UnknownBaseType(f"unknown base type {n!r}")
         case Unit():
             pass
         case Arrow(dom=a, cod=b) | Prod(left=a, right=b) | Sum(left=a, right=b):
-            validate_type(a, sig, path)
-            validate_type(b, sig, path)
+            validate_type(a, sig)
+            validate_type(b, sig)
         case _:
             raise TypeError(f"not a type: {ty!r}")
 
@@ -244,97 +237,168 @@ def validate_type(ty: ObjType, sig, path: tuple[int, ...] = ()) -> None:
 def infer(env: Mapping[str, ObjType], sig, t: Term) -> ObjType:
     """Synthesize the unique type of `t` under `env` and the primitive
     signature `sig`, or raise a TypingError at the leftmost-innermost
-    failing subterm."""
-    return _infer(dict(env), sig, t, ())
+    failing subterm.
 
-
-def _infer(env: dict[str, ObjType], sig, t: Term, path: tuple[int, ...]) -> ObjType:
-    match t:
-        case Lit(value=v, base=b):
-            if b not in sig.bases:
-                raise UnknownBaseType(f"unknown base type {b!r}", path)
-            if not sig.bases[b](v):
-                raise TypeMismatch(Base(b), f"literal {v!r} outside its carrier", path)
-            return Base(b)
-        case PrimApp(name=c, args=args):
-            if c not in sig.prims:
-                raise UnknownPrimitive(f"unknown primitive {c!r}", path)
-            decl = sig.prims[c]
-            if len(args) != len(decl.args):
+    One loop over an explicit stack of frames `[term, child index, saved]`,
+    one per term whose child is being typed, so Python stack use does not
+    grow with the term.  One environment dict is updated in place: a Lam's
+    frame saves the binding its binder shadows and puts it back when the
+    body is done.  The error path is read off the stack only when raising."""
+    env = dict(env)
+    bases, prims = sig.bases, sig.prims
+    stack: list[list] = []
+    while True:
+        # Descend: type the leaves at once, push a frame for anything else.
+        cls = type(t)
+        if cls is Var:
+            try:
+                ty = env[t.name]
+            except KeyError:
+                raise UnboundVariable(f"unbound variable {t.name!r}", _path(stack)) from None
+        elif cls is Lit:
+            b = t.base
+            if b not in bases:
+                raise UnknownBaseType(f"unknown base type {b!r}", _path(stack))
+            if not bases[b](t.value):
+                raise TypeMismatch(Base(b), f"literal {t.value!r} outside its carrier", _path(stack))
+            ty = Base(b)
+        elif cls is Lam:
+            _annotation(t.annot, sig, stack)
+            x = t.binder
+            stack.append([t, 0, env.get(x, _UNBOUND)])
+            env[x] = t.annot
+            t = t.body
+            continue
+        elif cls is PrimApp:
+            c = t.name
+            if c not in prims:
+                raise UnknownPrimitive(f"unknown primitive {c!r}", _path(stack))
+            decl = prims[c]
+            if len(t.args) != len(decl.args):
                 raise ArityMismatch(
-                    f"primitive {c!r} expects {len(decl.args)} arguments, got {len(args)}",
-                    path,
+                    f"primitive {c!r} expects {len(decl.args)} arguments, got {len(t.args)}",
+                    _path(stack),
                 )
-            for i, (arg, want) in enumerate(zip(args, decl.args)):
-                got = _infer(env, sig, arg, path + (i,))
-                if got != want:
-                    raise TypeMismatch(want, got, path + (i,))
-            return decl.result
-        case UnitVal():
-            return Unit()
-        case Var(name=x):
-            if x not in env:
-                raise UnboundVariable(f"unbound variable {x!r}", path)
-            return env[x]
-        case Lam(binder=x, annot=a, body=n):
-            validate_type(a, sig, path)
-            inner = dict(env)
-            inner[x] = a
-            b = _infer(inner, sig, n, path + (0,))
-            return Arrow(a, b)
-        case App(fun=l, arg=m):
-            fty = _infer(env, sig, l, path + (0,))
-            if not isinstance(fty, Arrow):
-                raise TypeMismatch("a function type", fty, path + (0,))
-            aty = _infer(env, sig, m, path + (1,))
-            if aty != fty.dom:
-                raise TypeMismatch(fty.dom, aty, path + (1,))
-            return fty.cod
-        case Pair(first=m, second=n):
-            return Prod(
-                _infer(env, sig, m, path + (0,)),
-                _infer(env, sig, n, path + (1,)),
-            )
-        case Fst(arg=l):
-            pty = _infer(env, sig, l, path + (0,))
-            if not isinstance(pty, Prod):
-                raise TypeMismatch("a product type", pty, path + (0,))
-            return pty.left
-        case Snd(arg=l):
-            pty = _infer(env, sig, l, path + (0,))
-            if not isinstance(pty, Prod):
-                raise TypeMismatch("a product type", pty, path + (0,))
-            return pty.right
-        case Inl(arg=m, annot=a):
-            validate_type(a, sig, path)
+            if not t.args:
+                ty = decl.result
+            else:
+                stack.append([t, 0, decl])
+                t = t.args[0]
+                continue
+        elif cls is UnitVal:
+            ty = _UNIT_TYPE
+        elif cls is Inl or cls is Inr:
+            a = t.annot
+            _annotation(a, sig, stack)
             if not isinstance(a, Sum):
-                raise TypeMismatch("a sum type annotation", a, path)
-            got = _infer(env, sig, m, path + (0,))
-            if got != a.left:
-                raise TypeMismatch(a.left, got, path + (0,))
-            return a
-        case Inr(arg=m, annot=a):
-            validate_type(a, sig, path)
-            if not isinstance(a, Sum):
-                raise TypeMismatch("a sum type annotation", a, path)
-            got = _infer(env, sig, m, path + (0,))
-            if got != a.right:
-                raise TypeMismatch(a.right, got, path + (0,))
-            return a
-        case Case(scrutinee=l, left=m, right=n):
-            sty = _infer(env, sig, l, path + (0,))
-            if not isinstance(sty, Sum):
-                raise TypeMismatch("a sum type", sty, path + (0,))
-            lty = _infer(env, sig, m, path + (1,))
-            if not isinstance(lty, Arrow) or lty.dom != sty.left:
-                raise TypeMismatch(f"a function from {pretty_type(sty.left)}", lty, path + (1,))
-            rty = _infer(env, sig, n, path + (2,))
-            if not isinstance(rty, Arrow) or rty.dom != sty.right:
-                raise TypeMismatch(f"a function from {pretty_type(sty.right)}", rty, path + (2,))
-            if rty.cod != lty.cod:
-                raise TypeMismatch(lty.cod, rty.cod, path + (2,))
-            return lty.cod
-    raise TypeError(f"not a term: {t!r}")
+                raise TypeMismatch("a sum type annotation", a, _path(stack))
+            stack.append([t, 0, None])
+            t = t.arg
+            continue
+        elif cls in _FIRST_CHILD:
+            stack.append([t, 0, None])
+            t = _FIRST_CHILD[cls](t)
+            continue
+        else:
+            raise TypeError(f"not a term: {t!r}")
+
+        # Ascend: hand `ty` to the innermost frame, which either checks it
+        # and moves on to its next child or finishes with its own type.
+        while stack:
+            frame = stack[-1]
+            u, i, saved = frame
+            cls = type(u)
+            if cls is Lam:
+                if saved is _UNBOUND:
+                    del env[u.binder]
+                else:
+                    env[u.binder] = saved
+                ty = Arrow(u.annot, ty)
+            elif cls is PrimApp:
+                want = saved.args[i]
+                if ty is not want and ty != want:
+                    raise TypeMismatch(want, ty, _path(stack))
+                i += 1
+                if i < len(u.args):
+                    frame[1] = i
+                    t = u.args[i]
+                    break
+                ty = saved.result
+            elif cls is App:
+                if i == 0:
+                    if not isinstance(ty, Arrow):
+                        raise TypeMismatch("a function type", ty, _path(stack))
+                    frame[1:] = 1, ty
+                    t = u.arg
+                    break
+                if ty is not saved.dom and ty != saved.dom:
+                    raise TypeMismatch(saved.dom, ty, _path(stack))
+                ty = saved.cod
+            elif cls is Pair:
+                if i == 0:
+                    frame[1:] = 1, ty
+                    t = u.second
+                    break
+                ty = Prod(saved, ty)
+            elif cls is Fst or cls is Snd:
+                if not isinstance(ty, Prod):
+                    raise TypeMismatch("a product type", ty, _path(stack))
+                ty = ty.left if cls is Fst else ty.right
+            elif cls is Case:
+                if i == 0:
+                    if not isinstance(ty, Sum):
+                        raise TypeMismatch("a sum type", ty, _path(stack))
+                    frame[1:] = 1, ty
+                    t = u.left
+                    break
+                if i == 1:
+                    side = saved.left
+                else:
+                    sty, lty = saved
+                    side = sty.right
+                if not isinstance(ty, Arrow) or ty.dom is not side and ty.dom != side:
+                    raise TypeMismatch(f"a function from {pretty_type(side)}", ty, _path(stack))
+                if i == 1:
+                    frame[1:] = 2, (saved, ty)
+                    t = u.right
+                    break
+                if ty.cod is not lty.cod and ty.cod != lty.cod:
+                    raise TypeMismatch(lty.cod, ty.cod, _path(stack))
+                ty = lty.cod
+            else:  # Inl or Inr
+                a = u.annot
+                want = a.left if cls is Inl else a.right
+                if ty is not want and ty != want:
+                    raise TypeMismatch(want, ty, _path(stack))
+                ty = a
+            stack.pop()
+        else:
+            return ty
+
+
+def _path(stack: list[list]) -> tuple[int, ...]:
+    """The child-index route from the root to the term being typed."""
+    return tuple(frame[1] for frame in stack)
+
+
+def _annotation(a: ObjType, sig, stack: list[list]) -> None:
+    """Validate an annotation; an unknown base gets the path of the term
+    being typed."""
+    try:
+        validate_type(a, sig)
+    except UnknownBaseType as e:
+        raise UnknownBaseType(e.args[0], _path(stack)) from None
+
+
+_UNBOUND = object()  # the saved binding of a name that was not bound
+_UNIT_TYPE = Unit()
+_FIRST_CHILD: dict[type, Callable[[Term], Term]] = {
+    App: attrgetter("fun"),
+    Pair: attrgetter("first"),
+    Fst: attrgetter("arg"),
+    Snd: attrgetter("arg"),
+    Case: attrgetter("scrutinee"),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -651,12 +715,18 @@ def print_type(ty: ObjType) -> str:
     raise TypeError(f"not a type: {ty!r}")
 
 
-def _render(t: Term, node: Callable[[Term, Callable[[Term], str]], str]) -> str:
-    """The text of `t`, where `node(u, go)` formats the node `u` and `go(c)` is
-    the text of its child `c`.  Normal forms share subterms by reference, so a
-    term is a DAG: each distinct node is formatted once, children first and
-    without recursion, and its text is dropped once its last parent has used
-    it."""
+# A formatter `(u, go, ty) -> str` gives the text of the node `u`, where
+# `go(c)` is the text of its child `c` and `ty(a)` the text of its annotation
+# `a`.  A printer is a table of formatters keyed by term class.
+Formatter = Callable[[Term, Callable[[Term], str], Callable[[ObjType], str]], str]
+
+
+def _render(t: Term, formats: dict[type, Formatter], type_text: Callable[[ObjType], str]) -> str:
+    """The text of `t` under the printer `formats`, whose annotations read as
+    `type_text(a)`.  Normal forms share subterms by reference, so a term is a
+    DAG: each distinct node is formatted once, children first and without
+    recursion, and its text is dropped once its last parent has used it.
+    Each distinct annotation object is rendered once, too."""
     parents = {id(t): 0}
     order: list[Term] = []  # the distinct nodes, each after all its children
     stack = [(t, iter(children(t)))]
@@ -677,50 +747,46 @@ def _render(t: Term, node: Callable[[Term, Callable[[Term], str]], str]) -> str:
             stack.pop()
             order.append(u)
     texts: dict[int, str] = {}
+    annots: dict[int, str] = {}
 
     def go(c: Term) -> str:
         k = id(c)
-        parents[k] -= 1
-        return texts[k] if parents[k] else texts.pop(k)
+        left = parents[k] - 1
+        if left:
+            parents[k] = left
+            return texts[k]
+        return texts.pop(k)
+
+    def ty(a: ObjType) -> str:
+        text = annots.get(id(a))
+        if text is None:
+            text = annots[id(a)] = type_text(a)
+        return text
 
     for u in order:
-        texts[id(u)] = node(u, go)
+        texts[id(u)] = formats[type(u)](u, go, ty)
     return texts[id(t)]
 
 
-def _print_node(t: Term, go: Callable[[Term], str]) -> str:
-    match t:
-        case Lit(value=v, base=b):
-            return f"(lit {format_rational(v)} {b})"
-        case PrimApp(name=c, args=args):
-            inner = "".join(f" {go(a)}" for a in args)
-            return f"(prim {c}{inner})"
-        case UnitVal():
-            return "unit"
-        case Var(name=x):
-            return f"(var {x})"
-        case Lam(binder=x, annot=a, body=n):
-            return f"(lam ({x} {print_type(a)}) {go(n)})"
-        case App(fun=f, arg=a):
-            return f"(app {go(f)} {go(a)})"
-        case Pair(first=a, second=b):
-            return f"(pair {go(a)} {go(b)})"
-        case Fst(arg=a):
-            return f"(fst {go(a)})"
-        case Snd(arg=a):
-            return f"(snd {go(a)})"
-        case Inl(arg=a, annot=ty):
-            return f"(inl {go(a)} {print_type(ty)})"
-        case Inr(arg=a, annot=ty):
-            return f"(inr {go(a)} {print_type(ty)})"
-        case Case(scrutinee=s, left=l, right=r):
-            return f"(case {go(s)} {go(l)} {go(r)})"
-    raise TypeError(f"not a term: {t!r}")
+_PRINT: dict[type, Formatter] = {
+    Lit: lambda u, go, ty: f"(lit {format_rational(u.value)} {u.base})",
+    PrimApp: lambda u, go, ty: f"(prim {' '.join([u.name, *map(go, u.args)])})",
+    UnitVal: lambda u, go, ty: "unit",
+    Var: lambda u, go, ty: f"(var {u.name})",
+    Lam: lambda u, go, ty: f"(lam ({u.binder} {ty(u.annot)}) {go(u.body)})",
+    App: lambda u, go, ty: f"(app {go(u.fun)} {go(u.arg)})",
+    Pair: lambda u, go, ty: f"(pair {go(u.first)} {go(u.second)})",
+    Fst: lambda u, go, ty: f"(fst {go(u.arg)})",
+    Snd: lambda u, go, ty: f"(snd {go(u.arg)})",
+    Inl: lambda u, go, ty: f"(inl {go(u.arg)} {ty(u.annot)})",
+    Inr: lambda u, go, ty: f"(inr {go(u.arg)} {ty(u.annot)})",
+    Case: lambda u, go, ty: f"(case {go(u.scrutinee)} {go(u.left)} {go(u.right)})",
+}
 
 
 def print_term(t: Term) -> str:
     """Deterministic s-expression rendering; re-parses to an equal term."""
-    return _render(t, _print_node)
+    return _render(t, _PRINT, print_type)
 
 
 def pretty_type(ty: ObjType, prec: int = 0) -> str:
@@ -753,38 +819,37 @@ def _paren(t: Term, text: str, prec: int) -> str:
     return text
 
 
-def _pretty_node(t: Term, go: Callable[[Term], str]) -> str:
-    match t:
-        case Lit(value=v):
-            return format_rational(v)
-        case UnitVal():
-            return "unit"
-        case Var(name=x):
-            return x
-        case PrimApp(name=c, args=(a, b)):
-            return f"({go(a)} {c} {go(b)})"
-        case PrimApp(name=c, args=args):
-            return f"{c}({', '.join(map(go, args))})"
-        case Pair(first=a, second=b):
-            return f"<{go(a)}, {go(b)}>"
-        case Lam(binder=x, annot=a, body=n):
-            return f"\\{x}:{pretty_type(a)}. {go(n)}"
-        case App(fun=f, arg=a):
-            return f"{_paren(f, go(f), 1)} {_paren(a, go(a), 2)}"
-        case Fst(arg=a):
-            return f"fst {_paren(a, go(a), 2)}"
-        case Snd(arg=a):
-            return f"snd {_paren(a, go(a), 2)}"
-        case Inl(arg=a):
-            return f"inl {_paren(a, go(a), 2)}"
-        case Inr(arg=a):
-            return f"inr {_paren(a, go(a), 2)}"
-        case Case(scrutinee=s, left=l, right=r):
-            return f"case {_paren(s, go(s), 2)} {_paren(l, go(l), 2)} {_paren(r, go(r), 2)}"
-    raise TypeError(f"not a term: {t!r}")
+def _operand(go: Callable[[Term], str], t: Term) -> str:
+    """The pretty text of `t` as an operand of a prefix form."""
+    return _paren(t, go(t), 2)
+
+
+def _pretty_prim(u: PrimApp, go: Callable[[Term], str], ty) -> str:
+    if len(u.args) == 2:
+        a, b = u.args
+        return f"({go(a)} {u.name} {go(b)})"
+    return f"{u.name}({', '.join(map(go, u.args))})"
+
+
+_PRETTY: dict[type, Formatter] = {
+    Lit: lambda u, go, ty: format_rational(u.value),
+    PrimApp: _pretty_prim,
+    UnitVal: lambda u, go, ty: "unit",
+    Var: lambda u, go, ty: u.name,
+    Lam: lambda u, go, ty: f"\\{u.binder}:{ty(u.annot)}. {go(u.body)}",
+    App: lambda u, go, ty: f"{_paren(u.fun, go(u.fun), 1)} {_operand(go, u.arg)}",
+    Pair: lambda u, go, ty: f"<{go(u.first)}, {go(u.second)}>",
+    Fst: lambda u, go, ty: f"fst {_operand(go, u.arg)}",
+    Snd: lambda u, go, ty: f"snd {_operand(go, u.arg)}",
+    Inl: lambda u, go, ty: f"inl {_operand(go, u.arg)}",
+    Inr: lambda u, go, ty: f"inr {_operand(go, u.arg)}",
+    Case: lambda u, go, ty: (
+        f"case {_operand(go, u.scrutinee)} {_operand(go, u.left)} {_operand(go, u.right)}"
+    ),
+}
 
 
 def pretty_term(t: Term, prec: int = 0) -> str:
     """Human-oriented surface syntax: `\\x:Q. ...`, `<a, b>`, infix binary
     primitives.  Deterministic; not meant to be re-parsed."""
-    return _paren(t, _render(t, _pretty_node), prec)
+    return _paren(t, _render(t, _PRETTY, pretty_type), prec)

@@ -26,6 +26,7 @@ from ebn.primitives import (
     RAT,
     DivisionByZero,
     lit,
+    mk_if,
     rational_signature,
     smart_prim_env,
 )
@@ -255,6 +256,22 @@ def agree_on_probes(t1: Term, t2: Term, ty) -> bool:
 
 # ---------------------------------------------------------------------------
 # Shared corpora
+
+
+def bool_chain(k: int):
+    """k residual tests in sequence: `shift` puts the rest of the chain in
+    both branches of each, as one shared object."""
+    x = Var("x")
+    body = Var(f"a{k}")
+    for i in range(k, 0, -1):
+        prev = Var(f"a{i - 1}") if i > 1 else x
+        test = mk_if(
+            PrimApp("==", (x, lit(i))),
+            PrimApp("*", (prev, lit(2))),
+            PrimApp("/", (prev, lit(3))),
+        )
+        body = App(Lam(f"a{i}", RAT, body), test)
+    return Lam("x", RAT, body)
 
 
 @pytest.fixture(scope="session")

@@ -1,9 +1,11 @@
+import hashlib
 import random
 import sys
 
 import pytest
 
 from ebn.control import reset, ret
+from ebn.examples import power, power_dprime, power_prime
 from ebn.interp import run
 from ebn.nbe import (
     NameSupply,
@@ -39,6 +41,7 @@ from ebn.syntax import (
     Inl,
     Inr,
     Lam,
+    Lit,
     Pair,
     PrimApp,
     Prod,
@@ -52,10 +55,11 @@ from ebn.syntax import (
     children,
     infer,
     parse_term,
+    pretty_term,
     print_term,
 )
 
-from conftest import TermGen, agree_on_probes
+from conftest import TermGen, agree_on_probes, bool_chain
 
 SIG = rational_signature()
 
@@ -187,6 +191,27 @@ def test_norm_product_of_sums_golden():
         "(lam (x5 Q) (pair (inr unit (sum unit unit)) (inl (var x5) (sum Q unit)))) "
         "(lam (x6 unit) (pair (inr unit (sum unit unit)) (inr unit (sum Q unit))))))))"
     )
+
+
+def _digest(terms) -> str:
+    """sha256 over the s-expression and the three pretty forms of each term."""
+    h = hashlib.sha256()
+    for t in terms:
+        for text in (print_term(t), pretty_term(t, 0), pretty_term(t, 1), pretty_term(t, 2)):
+            h.update(text.encode() + b"\n")
+    return h.hexdigest()
+
+
+def test_norm_golden_digest(oracle_corpus):
+    # every printed byte of these normal forms, fresh names included, is
+    # pinned: a change of representation must not show in the output
+    sources = [t for t, _, _ in oracle_corpus]
+    for make in (power, power_prime, power_dprime):
+        for k in range(1, 11):
+            sources += [make(2**k - 1), make(1 - 2**k), make(2**k)]
+    normals = [norm(t, SIG, env) for env in (smart_prim_env(), naive_prim_env()) for t in sources]
+    assert len(normals) == 2 * (300 + 90)
+    assert _digest(normals) == "99e23323d934be9744836f11e1b7500c23f4449555485018e362c7e015687082"
 
 
 def test_norm_properties_on_generated_terms(oracle_corpus):
@@ -341,3 +366,93 @@ def test_norm_900_left_chain_at_default_limit():
         want = PrimApp("*", (want, lit(i + 2) if i % 3 == 0 else Var("x0")))
     got = norm(Lam("x", RAT, t), SIG, smart_prim_env())
     assert alpha_eq(got, Lam("x0", RAT, want))
+
+
+def _nodes(t):
+    """The distinct nodes of t, each once."""
+    seen, stack = {id(t): t}, [t]
+    while stack:
+        for c in children(stack.pop()):
+            if id(c) not in seen:
+                seen[id(c)] = c
+                stack.append(c)
+    return seen.values()
+
+
+def test_norm_reuses_source_literal_nodes():
+    t = bool_chain(6)
+    source = {id(u) for u in _nodes(t) if isinstance(u, Lit)}
+    assert len(source) == 18
+    for env in (smart_prim_env(), naive_prim_env()):
+        normal = norm(t, SIG, env)
+        assert {id(u) for u in _nodes(normal) if isinstance(u, Lit)} == source
+
+
+def test_norm_folded_literals_are_new_nodes():
+    two, three = lit(2), lit(3)
+    got = norm(PrimApp("*", (two, three)), SIG, smart_prim_env())
+    assert got == lit(6) and got is not two and got is not three
+    # 1 * 3 folds as well: its 3 equals the source's but is a new node
+    got = norm(PrimApp("*", (lit(1), three)), SIG, smart_prim_env())
+    assert got == three and got is not three
+
+
+def _right_tuple(n: int):
+    t = lit(n)
+    for i in range(n - 1):
+        t = Pair(lit(i), t)
+    return t
+
+
+def _fst_chain(n: int):
+    t = UnitVal()
+    for _ in range(n):
+        t = Pair(t, UnitVal())
+    for _ in range(n):
+        t = Fst(t)
+    return t
+
+
+def _lam_chain(n: int):
+    t = Var("x")
+    for _ in range(n):
+        t = Lam("x", RAT, t)
+    return t
+
+
+def _spine(t, cls, field):
+    """The nodes of t's chain of `cls` nodes through `field`, and the node
+    that ends it."""
+    out = []
+    while isinstance(t, cls):
+        out.append(t)
+        t = getattr(t, field)
+    return out, t
+
+
+@pytest.mark.parametrize("n", [1000, 100_000])
+def test_infer_and_norm_right_tuple_at_default_limit(n):
+    assert sys.getrecursionlimit() == 1000
+    t = _right_tuple(n)
+    prods, last = _spine(infer({}, SIG, t), Prod, "right")
+    assert len(prods) == n - 1 and last == RAT and all(p.left == RAT for p in prods)
+    got = norm(t, SIG, smart_prim_env())
+    assert _leaves(got) == _leaves(t)
+
+
+def test_infer_and_norm_10000_deep_fst_chain_at_default_limit():
+    assert sys.getrecursionlimit() == 1000
+    t = _fst_chain(10_000)
+    assert infer({}, SIG, t) == Unit()
+    assert norm(t, SIG, smart_prim_env()) == UnitVal()
+
+
+def test_infer_and_norm_10000_deep_lam_chain_at_default_limit():
+    # every binder is `x`, so each inner lam shadows the one outside it
+    assert sys.getrecursionlimit() == 1000
+    t = _lam_chain(10_000)
+    arrows, cod = _spine(infer({}, SIG, t), Arrow, "cod")
+    assert len(arrows) == 10_000 and cod == RAT and all(a.dom == RAT for a in arrows)
+    lams, body = _spine(norm(t, SIG, smart_prim_env()), Lam, "body")
+    assert [lam.binder for lam in lams] == [f"x{i}" for i in range(10_000)]
+    assert body == Var("x9999")

@@ -10,7 +10,7 @@ from ebn import syntax
 from ebn.chars import parse_chars
 from ebn.examples import power, power_prime
 from ebn.nbe import norm
-from ebn.primitives import BOOL, RAT, lit, mk_if, naive_prim_env, rational_signature, smart_prim_env
+from ebn.primitives import BOOL, RAT, lit, naive_prim_env, rational_signature, smart_prim_env
 from ebn.syntax import (
     AnnotationMissing,
     App,
@@ -44,12 +44,12 @@ from ebn.syntax import (
     parse_term,
     parse_type,
     pretty_term,
+    pretty_type,
     print_term,
     print_type,
-    subterms,
 )
 
-from conftest import TermGen, ACCEPT_TYPES
+from conftest import TermGen, ACCEPT_TYPES, bool_chain
 
 SIG = rational_signature()
 
@@ -128,6 +128,27 @@ def test_infer_case_branch_shapes():
 def test_infer_annotation_must_be_sum():
     with pytest.raises(TypeMismatch):
         infer({}, SIG, Inl(lit(1), RAT))
+
+
+def test_infer_restores_outer_binding_after_a_lam():
+    t = parse_term("(lam (x Q) (pair (lam (x unit) (var x)) (var x)))")
+    assert pretty_type(infer({}, SIG, t)) == "Q -> (unit -> unit) * Q"
+    env = {"x": RAT}
+    assert infer(env, SIG, Pair(Lam("x", Unit(), Var("x")), Var("x"))) == Prod(
+        Arrow(Unit(), Unit()), RAT
+    )
+    assert env == {"x": RAT}  # the caller's environment is left alone
+
+
+def test_infer_reports_the_path_of_a_deep_bad_annotation():
+    assert sys.getrecursionlimit() == 1000
+    t = Lam("y", Base("R"), Var("y"))
+    for _ in range(5000):
+        t = Lam("x", RAT, t)
+    with pytest.raises(UnknownBaseType) as exc:
+        infer({}, SIG, t)
+    assert exc.value.path == (0,) * 5000
+    assert str(exc.value).startswith("unknown base type 'R' (at path 0.0.0.")
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +343,11 @@ def test_beta_normal_examples():
 @given(_raw_terms)
 def test_beta_normal_closed_under_subterms(t):
     if beta_normal(t):
-        assert all(beta_normal(s) for s in subterms(t))
+        stack = [t]
+        while stack:
+            s = stack.pop()
+            assert beta_normal(s)
+            stack.extend(children(s))
 
 
 def _fst_chain(depth: int):
@@ -499,24 +524,8 @@ def _assert_prints_as_tree(t):
         assert pretty_term(t, prec) == pretty_term(flat, prec)
 
 
-def _bool_chain(k: int):
-    """k residual tests in sequence: `shift` puts the rest of the chain in
-    both branches of each, as one shared object."""
-    x = Var("x")
-    body = Var(f"a{k}")
-    for i in range(k, 0, -1):
-        prev = Var(f"a{i - 1}") if i > 1 else x
-        test = mk_if(
-            PrimApp("==", (x, lit(i))),
-            PrimApp("*", (prev, lit(2))),
-            PrimApp("/", (prev, lit(3))),
-        )
-        body = App(Lam(f"a{i}", RAT, body), test)
-    return Lam("x", RAT, body)
-
-
 def test_printers_ignore_sharing_in_normal_forms():
-    cases = [(6, norm(_bool_chain(6), SIG, smart_prim_env()))]
+    cases = [(6, norm(bool_chain(6), SIG, smart_prim_env()))]
     for env in (smart_prim_env(), naive_prim_env()):
         for make in (power, power_prime):
             for k in range(1, 9):
@@ -546,6 +555,19 @@ def test_printers_format_each_shared_node_once(monkeypatch):
     assert len(calls) == 1
     assert pretty_term(t).count("3") == 4096
     assert len(calls) == 2
+
+
+def test_print_formats_each_literal_of_a_normal_form_once(monkeypatch):
+    # the normal form holds the chain's own literal nodes, however many
+    # paths through its cases copy them
+    t = bool_chain(6)
+    normal = norm(t, SIG, smart_prim_env())
+    calls = []
+    real = syntax.format_rational
+    monkeypatch.setattr(syntax, "format_rational", lambda q: calls.append(q) or real(q))
+    text = print_term(normal)
+    assert text.count("(lit ") > 18
+    assert len(calls) == 18  # lit(i), lit(2) and lit(3) for each of 6 tests
 
 
 def test_printers_handle_deep_chains():
