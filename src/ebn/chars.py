@@ -9,34 +9,30 @@ printing back-end only accepts those.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from typing import Callable, TextIO
 
-from .syntax import TokenStream
+from .syntax import Record, TokenStream, _set
 
 
-class CharsTerm:
-    __slots__ = ()
+class CharsTerm(Record):
+    pass
 
 
-@dataclass(frozen=True)
 class Eps(CharsTerm):
     pass
 
 
-@dataclass(frozen=True)
 class Chr(CharsTerm):
-    char: str
+    def __init__(self, char: str):
+        if len(char) != 1:
+            raise ValueError(f"Chr takes exactly one character, got {char!r}")
+        _set(self, "char", char)
 
-    def __post_init__(self):
-        if len(self.char) != 1:
-            raise ValueError(f"Chr takes exactly one character, got {self.char!r}")
 
-
-@dataclass(frozen=True)
 class Append(CharsTerm):
-    left: CharsTerm
-    right: CharsTerm
+    def __init__(self, left: CharsTerm, right: CharsTerm):
+        _set(self, "left", left)
+        _set(self, "right", right)
 
 
 class NotCanonical(Exception):

@@ -2,9 +2,9 @@
 
 Exit codes: 0 success, 1 syntax/type error, 2 runtime error (division by
 zero), 64 usage error, 66 unreadable input file, 70 internal error (the term
-nests deeper than the reader, the type checker or the interpreter can follow
-within Python's recursion limit, about 1,000 levels; the normalizer itself has
-no such bound), 71 out of memory.
+nests deeper than the reader or the interpreter can follow within Python's
+recursion limit, about 1,000 levels; type checking and normalization run in
+constant Python stack), 71 out of memory.
 """
 
 from __future__ import annotations

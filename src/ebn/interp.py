@@ -8,7 +8,6 @@ arithmetic, with == yielding the sum-encoded Bool (inr unit for true).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping
 
@@ -22,12 +21,14 @@ from .syntax import (
     Lit,
     Pair,
     PrimApp,
+    Record,
     ShapeMismatch,
     Snd,
     Term,
     UnitVal,
     Var,
     format_rational,
+    _set,
 )
 
 
@@ -35,39 +36,38 @@ class RuntimeDivisionByZero(Exception):
     pass
 
 
-class ConcreteValue:
-    __slots__ = ()
+class ConcreteValue(Record):
+    pass
 
 
-@dataclass(frozen=True)
 class CUnit(ConcreteValue):
     pass
 
 
-@dataclass(frozen=True)
 class CRat(ConcreteValue):
-    value: Fraction
+    def __init__(self, value: Fraction):
+        _set(self, "value", value)
 
 
-@dataclass(frozen=True)
 class CPair(ConcreteValue):
-    first: ConcreteValue
-    second: ConcreteValue
+    def __init__(self, first: ConcreteValue, second: ConcreteValue):
+        _set(self, "first", first)
+        _set(self, "second", second)
 
 
-@dataclass(frozen=True)
 class CInl(ConcreteValue):
-    value: ConcreteValue
+    def __init__(self, value: ConcreteValue):
+        _set(self, "value", value)
 
 
-@dataclass(frozen=True)
 class CInr(ConcreteValue):
-    value: ConcreteValue
+    def __init__(self, value: ConcreteValue):
+        _set(self, "value", value)
 
 
-@dataclass(frozen=True)
 class CFun(ConcreteValue):
-    apply: Callable[[ConcreteValue], ConcreteValue]
+    def __init__(self, apply: Callable[[ConcreteValue], ConcreteValue]):
+        _set(self, "apply", apply)
 
 
 def _rat(v: ConcreteValue) -> Fraction:

@@ -24,8 +24,6 @@ the term.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .control import Residual
 from .semantics import (
     Closure,
@@ -70,12 +68,12 @@ from .syntax import (
 )
 
 
-@dataclass
 class NameSupply:
     """Issues x0, x1, ... deterministically; one per normalization call."""
 
-    counter: int = 0
-    prefix: str = "x"
+    def __init__(self, counter: int = 0, prefix: str = "x"):
+        self.counter = counter
+        self.prefix = prefix
 
     def fresh(self) -> str:
         name = f"{self.prefix}{self.counter}"

@@ -14,7 +14,6 @@ a positive denominator, so structural equality is value equality.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping
 
@@ -39,6 +38,7 @@ from .syntax import (
     Lit,
     ObjType,
     PrimApp,
+    Record,
     ShapeMismatch,
     Sum,
     Term,
@@ -46,6 +46,7 @@ from .syntax import (
     UnitVal,
     free_vars,
     validate_type,
+    _set,
 )
 
 Rational = Fraction
@@ -69,22 +70,22 @@ def lit(value) -> Lit:
 # Signatures
 
 
-@dataclass(frozen=True)
-class PrimType:
-    args: tuple[ObjType, ...]
-    result: ObjType
+class PrimType(Record):
+    def __init__(self, args: tuple[ObjType, ...], result: ObjType):
+        _set(self, "args", args)
+        _set(self, "result", result)
 
 
-@dataclass(frozen=True)
-class PrimSignature:
+class PrimSignature(Record):
     """Registered base types (name -> carrier membership predicate) and
     primitive operations (name -> argument/result types)."""
 
-    bases: Mapping[str, Callable[[object], bool]]
-    prims: Mapping[str, PrimType]
-
-    def __post_init__(self):
-        for name, decl in self.prims.items():
+    def __init__(
+        self, bases: Mapping[str, Callable[[object], bool]], prims: Mapping[str, PrimType]
+    ):
+        _set(self, "bases", bases)
+        _set(self, "prims", prims)
+        for name, decl in prims.items():
             for ty in (*decl.args, decl.result):
                 validate_type(ty, self)
 
@@ -99,16 +100,22 @@ def _div(v: Fraction, w: Fraction) -> Fraction:
     return v / w
 
 
-@dataclass(frozen=True)
-class PrimRule:
+class PrimRule(Record):
     """One rational primitive: its type, its fold on two literals, and the
     literal its left or right argument may be dropped at (None: no unit
     law)."""
 
-    type: PrimType
-    fold: Callable[[Fraction, Fraction], object]
-    left_unit: Fraction | None
-    right_unit: Fraction | None
+    def __init__(
+        self,
+        type: PrimType,
+        fold: Callable[[Fraction, Fraction], object],
+        left_unit: Fraction | None,
+        right_unit: Fraction | None,
+    ):
+        _set(self, "type", type)
+        _set(self, "fold", fold)
+        _set(self, "left_unit", left_unit)
+        _set(self, "right_unit", right_unit)
 
 
 # No zero-annihilation rule for *: folding 0 * m would drop m's code.

@@ -7,101 +7,108 @@ of a lambda over its environment, or Reflected code of arrow type.  A client
 may also build an SFun around a host function that returns a computation in
 the `Residual` monad; the machine hands it the continuation as a host
 function.
+
+Semantic values are records (`syntax.Record`), immutable like terms:
+assigning or deleting any attribute raises AttributeError.  A Closure
+compares by identity; a Val's source `term` takes no part in equality.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Union
 
 from .control import Residual
-from .syntax import Lit, ObjType, ShapeMismatch, Term
+from .syntax import Lit, ObjType, Record, ShapeMismatch, Term, _set
 
 
 # ---------------------------------------------------------------------------
 # Semantic values
 
 
-class BaseValue:
-    __slots__ = ()
+class BaseValue(Record):
+    pass
 
 
-@dataclass(frozen=True)
 class Exp(BaseValue):
     """A residual: uninterpreted code of base type."""
 
-    code: Term
+    def __init__(self, code: Term):
+        _set(self, "code", code)
 
 
-@dataclass(frozen=True)
 class Val(BaseValue):
     """An actual literal of the base type's carrier.  `term` is the source
     `Lit` it was read from, if any: reification hands that node back, so every
     copy of a literal in a normal form is the one source node.  It takes no
-    part in equality."""
+    part in equality, hashing or repr."""
 
-    literal: Any
-    term: Lit | None = field(default=None, compare=False, repr=False)
+    _fields = ("literal",)
+
+    def __init__(self, literal: Any, term: Lit | None = None):
+        _set(self, "literal", literal)
+        _set(self, "term", term)
 
 
-class SemValue:
-    __slots__ = ()
+class SemValue(Record):
+    pass
 
 
-@dataclass(frozen=True)
 class SUnit(SemValue):
     pass
 
 
-@dataclass(frozen=True)
 class SFun(SemValue):
     """A host function from a value to a computation."""
 
-    apply: Callable[[SemValue], Residual[SemValue]]
+    def __init__(self, apply: Callable[[SemValue], Residual[SemValue]]):
+        _set(self, "apply", apply)
 
 
-@dataclass(frozen=True, eq=False)
 class Closure(SemValue):
     """The value of `Lam(binder, _, body)` in `env`.  It keeps the primitive
     environment it was made with, so that a closure returned by `eval_term`
-    can still be applied by a later `reify`."""
+    can still be applied by a later `reify`.  It equals only itself."""
 
-    binder: str
-    body: Term
-    env: dict[str, SemValue]
-    prims: PrimEnv
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, binder: str, body: Term, env: dict[str, SemValue], prims: PrimEnv):
+        _set(self, "binder", binder)
+        _set(self, "body", body)
+        _set(self, "env", env)
+        _set(self, "prims", prims)
 
 
-@dataclass(frozen=True)
 class Reflected(SemValue):
     """Code of type `dom -> cod` as a function: applying it reifies the
     argument at `dom` and reflects the application at `cod`."""
 
-    code: Term
-    dom: ObjType
-    cod: ObjType
+    def __init__(self, code: Term, dom: ObjType, cod: ObjType):
+        _set(self, "code", code)
+        _set(self, "dom", dom)
+        _set(self, "cod", cod)
 
 
-@dataclass(frozen=True)
 class SPair(SemValue):
-    first: SemValue
-    second: SemValue
+    def __init__(self, first: SemValue, second: SemValue):
+        _set(self, "first", first)
+        _set(self, "second", second)
 
 
-@dataclass(frozen=True)
 class SInl(SemValue):
-    value: SemValue
+    def __init__(self, value: SemValue):
+        _set(self, "value", value)
 
 
-@dataclass(frozen=True)
 class SInr(SemValue):
-    value: SemValue
+    def __init__(self, value: SemValue):
+        _set(self, "value", value)
 
 
-@dataclass(frozen=True)
 class SBase(SemValue):
-    base: str
-    payload: BaseValue
+    def __init__(self, base: str, payload: BaseValue):
+        _set(self, "base", base)
+        _set(self, "payload", payload)
 
 
 ValueEnv = Mapping[str, SemValue]

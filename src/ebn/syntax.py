@@ -1,16 +1,17 @@
 """Object-language types and terms: typing, alpha-equivalence, beta-normality,
 and the s-expression reader/printer.
 
-Terms are plain immutable values.  A term may share a subterm by reference
-(normal forms do), so it is a DAG that stands for a tree.  Binders (lam, inl,
-inr) carry explicit type annotations so that type inference is
-synthesis-only.
+Types and terms are records, defined here once for the whole package: each
+record class keeps its fields in slots and raises AttributeError on any
+assignment or deletion, so a record never changes after its `__init__`.  A
+term may share a subterm by reference (normal forms do), so it is a DAG that
+stands for a tree.  Binders (lam, inl, inr) carry explicit type annotations so
+that type inference is synthesis-only.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from operator import attrgetter
@@ -18,121 +19,248 @@ from typing import Any, Callable, Mapping, TypeVar
 
 
 # ---------------------------------------------------------------------------
+# Records
+
+
+class _RecordType(type):
+    """The class of record classes.  The parameters of a record class's own
+    `__init__` are its fields: they become its `__slots__`, its
+    `__match_args__` and, unless the class names others, the `_fields` that
+    equality, hashing and repr read.  A class without an `__init__` of its
+    own adds no slots."""
+
+    def __new__(mcls, name: str, bases: tuple, ns: dict):
+        init = ns.get("__init__")
+        fields = init.__code__.co_varnames[1 : init.__code__.co_argcount] if init else ()
+        ns.setdefault("__slots__", fields)
+        if init is not None:
+            ns["__match_args__"] = fields
+            ns.setdefault("_fields", fields)
+        return super().__new__(mcls, name, bases, ns)
+
+
+# A record's `__init__` writes each field with `_set(self, name, value)`, past
+# the `__setattr__` that makes records immutable.
+_set = object.__setattr__
+
+
+class Record(metaclass=_RecordType):
+    """An immutable record.  A subclass names its fields once, as the
+    parameters of its `__init__`; they become its slots, and the `__init__`
+    stores each with `_set`.  Two records are equal when they are of one
+    class and their fields are equal, and then they hash alike; `repr` spells
+    the class and its fields by keyword.  Assigning or deleting an attribute
+    raises AttributeError, so a node that a normal form shares among many
+    parents cannot be changed through one of them.  No code is generated per
+    class, which keeps `import ebn` cheap."""
+
+    __match_args__: tuple[str, ...] = ()
+    _fields: tuple[str, ...] = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{f}={v!r}" for f, v in zip(self._fields, self._values())])
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        # copy and pickle rebuild a record through its `__init__`.
+        return type(self), tuple([getattr(self, f) for f in self.__match_args__])
+
+
+# ---------------------------------------------------------------------------
 # Types
 
 
-class ObjType:
-    """Base class of object-language types."""
+class ObjType(Record):
+    """Base class of object-language types.  Equality, hashing and repr walk
+    an explicit stack, as do the other functions on types here, so a type may
+    nest deeper than Python's recursion limit."""
 
-    __slots__ = ()
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is not b:
+                cls = type(a)
+                if cls is not type(b) or cls is Base and a.name != b.name:
+                    return False
+                parts = _TYPE_PARTS.get(cls)
+                if parts is not None:
+                    stack += zip(parts(a), parts(b))
+        return True
+
+    def __hash__(self) -> int:
+        # The nodes in preorder, a base by its name: the arity of each node
+        # is fixed by its class, so the sequence determines the type.
+        nodes: list = []
+        stack = [self]
+        while stack:
+            u = stack.pop()
+            parts = _TYPE_PARTS.get(type(u))
+            if parts is not None:
+                nodes.append(type(u))
+                stack += parts(u)
+            else:
+                nodes.append(u.name if type(u) is Base else type(u))
+        return hash(tuple(nodes))
+
+    def __repr__(self) -> str:
+        return _spell(self, 0, _repr_parts)
 
 
-@dataclass(frozen=True)
 class Base(ObjType):
-    name: str
+    def __init__(self, name: str):
+        _set(self, "name", name)
 
 
-@dataclass(frozen=True)
 class Unit(ObjType):
     pass
 
 
-@dataclass(frozen=True)
 class Arrow(ObjType):
-    dom: ObjType
-    cod: ObjType
+    def __init__(self, dom: ObjType, cod: ObjType):
+        _set(self, "dom", dom)
+        _set(self, "cod", cod)
 
 
-@dataclass(frozen=True)
 class Prod(ObjType):
-    left: ObjType
-    right: ObjType
+    def __init__(self, left: ObjType, right: ObjType):
+        _set(self, "left", left)
+        _set(self, "right", right)
 
 
-@dataclass(frozen=True)
 class Sum(ObjType):
-    left: ObjType
-    right: ObjType
+    def __init__(self, left: ObjType, right: ObjType):
+        _set(self, "left", left)
+        _set(self, "right", right)
+
+
+# The binary type constructors, each with its s-expression head and the
+# getter of its two component types.
+_TYPE_HEADS: dict[type, str] = {Arrow: "arrow", Prod: "prod", Sum: "sum"}
+_TYPE_PARTS: dict[type, Callable[[ObjType], tuple[ObjType, ObjType]]] = {
+    Arrow: attrgetter("dom", "cod"),
+    Prod: attrgetter("left", "right"),
+    Sum: attrgetter("left", "right"),
+}
+
+
+def _spell(ty: ObjType, prec: int, parts: Callable[[ObjType, int], tuple]) -> str:
+    """The text of `ty` at precedence `prec`, written left to right without
+    recursion: `parts(u, p)` spells the node `u` at precedence `p` as a tuple
+    of strings and `(type, precedence)` pairs, which are spelled in turn."""
+    out: list[str] = []
+    stack: list = [(ty, prec)]
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            out.append(item)
+        else:
+            stack += reversed(parts(*item))
+    return "".join(out)
+
+
+def _repr_parts(u: ObjType, prec: int) -> tuple:
+    parts = _TYPE_PARTS.get(type(u))
+    if parts is not None:
+        (f, g), (a, b) = u._fields, parts(u)
+        return (f"{type(u).__qualname__}({f}=", (a, 0), f", {g}=", (b, 0), ")")
+    return (Record.__repr__(u),)
 
 
 # ---------------------------------------------------------------------------
 # Terms
 
 
-class Term:
+class Term(Record):
     """Base class of object-language terms."""
 
-    __slots__ = ()
 
-
-@dataclass(frozen=True)
 class Lit(Term):
-    value: Any
-    base: str
+    def __init__(self, value: Any, base: str):
+        _set(self, "value", value)
+        _set(self, "base", base)
 
 
-@dataclass(frozen=True)
 class PrimApp(Term):
-    name: str
-    args: tuple[Term, ...]
+    def __init__(self, name: str, args: tuple[Term, ...]):
+        _set(self, "name", name)
+        _set(self, "args", args)
 
 
-@dataclass(frozen=True)
 class UnitVal(Term):
     pass
 
 
-@dataclass(frozen=True)
 class Var(Term):
-    name: str
+    def __init__(self, name: str):
+        _set(self, "name", name)
 
 
-@dataclass(frozen=True)
 class Lam(Term):
-    binder: str
-    annot: ObjType
-    body: Term
+    def __init__(self, binder: str, annot: ObjType, body: Term):
+        _set(self, "binder", binder)
+        _set(self, "annot", annot)
+        _set(self, "body", body)
 
 
-@dataclass(frozen=True)
 class App(Term):
-    fun: Term
-    arg: Term
+    def __init__(self, fun: Term, arg: Term):
+        _set(self, "fun", fun)
+        _set(self, "arg", arg)
 
 
-@dataclass(frozen=True)
 class Pair(Term):
-    first: Term
-    second: Term
+    def __init__(self, first: Term, second: Term):
+        _set(self, "first", first)
+        _set(self, "second", second)
 
 
-@dataclass(frozen=True)
 class Fst(Term):
-    arg: Term
+    def __init__(self, arg: Term):
+        _set(self, "arg", arg)
 
 
-@dataclass(frozen=True)
 class Snd(Term):
-    arg: Term
+    def __init__(self, arg: Term):
+        _set(self, "arg", arg)
 
 
-@dataclass(frozen=True)
 class Inl(Term):
-    arg: Term
-    annot: ObjType
+    def __init__(self, arg: Term, annot: ObjType):
+        _set(self, "arg", arg)
+        _set(self, "annot", annot)
 
 
-@dataclass(frozen=True)
 class Inr(Term):
-    arg: Term
-    annot: ObjType
+    def __init__(self, arg: Term, annot: ObjType):
+        _set(self, "arg", arg)
+        _set(self, "annot", annot)
 
 
-@dataclass(frozen=True)
 class Case(Term):
-    scrutinee: Term
-    left: Term
-    right: Term
+    def __init__(self, scrutinee: Term, left: Term, right: Term):
+        _set(self, "scrutinee", scrutinee)
+        _set(self, "left", left)
+        _set(self, "right", right)
 
 
 # Each term class's children, in order; a table lookup costs the same for
@@ -220,18 +348,20 @@ class TypeMismatch(TypingError):
 
 
 def validate_type(ty: ObjType, sig) -> None:
-    """Check every base name in `ty` is registered in the signature."""
-    match ty:
-        case Base(name=n):
-            if n not in sig.bases:
-                raise UnknownBaseType(f"unknown base type {n!r}")
-        case Unit():
-            pass
-        case Arrow(dom=a, cod=b) | Prod(left=a, right=b) | Sum(left=a, right=b):
-            validate_type(a, sig)
-            validate_type(b, sig)
-        case _:
-            raise TypeError(f"not a type: {ty!r}")
+    """Check every base name in `ty` is registered in the signature; the
+    leftmost unknown one is reported."""
+    stack = [ty]
+    while stack:
+        u = stack.pop()
+        cls = type(u)
+        if cls is Base:
+            if u.name not in sig.bases:
+                raise UnknownBaseType(f"unknown base type {u.name!r}")
+        elif cls in _TYPE_PARTS:
+            a, b = _TYPE_PARTS[cls](u)
+            stack += (b, a)
+        elif cls is not Unit:
+            raise TypeError(f"not a type: {u!r}")
 
 
 def infer(env: Mapping[str, ObjType], sig, t: Term) -> ObjType:
@@ -603,7 +733,7 @@ class TokenStream:
 
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_']*")
-_TYPE_FORMS = {"arrow": Arrow, "prod": Prod, "sum": Sum}
+_TYPE_FORMS = {head: cls for cls, head in _TYPE_HEADS.items()}
 # Forms whose operands are all terms: head -> (constructor, arity).
 _TERM_FORMS = {
     "app": (App, 2), "pair": (Pair, 2), "fst": (Fst, 1), "snd": (Snd, 1), "case": (Case, 3)
@@ -700,19 +830,24 @@ def parse_type(text: str) -> ObjType:
 # Printing
 
 
+def _leaf_text(u: ObjType) -> str:
+    if type(u) is Base:
+        return u.name
+    if type(u) is Unit:
+        return "unit"
+    raise TypeError(f"not a type: {u!r}")
+
+
+def _print_parts(u: ObjType, prec: int) -> tuple:
+    head = _TYPE_HEADS.get(type(u))
+    if head is None:
+        return (_leaf_text(u),)
+    a, b = _TYPE_PARTS[type(u)](u)
+    return (f"({head} ", (a, 0), " ", (b, 0), ")")
+
+
 def print_type(ty: ObjType) -> str:
-    match ty:
-        case Base(name=n):
-            return n
-        case Unit():
-            return "unit"
-        case Arrow(dom=a, cod=b):
-            return f"(arrow {print_type(a)} {print_type(b)})"
-        case Prod(left=a, right=b):
-            return f"(prod {print_type(a)} {print_type(b)})"
-        case Sum(left=a, right=b):
-            return f"(sum {print_type(a)} {print_type(b)})"
-    raise TypeError(f"not a type: {ty!r}")
+    return ty.name if type(ty) is Base else _spell(ty, 0, _print_parts)
 
 
 # A formatter `(u, go, ty) -> str` gives the text of the node `u`, where
@@ -789,22 +924,27 @@ def print_term(t: Term) -> str:
     return _render(t, _PRINT, print_type)
 
 
+# Each binary type's infix operator, the precedences of its operands, and the
+# highest precedence at which it needs no parentheses.
+_INFIX: dict[type, tuple[str, int, int, int]] = {
+    Arrow: (" -> ", 1, 0, 0),
+    Prod: (" * ", 2, 2, 1),
+    Sum: (" + ", 2, 2, 1),
+}
+
+
+def _pretty_parts(u: ObjType, prec: int) -> tuple:
+    infix = _INFIX.get(type(u))
+    if infix is None:
+        return (_leaf_text(u),)
+    op, left, right, top = infix
+    a, b = _TYPE_PARTS[type(u)](u)
+    parts = ((a, left), op, (b, right))
+    return parts if prec <= top else ("(", *parts, ")")
+
+
 def pretty_type(ty: ObjType, prec: int = 0) -> str:
-    match ty:
-        case Base(name=n):
-            return n
-        case Unit():
-            return "unit"
-        case Arrow(dom=a, cod=b):
-            s = f"{pretty_type(a, 1)} -> {pretty_type(b, 0)}"
-            return f"({s})" if prec > 0 else s
-        case Prod(left=a, right=b):
-            s = f"{pretty_type(a, 2)} * {pretty_type(b, 2)}"
-            return f"({s})" if prec > 1 else s
-        case Sum(left=a, right=b):
-            s = f"{pretty_type(a, 2)} + {pretty_type(b, 2)}"
-            return f"({s})" if prec > 1 else s
-    raise TypeError(f"not a type: {ty!r}")
+    return ty.name if type(ty) is Base else _spell(ty, prec, _pretty_parts)
 
 
 _TIGHT = (App, Fst, Snd, Inl, Inr, Case)

@@ -1,7 +1,11 @@
+import os
 import random
 import re
+import subprocess
+import sys
 from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -210,3 +214,28 @@ def test_cli_never_prints_a_traceback(capsys):
             assert "Traceback" not in err, (command, source, err)
             seen.add(code)
     assert {0, 1, 2} <= seen
+
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def _python(*args: str) -> subprocess.CompletedProcess:
+    """Run `python -S args` with the package on the path and no site
+    packages, as a fresh process."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.run(
+        [sys.executable, "-S", *args], env=env, capture_output=True, text=True, timeout=60
+    )
+
+
+def test_check_runs_as_a_process():
+    done = _python("-m", "ebn.cli", "check", "--inline", "unit")
+    assert (done.returncode, done.stdout, done.stderr) == (0, "unit\n", "")
+
+
+def test_import_generates_no_code():
+    # Records are plain classes: importing the CLI needs neither dataclasses
+    # (which compiles methods for every class) nor the inspect module.
+    code = "import sys, ebn.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    done = _python("-c", code)
+    assert (done.returncode, done.stdout) == (0, "[]\n")

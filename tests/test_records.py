@@ -1,0 +1,207 @@
+"""The immutable record contract shared by types, terms, semantic values,
+concrete values, primitive tables and chars terms."""
+
+import copy
+import pickle
+from fractions import Fraction
+
+import pytest
+
+from ebn import chars, interp, primitives, semantics, syntax
+from ebn.primitives import (
+    RAT,
+    PrimRule,
+    PrimSignature,
+    PrimType,
+    rational_signature,
+    smart_prim_env,
+)
+from ebn.semantics import Closure, Exp, SBase, Val
+from ebn.syntax import (
+    App,
+    Arrow,
+    Base,
+    Fst,
+    Inl,
+    Inr,
+    Lam,
+    Lit,
+    Record,
+    Snd,
+    Sum,
+    Unit,
+    UnitVal,
+    UnknownBaseType,
+    Var,
+)
+
+U = UnitVal()
+Q = Base("Q")
+SAMPLES = [
+    Q,
+    Unit(),
+    Arrow(Q, Unit()),
+    syntax.Prod(Q, Q),
+    Sum(Unit(), Q),
+    Lit(Fraction(2), "Q"),
+    syntax.PrimApp("*", (Var("x"), Lit(Fraction(1), "Q"))),
+    U,
+    Var("x"),
+    Lam("x", Q, Var("x")),
+    App(Var("f"), U),
+    syntax.Pair(U, Var("y")),
+    Fst(Var("p")),
+    Snd(Var("p")),
+    Inl(U, Sum(Unit(), Q)),
+    Inr(U, Sum(Q, Unit())),
+    syntax.Case(Var("s"), Var("l"), Var("r")),
+    Exp(Var("m")),
+    Val(Fraction(3)),
+    semantics.SUnit(),
+    semantics.SFun(print),
+    Closure("x", Var("x"), {}, smart_prim_env()),
+    semantics.Reflected(Var("f"), Q, Q),
+    semantics.SPair(semantics.SUnit(), semantics.SUnit()),
+    semantics.SInl(semantics.SUnit()),
+    semantics.SInr(semantics.SUnit()),
+    SBase("Q", Val(Fraction(1))),
+    interp.CUnit(),
+    interp.CRat(Fraction(1, 2)),
+    interp.CPair(interp.CUnit(), interp.CUnit()),
+    interp.CInl(interp.CUnit()),
+    interp.CInr(interp.CUnit()),
+    interp.CFun(print),
+    PrimType((RAT, RAT), RAT),
+    rational_signature(),
+    primitives.RULES["*"],
+    chars.Eps(),
+    chars.Chr("a"),
+    chars.Append(chars.Eps(), chars.Chr("b")),
+]
+
+
+def _record_classes(cls=Record):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _record_classes(sub)
+
+
+def test_samples_cover_every_concrete_record_class():
+    abstract = {
+        syntax.ObjType,
+        syntax.Term,
+        semantics.BaseValue,
+        semantics.SemValue,
+        interp.ConcreteValue,
+        chars.CharsTerm,
+    }
+    assert {type(r) for r in SAMPLES} == set(_record_classes()) - abstract
+
+
+@pytest.mark.parametrize("r", SAMPLES, ids=lambda r: type(r).__name__)
+def test_fields_cannot_be_assigned_or_deleted(r):
+    before = [getattr(r, name) for name in r.__match_args__]
+    for name in (*r.__match_args__, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(r, name, None)
+        with pytest.raises(AttributeError):
+            delattr(r, name)
+    assert all(getattr(r, name) is v for name, v in zip(r.__match_args__, before))
+    assert not hasattr(r, "extra")
+
+
+@pytest.mark.parametrize("r", SAMPLES, ids=lambda r: type(r).__name__)
+def test_equal_fields_give_equal_records(r):
+    twin = type(r)(**{name: getattr(r, name) for name in r.__match_args__})
+    if type(r) is Closure:  # identity equality, see below
+        assert twin != r
+        return
+    assert twin == r and not twin != r
+    try:
+        h = hash(r)
+    except TypeError:  # a dict field: unhashable, as a frozen dataclass was
+        assert type(r) is PrimSignature
+    else:
+        assert hash(twin) == h
+
+
+@pytest.mark.parametrize("r", SAMPLES, ids=lambda r: type(r).__name__)
+def test_copy_rebuilds_every_field(r):
+    for twin in (copy.copy(r), copy.deepcopy(r)):
+        assert type(twin) is type(r)
+        fields = r.__match_args__
+        assert [getattr(twin, f) for f in fields] == [getattr(r, f) for f in fields]
+
+
+def test_pickle_round_trip():
+    source = Lit(Fraction(5), "Q")
+    t = Lam("x", Arrow(Q, Sum(Unit(), Q)), App(Var("f"), source))
+    assert pickle.loads(pickle.dumps(t)) == t
+    v = pickle.loads(pickle.dumps(Val(Fraction(5), source)))
+    assert v == Val(Fraction(5)) and v.term == source
+
+
+def test_match_args_follow_the_constructor():
+    assert Lam.__match_args__ == ("binder", "annot", "body")
+    assert Val.__match_args__ == ("literal", "term")
+    assert PrimRule.__match_args__ == ("type", "fold", "left_unit", "right_unit")
+    assert Unit.__match_args__ == () and UnitVal.__match_args__ == ()
+    match Lam("x", Q, Var("x")):
+        case Lam(x, Base(name=b), Var(y)):
+            assert (x, b, y) == ("x", "Q", "x")
+        case _:
+            pytest.fail("positional pattern did not match")
+
+
+def test_keyword_construction():
+    assert Lam(body=Var("x"), annot=Q, binder="x") == Lam("x", Q, Var("x"))
+    assert Arrow(cod=Unit(), dom=Q) == Arrow(Q, Unit())
+
+
+def test_different_classes_with_equal_fields_differ():
+    t = Var("p")
+    assert Fst(t) != Snd(t)
+    ty = Sum(Unit(), Unit())
+    assert Inl(U, ty) != Inr(U, ty)
+    assert syntax.Prod(Q, Q) != Sum(Q, Q)
+    assert semantics.SInl(semantics.SUnit()) != semantics.SInr(semantics.SUnit())
+    assert Lit(Fraction(1), "Q") != Fraction(1)
+
+
+def test_val_source_term_takes_no_part_in_equality():
+    q = Fraction(5)
+    source = Lit(q, "Q")
+    assert Val(q).term is None
+    assert Val(q, source).term is source
+    assert Val(q, source) == Val(q)
+    assert hash(Val(q, source)) == hash(Val(q))
+    assert Val(q) != Val(Fraction(6))
+    assert repr(Val(q, source)) == "Val(literal=Fraction(5, 1))"
+
+
+def test_closure_equals_only_itself():
+    env = smart_prim_env()
+    c = Closure("x", Var("x"), {}, env)
+    assert c == c
+    assert c != Closure("x", Var("x"), {}, env)
+    assert {c: 1}[c] == 1
+
+
+def test_repr_golden():
+    assert repr(Lam("x", Base("Q"), Var("x"))) == (
+        "Lam(binder='x', annot=Base(name='Q'), body=Var(name='x'))"
+    )
+    assert repr(Arrow(Sum(Unit(), Q), Q)) == (
+        "Arrow(dom=Sum(left=Unit(), right=Base(name='Q')), cod=Base(name='Q'))"
+    )
+    assert repr(UnitVal()) == "UnitVal()"
+    assert repr(SBase("Q", Exp(Var("m")))) == "SBase(base='Q', payload=Exp(code=Var(name='m')))"
+    assert repr(interp.CRat(Fraction(1, 2))) == "CRat(value=Fraction(1, 2))"
+    assert repr(chars.Chr("a")) == "Chr(char='a')"
+
+
+def test_validation_at_construction():
+    with pytest.raises(UnknownBaseType):
+        PrimSignature(bases={}, prims={"id": PrimType((Q,), Q)})
+    with pytest.raises(ValueError):
+        chars.Chr("ab")

@@ -1,6 +1,5 @@
 import random
 import sys
-from dataclasses import fields, replace
 from fractions import Fraction
 
 import pytest
@@ -47,6 +46,7 @@ from ebn.syntax import (
     pretty_type,
     print_term,
     print_type,
+    validate_type,
 )
 
 from conftest import TermGen, ACCEPT_TYPES, bool_chain
@@ -226,6 +226,49 @@ def test_alpha_eq_restores_outer_binding_after_a_lam():
     left = Pair(Lam("x", RAT, Var("x")), Var("x"))
     assert alpha_eq(left, Pair(Lam("y", RAT, Var("y")), Var("x")))
     assert not alpha_eq(left, Pair(Lam("x", RAT, Var("x")), Var("y")))
+
+
+def _arrows(depth: int, leaf=RAT, *, left: bool = False):
+    """`Q -> Q -> ... -> leaf` with `depth` arrows, or with `left`
+    `((leaf -> Q) -> Q) ... -> Q`."""
+    ty = leaf
+    for _ in range(depth):
+        ty = Arrow(ty, RAT) if left else Arrow(RAT, ty)
+    return ty
+
+
+@pytest.mark.parametrize("depth", [2000, 20000])
+def test_deep_annotation_is_not_bounded_by_the_stack(depth):
+    assert sys.getrecursionlimit() == 1000
+    ty = _arrows(depth)
+    t = Lam("f", ty, Var("f"))
+    assert infer({}, SIG, t) == Arrow(ty, ty)
+    # eta expansion: \f. \a1 ... \a_depth. f a1 ... a_depth
+    body = Var("f")
+    for i in range(1, depth + 1):
+        body = App(body, Var(f"a{i}"))
+    for i in range(depth, 0, -1):
+        body = Lam(f"a{i}", RAT, body)
+    assert alpha_eq(norm(t, SIG, smart_prim_env()), Lam("f", ty, body))
+    assert print_term(t) == f"(lam (f {'(arrow Q ' * depth}Q{')' * depth}) (var f))"
+    assert pretty_term(t) == f"\\f:{'Q -> ' * depth}Q. f"
+    rebuilt = _arrows(depth)
+    assert ty == rebuilt and hash(ty) == hash(rebuilt)
+    assert ty != _arrows(depth, Unit()) and ty != _arrows(depth - 1)
+    assert repr(ty) == "Arrow(dom=Base(name='Q'), cod=" * depth + "Base(name='Q')" + ")" * depth
+
+
+def test_deep_left_nested_types():
+    depth = 20000
+    ty = _arrows(depth, left=True)
+    assert ty == _arrows(depth, left=True) and hash(ty) == hash(_arrows(depth, left=True))
+    assert ty != _arrows(depth, Unit(), left=True)
+    assert print_type(ty) == f"{'(arrow ' * depth}Q{' Q)' * depth}"
+    assert pretty_type(ty) == f"{'(' * (depth - 1)}Q -> Q{') -> Q' * (depth - 1)}"
+    assert repr(ty).startswith("Arrow(dom=Arrow(dom=") and repr(ty).endswith("cod=Base(name='Q'))")
+    validate_type(ty, SIG)
+    with pytest.raises(UnknownBaseType, match="'A'"):
+        validate_type(Arrow(_arrows(depth, Base("A"), left=True), Base("B")), SIG)
 
 
 def test_alpha_eq_renamed_20000_deep_binders():
@@ -499,7 +542,7 @@ def unshare(t):
             return tuple(map(copy, v))
         return unshare(v) if isinstance(v, syntax.Term) else v
 
-    return replace(t, **{f.name: copy(getattr(t, f.name)) for f in fields(t)})
+    return type(t)(**{name: copy(getattr(t, name)) for name in t.__match_args__})
 
 
 def _dag_size(t) -> int:
