@@ -23,7 +23,7 @@ from .chars import (
     reify_fun,
     reify_list,
 )
-from .control import Residual, bind, join, reset, ret, shift
+from .control import Residual, reset, ret, shift
 from .examples import (
     MAYBE_RAT,
     mk_fmap,
@@ -52,9 +52,7 @@ from .primitives import (
     smart_prim_env,
 )
 from .semantics import (
-    BaseValue,
     Closure,
-    Exp,
     Reflected,
     SBase,
     SemValue,

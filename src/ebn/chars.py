@@ -114,14 +114,24 @@ def print_chars(t: CharsTerm, out: TextIO | None = None) -> None:
 
 
 def format_chars(t: CharsTerm) -> str:
-    match t:
-        case Eps():
-            return "eps"
-        case Chr(char=c):
-            return f'(chr "{c}")'
-        case Append(left=l, right=r):
-            return f"(cat {format_chars(l)} {format_chars(r)})"
-    raise TypeError(f"not a chars term: {t!r}")
+    """The s-expression of `t`, written left to right without recursion."""
+    out: list[str] = []
+    stack: list = [t]
+    while stack:
+        t = stack.pop()
+        cls = type(t)
+        if cls is Append:
+            out.append("(cat ")
+            stack += (")", t.right, " ", t.left)
+        elif cls is str:
+            out.append(t)
+        elif cls is Chr:
+            out.append(f'(chr "{t.char}")')
+        elif cls is Eps:
+            out.append("eps")
+        else:
+            raise TypeError(f"not a chars term: {t!r}")
+    return "".join(out)
 
 
 def _parse(ts: TokenStream) -> CharsTerm:

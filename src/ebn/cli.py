@@ -121,8 +121,10 @@ def _cmd_run(source: str) -> int:
 def _cmd_demo_chars(source: str) -> int:
     term = chars_mod.parse_chars(source)
     normal = chars_mod.norm_chars(term, "list")
-    assert normal == chars_mod.norm_chars(term, "function")
-    print(f"normal form: {chars_mod.format_chars(normal)}")
+    # The text determines the term, and is written without recursion.
+    text = chars_mod.format_chars(normal)
+    assert text == chars_mod.format_chars(chars_mod.norm_chars(term, "function"))
+    print(f"normal form: {text}")
     out = sys.stdout
     out.write("denotes:     ")
     chars_mod.print_chars(normal, out)

@@ -40,14 +40,6 @@ def ret(x: A) -> Residual[A]:
     return Residual(lambda k: k(x))
 
 
-def bind(m: Residual[A], f: Callable[[A], Residual[B]]) -> Residual[B]:
-    return m.bind(f)
-
-
-def join(mm: "Residual[Residual[A]]") -> Residual[A]:
-    return mm.bind(lambda m: m)
-
-
 def shift(f: Callable[[Callable[[A], Term]], Term]) -> Residual[A]:
     """Capture the continuation up to the nearest enclosing reset and hand it
     to `f`, which builds the answer Term directly."""

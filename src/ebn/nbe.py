@@ -38,7 +38,6 @@ from __future__ import annotations
 from .control import Residual
 from .semantics import (
     Closure,
-    Exp,
     PrimEnv,
     Reflected,
     SBase,
@@ -82,12 +81,11 @@ from .syntax import (
 class NameSupply:
     """Issues x0, x1, ... deterministically; one per normalization call."""
 
-    def __init__(self, counter: int = 0, prefix: str = "x"):
-        self.counter = counter
-        self.prefix = prefix
+    def __init__(self):
+        self.counter = 0
 
     def fresh(self) -> str:
-        name = f"{self.prefix}{self.counter}"
+        name = f"x{self.counter}"
         self.counter += 1
         return name
 
@@ -171,7 +169,7 @@ def _reflect_now(ty, code):
     unit.  None at any other type."""
     cls = type(ty)
     if cls is Base:
-        return SBase(ty.name, Exp(code))
+        return SBase(ty.name, code)
     if cls is Unit:
         return _UNIT
     return None

@@ -17,9 +17,7 @@ import operator
 from fractions import Fraction
 from typing import Callable, Mapping
 
-from .nbe import NameSupply
 from .semantics import (
-    BaseValue,
     PrimEnv,
     SBase,
     SemValue,
@@ -27,7 +25,7 @@ from .semantics import (
     SInr,
     SUnit,
     Val,
-    reify_base,
+    base_code,
 )
 from .syntax import (
     Base,
@@ -139,8 +137,8 @@ def rational_signature() -> PrimSignature:
 # Semantic environments
 
 
-def _rat_payload(v: SemValue) -> BaseValue:
-    if isinstance(v, SBase) and v.base == "Q":
+def _rat_payload(v: SemValue) -> Term | Val:
+    if type(v) is SBase and v.base == "Q":
         return v.payload
     raise ShapeMismatch(f"expected a Q value, found {type(v).__name__}")
 
@@ -162,7 +160,7 @@ def _entry(op: str, smart: bool):
     fold, left_unit, right_unit = rule.fold, rule.left_unit, rule.right_unit
     result = rule.type.result
 
-    def apply(args: tuple[SemValue, ...], names: NameSupply) -> SemValue | tuple[ObjType, Term]:
+    def apply(args: tuple[SemValue, ...], names) -> SemValue | tuple[ObjType, Term]:
         a, b = args
         pa, pb = _rat_payload(a), _rat_payload(b)
         if smart:
@@ -173,7 +171,7 @@ def _entry(op: str, smart: bool):
                     return b
             if right_unit is not None and type(pb) is Val and pb.literal == right_unit:
                 return a
-        return result, PrimApp(op, (reify_base("Q", a), reify_base("Q", b)))
+        return result, PrimApp(op, (base_code("Q", pa), base_code("Q", pb)))
 
     return apply
 

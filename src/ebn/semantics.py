@@ -1,11 +1,12 @@
 """The residualizing semantic domain.
 
 Semantic values mirror the type structure: sums become tagged values, and
-base-type values are either residual code (Exp) or an actual literal (Val).
+base-type values carry either residual code, the Term itself, or a literal
+(Val): reflection at a base type is the identity on code.
 Functions are records the normalizer's machine (`nbe.py`) applies: a Closure
 of a lambda over its environment, or Reflected code of arrow type.  A client
 may also build an SFun around a host function that returns a computation in
-the `Residual` monad; the machine hands it the continuation as a host
+the `control.Residual` monad; the machine hands it the continuation as a host
 function.
 
 Semantic values are records (`syntax.Record`), immutable like terms:
@@ -17,7 +18,6 @@ from __future__ import annotations
 
 from typing import Any, Callable, Mapping, Union
 
-from .control import Residual
 from .syntax import Lit, ObjType, Record, ShapeMismatch, Term, _set
 
 
@@ -25,18 +25,7 @@ from .syntax import Lit, ObjType, Record, ShapeMismatch, Term, _set
 # Semantic values
 
 
-class BaseValue(Record):
-    pass
-
-
-class Exp(BaseValue):
-    """A residual: uninterpreted code of base type."""
-
-    def __init__(self, code: Term):
-        _set(self, "code", code)
-
-
-class Val(BaseValue):
+class Val(Record):
     """An actual literal of the base type's carrier.  `term` is the source
     `Lit` it was read from, if any: reification hands that node back, so every
     copy of a literal in a normal form is the one source node.  It takes no
@@ -58,9 +47,9 @@ class SUnit(SemValue):
 
 
 class SFun(SemValue):
-    """A host function from a value to a computation."""
+    """A host function from a value to a computation, a `control.Residual`."""
 
-    def __init__(self, apply: Callable[[SemValue], Residual[SemValue]]):
+    def __init__(self, apply: Callable[[SemValue], Any]):
         _set(self, "apply", apply)
 
 
@@ -106,7 +95,7 @@ class SInr(SemValue):
 
 
 class SBase(SemValue):
-    def __init__(self, base: str, payload: BaseValue):
+    def __init__(self, base: str, payload: Term | Val):
         _set(self, "base", base)
         _set(self, "payload", payload)
 
@@ -121,13 +110,17 @@ PrimImpl = Callable[..., Union[SemValue, tuple[ObjType, Term]]]
 PrimEnv = Mapping[str, PrimImpl]
 
 
-def reify_base(base: str, value: SemValue) -> Term:
-    """Read a value of a base type back as code: a residual is its code, a
-    literal read from the source is its source `Lit`, and any other literal
-    (a folded one) becomes a new `Lit`."""
-    if type(value) is SBase and value.base == base:
-        payload = value.payload
-        if type(payload) is Exp:
-            return payload.code
+def base_code(base: str, payload: Term | Val) -> Term:
+    """Read the payload of a base value back as code: residual code is
+    itself, a literal read from the source is its source `Lit`, and any other
+    literal (a folded one) becomes a new `Lit`."""
+    if type(payload) is Val:
         return payload.term or Lit(payload.literal, base)
+    return payload
+
+
+def reify_base(base: str, value: SemValue) -> Term:
+    """Read a value of a base type back as code, after checking its shape."""
+    if type(value) is SBase and value.base == base:
+        return base_code(base, value.payload)
     raise ShapeMismatch(f"expected a {base} value, found {type(value).__name__}")

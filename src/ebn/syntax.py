@@ -943,8 +943,8 @@ def _pretty_parts(u: ObjType, prec: int) -> tuple:
     return parts if prec <= top else ("(", *parts, ")")
 
 
-def pretty_type(ty: ObjType, prec: int = 0) -> str:
-    return ty.name if type(ty) is Base else _spell(ty, prec, _pretty_parts)
+def pretty_type(ty: ObjType) -> str:
+    return ty.name if type(ty) is Base else _spell(ty, 0, _pretty_parts)
 
 
 _TIGHT = (App, Fst, Snd, Inl, Inr, Case)

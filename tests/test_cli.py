@@ -135,6 +135,24 @@ def test_demo_chars(capsys, tmp_path):
     assert "normal form: eps" in capsys.readouterr().out
 
 
+def _balanced_chars(text: str) -> str:
+    if len(text) == 1:
+        return f'(chr "{text}")'
+    h = len(text) // 2
+    return f"(cat {_balanced_chars(text[:h])} {_balanced_chars(text[h:])})"
+
+
+def test_demo_chars_long_balanced_term(tmp_path, capsys):
+    # twelve cat levels; the normal form is a comb of 4,096 cells, which the
+    # demo compares and prints without recursion
+    text = "".join(random.Random(4096).choice("NBEabcxyz") for _ in range(4096))
+    path = tmp_path / "chars.sexp"
+    path.write_text(_balanced_chars(text), encoding="utf-8")
+    assert main(["demo", "chars", "--file", str(path)]) == 0
+    comb = "".join(f'(cat (chr "{c}") ' for c in text) + "eps" + ")" * len(text)
+    assert capsys.readouterr().out == f"normal form: {comb}\ndenotes:     {text}\n"
+
+
 def test_unreadable_file_exits_66(tmp_path, capsys):
     bad_utf8 = tmp_path / "latin1.sexp"
     bad_utf8.write_bytes(b"(lit 1 Q) ; caf\xe9")

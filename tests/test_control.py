@@ -2,7 +2,7 @@
 each law are run with every continuation in a fixed set and must produce
 alpha-equal terms."""
 
-from ebn.control import Residual, bind, join, reset, ret, shift
+from ebn.control import Residual, reset, ret, shift
 from ebn.primitives import RAT, lit
 from ebn.syntax import App, Fst, Lam, Pair, Snd, UnitVal, Var, alpha_eq
 
@@ -43,16 +43,16 @@ def battery() -> list[Residual]:
         shift(lambda k: k(k(L[5]))),
         ret(L[0]).map(lambda t: Pair(t, t)),
         ret(L[1]).map(lambda t: Fst(Pair(t, UnitVal()))),
-        bind(ret(L[2]), lambda t: ret(Pair(t, L[3]))),
-        bind(shift(lambda k: k(L[4])), lambda t: ret(Pair(t, t))),
-        bind(ret(L[5]), lambda t: shift(lambda k: k(Snd(Pair(t, t))))),
-        join(ret(ret(L[6]))),
-        join(ret(shift(lambda k: k(L[7])))),
+        ret(L[2]).bind(lambda t: ret(Pair(t, L[3]))),
+        shift(lambda k: k(L[4])).bind(lambda t: ret(Pair(t, t))),
+        ret(L[5]).bind(lambda t: shift(lambda k: k(Snd(Pair(t, t))))),
+        ret(ret(L[6])).bind(lambda m: m),
+        ret(shift(lambda k: k(L[7]))).bind(lambda m: m),
         ret(reset(shift(lambda k: L[8]))),
         ret(reset(ret(L[9]))),
-        bind(bind(ret(L[0]), lambda t: ret(Pair(t, L[1]))), lambda t: ret(Fst(t))),
+        ret(L[0]).bind(lambda t: ret(Pair(t, L[1]))).bind(lambda t: ret(Fst(t))),
         shift(lambda k: App(Lam("h", RAT, Var("h")), k(L[2]))),
-        bind(shift(lambda k: k(L[3])), lambda t: shift(lambda k: k(Pair(t, t)))),
+        shift(lambda k: k(L[3])).bind(lambda t: shift(lambda k: k(Pair(t, t)))),
     ]
 
 
@@ -72,26 +72,26 @@ def test_ret_examples():
 def test_left_identity():
     for leaf in LEAVES:
         for f in ARROWS:
-            assert observationally_equal(bind(ret(leaf), f), f(leaf))
+            assert observationally_equal(ret(leaf).bind(f), f(leaf))
 
 
 def test_right_identity():
     for m in battery():
-        assert observationally_equal(bind(m, ret), m)
+        assert observationally_equal(m.bind(ret), m)
 
 
 def test_associativity():
     for m in battery():
         for f in ARROWS[:2]:
             for g in ARROWS[2:]:
-                lhs = bind(bind(m, f), g)
-                rhs = bind(m, lambda x, f=f, g=g: bind(f(x), g))
+                lhs = m.bind(f).bind(g)
+                rhs = m.bind(lambda x, f=f, g=g: f(x).bind(g))
                 assert observationally_equal(lhs, rhs)
 
 
 def test_join_of_double_ret():
     for leaf in LEAVES:
-        assert observationally_equal(join(ret(ret(leaf))), ret(leaf))
+        assert observationally_equal(ret(ret(leaf)).bind(lambda m: m), ret(leaf))
 
 
 def test_reset_of_ret_is_exact():
@@ -109,11 +109,11 @@ def test_shift_discards_continuation():
 
 
 def test_shift_then_bind():
-    m = bind(shift(lambda k: k(lit(1))), lambda v: ret(v))
+    m = shift(lambda k: k(lit(1))).bind(lambda v: ret(v))
     assert reset(m) == lit(1)
 
 
 def test_nested_reset_isolates_capture():
     inner = reset(shift(lambda k: lit(2)))
-    m = bind(ret(inner), lambda _: ret(lit(3)))
+    m = ret(inner).bind(lambda _: ret(lit(3)))
     assert reset(m) == lit(3)

@@ -22,7 +22,6 @@ from ebn.primitives import (
     smart_prim_env,
 )
 from ebn.semantics import (
-    Exp,
     SBase,
     SemValue,
     SFun,
@@ -67,7 +66,7 @@ SIG = rational_signature()
 def test_name_supply_is_deterministic():
     ns = NameSupply()
     assert [ns.fresh() for _ in range(3)] == ["x0", "x1", "x2"]
-    assert NameSupply(prefix="y").fresh() == "y0"
+    assert NameSupply().fresh() == "x0"  # a new supply starts again
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +99,7 @@ def test_reify_base_val_emits_literal():
 
 
 def test_reify_base_exp_emits_code():
-    assert reify(RAT, SBase("Q", Exp(Var("m"))), NameSupply()) == Var("m")
+    assert reify(RAT, SBase("Q", Var("m")), NameSupply()) == Var("m")
 
 
 def test_reify_pair_and_sum():
@@ -122,9 +121,11 @@ def test_reify_shape_mismatch():
 
 
 def test_reflect_base_is_residual_code():
+    code = Var("y")
     out = []
-    reflect(RAT, Var("y"), NameSupply()).run(lambda v: (out.append(v), UnitVal())[1])
-    assert out == [SBase("Q", Exp(Var("y")))]
+    reflect(RAT, code, NameSupply()).run(lambda v: (out.append(v), UnitVal())[1])
+    assert out == [SBase("Q", code)]
+    assert out[0].payload is code  # reflection at a base type is the identity on code
 
 
 def test_reflect_eta_expands_functions():
@@ -348,13 +349,13 @@ def test_eval_nullary_primitives_and_host_function():
         "c": lambda args, names: (RAT, Var("c")),
         **smart_prim_env(),
     }
-    double = SFun(lambda v: ret(SBase("Q", Exp(PrimApp("*", (reify(RAT, v, NameSupply()), lit(2)))))))
-    env = {"f": double, "y": SBase("Q", Exp(Var("y")))}
+    double = SFun(lambda v: ret(SBase("Q", PrimApp("*", (reify(RAT, v, NameSupply()), lit(2))))))
+    env = {"f": double, "y": SBase("Q", Var("y"))}
     t = parse_term("(prim * (prim one) (prim * (app (var f) (prim c)) (app (var f) (var y))))")
     value = eval_term(t, prims, env, NameSupply()).run(lambda v: v)
-    assert value == SBase("Q", Exp(parse_term(
+    assert value == SBase("Q", parse_term(
         "(prim * (prim * (var c) (lit 2 Q)) (prim * (var y) (lit 2 Q)))"
-    )))
+    ))
 
 
 def test_norm_bool_chain_2_golden():

@@ -21,7 +21,7 @@ from ebn.primitives import (
     rational_signature,
     smart_prim_env,
 )
-from ebn.semantics import Exp, SBase, ShapeMismatch, SInl, SInr, SUnit, Val
+from ebn.semantics import SBase, ShapeMismatch, SInl, SInr, SUnit, Val
 from ebn.syntax import (
     Arrow,
     Base,
@@ -57,7 +57,7 @@ def val(x) -> SBase:
 
 
 def exp(code) -> SBase:
-    return SBase("Q", Exp(code))
+    return SBase("Q", code)
 
 
 def payload_of(comp):
@@ -68,11 +68,11 @@ def payload_of(comp):
     return out[0]
 
 
-def branching_of(comp):
+def branching_of(op, a, b, env=SMART):
     """Render an equality reflection as the case it materializes, with the
-    Bool reified in each branch."""
-    names = NameSupply(prefix="k")
-    return reset(comp.map(lambda v: reify(BOOL, v, names)))
+    Bool reified in each branch by the supply that drew the branch binders."""
+    names = NameSupply()
+    return reset(prim(op, a, b, env, names).map(lambda v: reify(BOOL, v, names)))
 
 
 M = Var("m")
@@ -100,17 +100,17 @@ def _expected_branching(code):
 
 
 def test_eq_val_exp_reflects():
-    got = branching_of(prim("==", val(2), exp(N)))
+    got = branching_of("==", val(2), exp(N))
     assert got == _expected_branching(PrimApp("==", (lit(2), N)))
 
 
 def test_eq_exp_val_reflects():
-    got = branching_of(prim("==", exp(M), val(3)))
+    got = branching_of("==", exp(M), val(3))
     assert got == _expected_branching(PrimApp("==", (M, lit(3))))
 
 
 def test_eq_exp_exp_reflects():
-    got = branching_of(prim("==", exp(M), exp(N)))
+    got = branching_of("==", exp(M), exp(N))
     assert got == _expected_branching(PrimApp("==", (M, N)))
 
 
@@ -170,6 +170,16 @@ def test_smart_rejects_non_base_arguments():
         prim("*", SUnit(), val(1))
 
 
+@pytest.mark.parametrize("op", ["*", "/", "=="])
+def test_smart_rejects_a_non_rational_argument_on_either_side(op):
+    # next to a unit, another literal or a residual
+    for bad in (SUnit(), SInr(SUnit()), SBase("R", M)):
+        for good in (val(1), val(2), exp(N)):
+            for args in ((bad, good), (good, bad)):
+                with pytest.raises(ShapeMismatch):
+                    prim(op, *args)
+
+
 def test_val_only_folds_match_rational_arithmetic():
     rng = random.Random(81001)
     for _ in range(100):
@@ -202,9 +212,9 @@ def test_naive_residualizes_unconditionally():
 
 
 def test_naive_eq_still_reflects():
-    got = branching_of(prim("==", exp(M), val(0), naive_prim_env()))
+    got = branching_of("==", exp(M), val(0), naive_prim_env())
     assert got == _expected_branching(PrimApp("==", (M, lit(0))))
-    got = branching_of(prim("==", val(2), val(2), naive_prim_env()))
+    got = branching_of("==", val(2), val(2), naive_prim_env())
     assert got == _expected_branching(PrimApp("==", (lit(2), lit(2))))
 
 

@@ -16,7 +16,7 @@ from ebn.primitives import (
     rational_signature,
     smart_prim_env,
 )
-from ebn.semantics import Closure, Exp, SBase, Val
+from ebn.semantics import Closure, SBase, Val
 from ebn.syntax import (
     App,
     Arrow,
@@ -55,7 +55,6 @@ SAMPLES = [
     Inl(U, Sum(Unit(), Q)),
     Inr(U, Sum(Q, Unit())),
     syntax.Case(Var("s"), Var("l"), Var("r")),
-    Exp(Var("m")),
     Val(Fraction(3)),
     semantics.SUnit(),
     semantics.SFun(print),
@@ -90,7 +89,6 @@ def test_samples_cover_every_concrete_record_class():
     abstract = {
         syntax.ObjType,
         syntax.Term,
-        semantics.BaseValue,
         semantics.SemValue,
         interp.ConcreteValue,
         chars.CharsTerm,
@@ -195,7 +193,7 @@ def test_repr_golden():
         "Arrow(dom=Sum(left=Unit(), right=Base(name='Q')), cod=Base(name='Q'))"
     )
     assert repr(UnitVal()) == "UnitVal()"
-    assert repr(SBase("Q", Exp(Var("m")))) == "SBase(base='Q', payload=Exp(code=Var(name='m')))"
+    assert repr(SBase("Q", Var("m"))) == "SBase(base='Q', payload=Var(name='m'))"
     assert repr(interp.CRat(Fraction(1, 2))) == "CRat(value=Fraction(1, 2))"
     assert repr(chars.Chr("a")) == "Chr(char='a')"
 
