@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+from ebn.chars import Append, Chr, Eps
 from ebn.examples import MAYBE_RAT
 from ebn.interp import (
     CFun,
@@ -294,3 +295,10 @@ def oracle_corpus():
             corpus.append((t, ty, nt))
             produced += 1
     return corpus
+
+
+def gen_chars(rng: random.Random, fuel: int):
+    """A random chars term of depth at most `fuel`."""
+    if fuel <= 0 or rng.random() < 0.3:
+        return rng.choice([Eps(), Chr(rng.choice("NBEabcxyz"))])
+    return Append(gen_chars(rng, fuel - 1), gen_chars(rng, fuel - 1))

@@ -21,18 +21,14 @@ from ebn.chars import (
 )
 from ebn.syntax import ParseError
 
+from conftest import gen_chars
+
 NBE_FLAT = Append(Chr("N"), Append(Chr("B"), Chr("E")))
 NBE_PADDED = Append(
     Append(Chr("N"), Eps()),
     Append(Append(Chr("B"), Eps()), Append(Chr("E"), Eps())),
 )
 NBE_CANONICAL = Append(Chr("N"), Append(Chr("B"), Append(Chr("E"), Eps())))
-
-
-def gen_chars(rng: random.Random, fuel: int):
-    if fuel <= 0 or rng.random() < 0.3:
-        return rng.choice([Eps(), Chr(rng.choice("NBEabcxyz"))])
-    return Append(gen_chars(rng, fuel - 1), gen_chars(rng, fuel - 1))
 
 
 def test_eval_list_examples():
