@@ -9,9 +9,10 @@ printing back-end only accepts those.
 from __future__ import annotations
 
 import sys
+from operator import attrgetter
 from typing import Callable, TextIO
 
-from .syntax import Record, TokenStream, _set
+from .syntax import _LINKS, Record, TokenStream, _set, _write
 
 
 class CharsTerm(Record):
@@ -113,25 +114,16 @@ def print_chars(t: CharsTerm, out: TextIO | None = None) -> None:
 # S-expression round trip: eps | (chr "c") | (cat t t)
 
 
+_LINKS[Append] = attrgetter("left", "right")
+_FORMAT = {
+    Eps: lambda t: ("eps",),
+    Chr: lambda t: (f'(chr "{t.char}")',),
+    Append: lambda t: (")", t.right, " ", t.left, "(cat "),
+}
+
+
 def format_chars(t: CharsTerm) -> str:
-    """The s-expression of `t`, written left to right without recursion."""
-    out: list[str] = []
-    stack: list = [t]
-    while stack:
-        t = stack.pop()
-        cls = type(t)
-        if cls is Append:
-            out.append("(cat ")
-            stack += (")", t.right, " ", t.left)
-        elif cls is str:
-            out.append(t)
-        elif cls is Chr:
-            out.append(f'(chr "{t.char}")')
-        elif cls is Eps:
-            out.append("eps")
-        else:
-            raise TypeError(f"not a chars term: {t!r}")
-    return "".join(out)
+    return _write(t, _FORMAT)
 
 
 def _parse(ts: TokenStream) -> CharsTerm:

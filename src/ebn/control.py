@@ -7,8 +7,8 @@ so the monad laws are directly testable.
 
 This is the executable specification of the normalizer's control: `nbe.py`
 runs the same equations as a defunctionalised machine, and uses `Residual`
-only at its edges, where a host function meets the machine (`eval_term` and
-`reflect` return a computation; an `SFun` value returns one).
+only at its edges, where a host continuation meets the machine: `eval_term`
+and `reflect` return a computation.
 """
 
 from __future__ import annotations

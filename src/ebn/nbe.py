@@ -441,10 +441,7 @@ def _run(mode, k, prims, names, term=None, env=None, ty=None, value=None, code=N
             value = arg
             mode = REIFY
         elif cls is SFun:
-            value = fun.apply(arg).run(
-                lambda v, k=k, prims=prims: _run(RETURN, k, prims, names, value=v)
-            )
-            k = None
+            value = fun.apply(arg)
         else:
             raise _mismatch("a function value", fun)
 

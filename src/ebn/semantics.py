@@ -5,9 +5,8 @@ base-type values carry either residual code, the Term itself, or a literal
 (Val): reflection at a base type is the identity on code.
 Functions are records the normalizer's machine (`nbe.py`) applies: a Closure
 of a lambda over its environment, or Reflected code of arrow type.  A client
-may also build an SFun around a host function that returns a computation in
-the `control.Residual` monad; the machine hands it the continuation as a host
-function.
+may also build an SFun around a host function from value to value, which the
+machine calls in place and whose result it returns to the current frame.
 
 Semantic values are records (`syntax.Record`), immutable like terms:
 assigning or deleting any attribute raises AttributeError.  A Closure
@@ -47,7 +46,8 @@ class SUnit(SemValue):
 
 
 class SFun(SemValue):
-    """A host function from a value to a computation, a `control.Residual`."""
+    """A host function from a value to a value.  It cannot capture the
+    continuation: applying it is one call, however deeply applications nest."""
 
     def __init__(self, apply: Callable[[SemValue], Any]):
         _set(self, "apply", apply)

@@ -123,7 +123,7 @@ class ObjType(Record):
         return hash(tuple(nodes))
 
     def __repr__(self) -> str:
-        return _spell(self, 0, _repr_parts)
+        return _write(self, _REPR)
 
 
 class Base(ObjType):
@@ -153,37 +153,13 @@ class Sum(ObjType):
         _set(self, "right", right)
 
 
-# The binary type constructors, each with its s-expression head and the
-# getter of its two component types.
-_TYPE_HEADS: dict[type, str] = {Arrow: "arrow", Prod: "prod", Sum: "sum"}
+# The binary type constructors, each with the getter of its two component
+# types.
 _TYPE_PARTS: dict[type, Callable[[ObjType], tuple[ObjType, ObjType]]] = {
     Arrow: attrgetter("dom", "cod"),
     Prod: attrgetter("left", "right"),
     Sum: attrgetter("left", "right"),
 }
-
-
-def _spell(ty: ObjType, prec: int, parts: Callable[[ObjType, int], tuple]) -> str:
-    """The text of `ty` at precedence `prec`, written left to right without
-    recursion: `parts(u, p)` spells the node `u` at precedence `p` as a tuple
-    of strings and `(type, precedence)` pairs, which are spelled in turn."""
-    out: list[str] = []
-    stack: list = [(ty, prec)]
-    while stack:
-        item = stack.pop()
-        if type(item) is str:
-            out.append(item)
-        else:
-            stack += reversed(parts(*item))
-    return "".join(out)
-
-
-def _repr_parts(u: ObjType, prec: int) -> tuple:
-    parts = _TYPE_PARTS.get(type(u))
-    if parts is not None:
-        (f, g), (a, b) = u._fields, parts(u)
-        return (f"{type(u).__qualname__}({f}=", (a, 0), f", {g}=", (b, 0), ")")
-    return (Record.__repr__(u),)
 
 
 # ---------------------------------------------------------------------------
@@ -289,16 +265,26 @@ def children(t: Term) -> tuple[Term, ...]:
 
 
 def free_vars(t: Term) -> frozenset[str]:
-    match t:
-        case Var(name=x):
-            return frozenset((x,))
-        case Lam(binder=x, body=b):
-            return free_vars(b) - {x}
-        case _:
-            out: frozenset[str] = frozenset()
-            for c in children(t):
-                out |= free_vars(c)
-            return out
+    """The names that occur free in `t`.  Walks an explicit stack: `bound`
+    counts the Lams around the node at hand that bind each name, and a Lam
+    leaves its binder under its body, to be unbound on the way out."""
+    out: set[str] = set()
+    bound: dict[str, int] = {}
+    stack: list = [t]
+    while stack:
+        u = stack.pop()
+        cls = type(u)
+        if cls is str:  # leaving the body of a Lam that binds `u`
+            bound[u] -= 1
+        elif cls is Var:
+            if not bound.get(u.name):
+                out.add(u.name)
+        elif cls is Lam:
+            bound[u.binder] = bound.get(u.binder, 0) + 1
+            stack += (u.binder, u.body)
+        else:
+            stack += children(u)
+    return frozenset(out)
 
 
 # ---------------------------------------------------------------------------
@@ -733,7 +719,7 @@ class TokenStream:
 
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_']*")
-_TYPE_FORMS = {head: cls for cls, head in _TYPE_HEADS.items()}
+_TYPE_FORMS = {"arrow": Arrow, "prod": Prod, "sum": Sum}
 # Forms whose operands are all terms: head -> (constructor, arity).
 _TERM_FORMS = {
     "app": (App, 2), "pair": (Pair, 2), "fst": (Fst, 1), "snd": (Snd, 1), "case": (Case, 3)
@@ -830,166 +816,147 @@ def parse_type(text: str) -> ObjType:
 # Printing
 
 
-def _leaf_text(u: ObjType) -> str:
-    if type(u) is Base:
-        return u.name
-    if type(u) is Unit:
-        return "unit"
-    raise TypeError(f"not a type: {u!r}")
+# The nodes a node links to: a term's children, the annotation of a lam or an
+# injection, a type's components; chars.py adds the two sides of an Append.
+_LINKS: dict[type, Callable] = {
+    **_CHILDREN, **_TYPE_PARTS,
+    Lam: attrgetter("annot", "body"),
+    Inl: attrgetter("arg", "annot"),
+    Inr: attrgetter("arg", "annot"),
+}
 
 
-def _print_parts(u: ObjType, prec: int) -> tuple:
-    head = _TYPE_HEADS.get(type(u))
-    if head is None:
-        return (_leaf_text(u),)
-    a, b = _TYPE_PARTS[type(u)](u)
-    return (f"({head} ", (a, 0), " ", (b, 0), ")")
-
-
-def print_type(ty: ObjType) -> str:
-    return ty.name if type(ty) is Base else _spell(ty, 0, _print_parts)
-
-
-# A formatter `(u, go, ty) -> str` gives the text of the node `u`, where
-# `go(c)` is the text of its child `c` and `ty(a)` the text of its annotation
-# `a`.  A printer is a table of formatters keyed by term class.
-Formatter = Callable[[Term, Callable[[Term], str], Callable[[ObjType], str]], str]
-
-
-def _render(t: Term, formats: dict[type, Formatter], type_text: Callable[[ObjType], str]) -> str:
-    """The text of `t` under the printer `formats`, whose annotations read as
-    `type_text(a)`.  Normal forms share subterms by reference, so a term is a
-    DAG: each distinct node is formatted once, children first and without
-    recursion, and its text is dropped once its last parent has used it.
-    Each distinct annotation object is rendered once, too."""
-    parents = {id(t): 0}
-    order: list[Term] = []  # the distinct nodes, each after all its children
-    stack = [(t, iter(children(t)))]
+def _write(root: Record, parts: dict[type, Callable]) -> str:
+    """The text of `root`, where `parts[cls](u)` gives the pieces of a node `u`
+    of class `cls` last first: strings, and nodes written in turn.  A parent
+    puts any parentheses around a child, so a node's text is the same where
+    it recurs.  Pass one finds the nodes with more than one parent (normal
+    forms share subterms).  Pass two pops pieces onto one list joined once,
+    so time is linear in the bytes written; an end marker `(id, start)` under
+    a shared node's pieces joins `out[start:]` into its text, for reuse."""
+    seen, shared, stack = set(), set(), [root]
     while stack:
-        u, kids = stack[-1]
-        for c in kids:
-            k = id(c)
-            if k in parents:
-                parents[k] += 1
-                continue
-            parents[k] = 1
-            grand = children(c)
-            if grand:
-                stack.append((c, iter(grand)))
-                break
-            order.append(c)  # a leaf is done as soon as it is found
+        u = stack.pop()
+        if id(u) in seen:
+            shared.add(id(u))
         else:
-            stack.pop()
-            order.append(u)
-    texts: dict[int, str] = {}
-    annots: dict[int, str] = {}
+            seen.add(id(u))
+            links = _LINKS.get(type(u))
+            if links is not None:
+                stack += links(u)
+    out: list[str] = []
+    memo: dict[int, str] = {}
+    stack = [root]
+    pop, write = stack.pop, out.append
+    while stack:
+        u = pop()
+        cls = type(u)
+        if cls is str:
+            write(u)
+        elif cls is tuple:  # the end of a shared node
+            k, start = u
+            memo[k] = text = "".join(out[start:])
+            out[start:] = (text,)
+        else:
+            k = id(u)
+            if k in shared:
+                if k in memo:
+                    write(memo[k])
+                    continue
+                stack.append((k, len(out)))
+            try:
+                stack += parts[cls](u)
+            except KeyError:
+                raise TypeError(f"cannot write {u!r}") from None
+    return "".join(out)
 
-    def go(c: Term) -> str:
-        k = id(c)
-        left = parents[k] - 1
-        if left:
-            parents[k] = left
-            return texts[k]
-        return texts.pop(k)
 
-    def ty(a: ObjType) -> str:
-        text = annots.get(id(a))
-        if text is None:
-            text = annots[id(a)] = type_text(a)
-        return text
-
-    for u in order:
-        texts[id(u)] = formats[type(u)](u, go, ty)
-    return texts[id(t)]
-
-
-_PRINT: dict[type, Formatter] = {
-    Lit: lambda u, go, ty: f"(lit {format_rational(u.value)} {u.base})",
-    PrimApp: lambda u, go, ty: f"(prim {' '.join([u.name, *map(go, u.args)])})",
-    UnitVal: lambda u, go, ty: "unit",
-    Var: lambda u, go, ty: f"(var {u.name})",
-    Lam: lambda u, go, ty: f"(lam ({u.binder} {ty(u.annot)}) {go(u.body)})",
-    App: lambda u, go, ty: f"(app {go(u.fun)} {go(u.arg)})",
-    Pair: lambda u, go, ty: f"(pair {go(u.first)} {go(u.second)})",
-    Fst: lambda u, go, ty: f"(fst {go(u.arg)})",
-    Snd: lambda u, go, ty: f"(snd {go(u.arg)})",
-    Inl: lambda u, go, ty: f"(inl {go(u.arg)} {ty(u.annot)})",
-    Inr: lambda u, go, ty: f"(inr {go(u.arg)} {ty(u.annot)})",
-    Case: lambda u, go, ty: f"(case {go(u.scrutinee)} {go(u.left)} {go(u.right)})",
+# S-expressions, of terms and of types.
+_PRINT: dict[type, Callable] = {
+    Lit: lambda u: (f"(lit {format_rational(u.value)} {u.base})",),
+    PrimApp: lambda u: (")", *[p for a in u.args[::-1] for p in (a, " ")], u.name, "(prim "),
+    UnitVal: lambda u: ("unit",),
+    Var: lambda u: (f"(var {u.name})",),
+    Lam: lambda u: (")", u.body, ") ", u.annot, f"(lam ({u.binder} "),
+    App: lambda u: (")", u.arg, " ", u.fun, "(app "),
+    Pair: lambda u: (")", u.second, " ", u.first, "(pair "),
+    Fst: lambda u: (")", u.arg, "(fst "),
+    Snd: lambda u: (")", u.arg, "(snd "),
+    Inl: lambda u: (")", u.annot, " ", u.arg, "(inl "),
+    Inr: lambda u: (")", u.annot, " ", u.arg, "(inr "),
+    Case: lambda u: (")", u.right, " ", u.left, " ", u.scrutinee, "(case "),
+    Base: lambda u: (u.name,),
+    Unit: lambda u: ("unit",),
+    Arrow: lambda u: (")", u.cod, " ", u.dom, "(arrow "),
+    Prod: lambda u: (")", u.right, " ", u.left, "(prod "),
+    Sum: lambda u: (")", u.right, " ", u.left, "(sum "),
 }
 
 
 def print_term(t: Term) -> str:
     """Deterministic s-expression rendering; re-parses to an equal term."""
-    return _render(t, _PRINT, print_type)
+    return _write(t, _PRINT)
 
 
-# Each binary type's infix operator, the precedences of its operands, and the
-# highest precedence at which it needs no parentheses.
-_INFIX: dict[type, tuple[str, int, int, int]] = {
-    Arrow: (" -> ", 1, 0, 0),
-    Prod: (" * ", 2, 2, 1),
-    Sum: (" + ", 2, 2, 1),
-}
+def print_type(ty: ObjType) -> str:
+    return _write(ty, _PRINT)
 
 
-def _pretty_parts(u: ObjType, prec: int) -> tuple:
-    infix = _INFIX.get(type(u))
-    if infix is None:
-        return (_leaf_text(u),)
-    op, left, right, top = infix
-    a, b = _TYPE_PARTS[type(u)](u)
-    parts = ((a, left), op, (b, right))
-    return parts if prec <= top else ("(", *parts, ")")
+# The highest operand precedence at which a form needs no parentheses; other
+# forms never need them.  Operands of prefix forms, `*` and `+` sit at 2, a
+# function being applied and an arrow's domain at 1.
+_TOP = {App: 1, Fst: 1, Snd: 1, Inl: 1, Inr: 1, Case: 1, Lam: 0, Arrow: 0, Prod: 1, Sum: 1}
 
 
-def pretty_type(ty: ObjType) -> str:
-    return ty.name if type(ty) is Base else _spell(ty, 0, _pretty_parts)
+def _operand(c: Record, prec: int) -> tuple:
+    """The pieces of the operand `c` at precedence `prec`, last first."""
+    return (")", c, "(") if _TOP.get(type(c), prec) < prec else (c,)
 
 
-_TIGHT = (App, Fst, Snd, Inl, Inr, Case)
-
-
-def _paren(t: Term, text: str, prec: int) -> str:
-    """`text`, the pretty form of `t`, as an operand at precedence `prec`: an
-    application-like form is parenthesised above 1, a lambda above 0.  So a
-    node's own text does not depend on where it appears."""
-    if prec > 1 and isinstance(t, _TIGHT) or prec > 0 and isinstance(t, Lam):
-        return f"({text})"
-    return text
-
-
-def _operand(go: Callable[[Term], str], t: Term) -> str:
-    """The pretty text of `t` as an operand of a prefix form."""
-    return _paren(t, go(t), 2)
-
-
-def _pretty_prim(u: PrimApp, go: Callable[[Term], str], ty) -> str:
-    if len(u.args) == 2:
-        a, b = u.args
-        return f"({go(a)} {u.name} {go(b)})"
-    return f"{u.name}({', '.join(map(go, u.args))})"
-
-
-_PRETTY: dict[type, Formatter] = {
-    Lit: lambda u, go, ty: format_rational(u.value),
-    PrimApp: _pretty_prim,
-    UnitVal: lambda u, go, ty: "unit",
-    Var: lambda u, go, ty: u.name,
-    Lam: lambda u, go, ty: f"\\{u.binder}:{ty(u.annot)}. {go(u.body)}",
-    App: lambda u, go, ty: f"{_paren(u.fun, go(u.fun), 1)} {_operand(go, u.arg)}",
-    Pair: lambda u, go, ty: f"<{go(u.first)}, {go(u.second)}>",
-    Fst: lambda u, go, ty: f"fst {_operand(go, u.arg)}",
-    Snd: lambda u, go, ty: f"snd {_operand(go, u.arg)}",
-    Inl: lambda u, go, ty: f"inl {_operand(go, u.arg)}",
-    Inr: lambda u, go, ty: f"inr {_operand(go, u.arg)}",
-    Case: lambda u, go, ty: (
-        f"case {_operand(go, u.scrutinee)} {_operand(go, u.left)} {_operand(go, u.right)}"
+# Surface syntax, of terms and of types.
+_PRETTY: dict[type, Callable] = {
+    Lit: lambda u: (format_rational(u.value),),
+    PrimApp: lambda u: (
+        (")", u.args[1], f" {u.name} ", u.args[0], "(") if len(u.args) == 2
+        else (")", *[p for a in u.args[::-1] for p in (a, ", ")][:-1], f"{u.name}(")
     ),
+    UnitVal: lambda u: ("unit",),
+    Var: lambda u: (u.name,),
+    Lam: lambda u: (u.body, ". ", u.annot, f"\\{u.binder}:"),
+    App: lambda u: (*_operand(u.arg, 2), " ", *_operand(u.fun, 1)),
+    Pair: lambda u: (">", u.second, ", ", u.first, "<"),
+    Fst: lambda u: (*_operand(u.arg, 2), "fst "),
+    Snd: lambda u: (*_operand(u.arg, 2), "snd "),
+    Inl: lambda u: (*_operand(u.arg, 2), "inl "),
+    Inr: lambda u: (*_operand(u.arg, 2), "inr "),
+    Case: lambda u: (
+        *_operand(u.right, 2), " ", *_operand(u.left, 2), " ", *_operand(u.scrutinee, 2), "case "
+    ),
+    Base: lambda u: (u.name,),
+    Unit: lambda u: ("unit",),
+    Arrow: lambda u: (u.cod, " -> ", *_operand(u.dom, 1)),
+    Prod: lambda u: (*_operand(u.right, 2), " * ", *_operand(u.left, 2)),
+    Sum: lambda u: (*_operand(u.right, 2), " + ", *_operand(u.left, 2)),
 }
 
 
 def pretty_term(t: Term, prec: int = 0) -> str:
     """Human-oriented surface syntax: `\\x:Q. ...`, `<a, b>`, infix binary
-    primitives.  Deterministic; not meant to be re-parsed."""
-    return _paren(t, _render(t, _PRETTY, pretty_type), prec)
+    primitives, parenthesised as an operand at precedence `prec`.
+    Deterministic; not meant to be re-parsed."""
+    text = _write(t, _PRETTY)
+    return f"({text})" if _TOP.get(type(t), prec) < prec else text
+
+
+def pretty_type(ty: ObjType) -> str:
+    return _write(ty, _PRETTY)
+
+
+# Types as their constructor calls.
+_REPR: dict[type, Callable] = {
+    Base: lambda u: (f"Base(name={u.name!r})",),
+    Unit: lambda u: ("Unit()",),
+    Arrow: lambda u: (")", u.cod, ", cod=", u.dom, "Arrow(dom="),
+    Prod: lambda u: (")", u.right, ", right=", u.left, "Prod(left="),
+    Sum: lambda u: (")", u.right, ", right=", u.left, "Sum(left="),
+}

@@ -212,7 +212,7 @@ def test_criterion_8_smart_table_exactness():
 
 def test_criterion_9_sum_reification_shape():
     ty = Arrow(Sum(Unit(), Unit()), Unit())
-    got = reify(ty, SFun(lambda v: ret(SUnit())), NameSupply())
+    got = reify(ty, SFun(lambda v: SUnit()), NameSupply())
     assert got == Lam(
         "x0",
         Sum(Unit(), Unit()),

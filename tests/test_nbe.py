@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from ebn.control import reset, ret
+from ebn.control import reset
 from ebn.examples import power
 from ebn.interp import run
 from ebn.nbe import (
@@ -74,14 +74,14 @@ def test_name_supply_is_deterministic():
 
 
 def test_reify_semantic_identity():
-    v = SFun(lambda arg: ret(arg))
+    v = SFun(lambda arg: arg)
     t = reify(Arrow(RAT, RAT), v, NameSupply())
     assert t == Lam("x0", RAT, Var("x0"))
 
 
 def test_reify_constant_unit_function_over_sum():
     ty = Arrow(Sum(Unit(), Unit()), Unit())
-    t = reify(ty, SFun(lambda v: ret(SUnit())), NameSupply())
+    t = reify(ty, SFun(lambda v: SUnit()), NameSupply())
     assert t == Lam(
         "x0",
         Sum(Unit(), Unit()),
@@ -349,13 +349,27 @@ def test_eval_nullary_primitives_and_host_function():
         "c": lambda args, names: (RAT, Var("c")),
         **smart_prim_env(),
     }
-    double = SFun(lambda v: ret(SBase("Q", PrimApp("*", (reify(RAT, v, NameSupply()), lit(2))))))
+    double = SFun(lambda v: SBase("Q", PrimApp("*", (reify(RAT, v, NameSupply()), lit(2)))))
     env = {"f": double, "y": SBase("Q", Var("y"))}
     t = parse_term("(prim * (prim one) (prim * (app (var f) (prim c)) (app (var f) (var y))))")
     value = eval_term(t, prims, env, NameSupply()).run(lambda v: v)
     assert value == SBase("Q", parse_term(
         "(prim * (prim * (var c) (lit 2 Q)) (prim * (var y) (lit 2 Q)))"
     ))
+
+
+def test_nested_host_function_applications_run_in_constant_stack():
+    # each application calls the host function in place, with no machine
+    # re-entered for the frames around it
+    assert sys.getrecursionlimit() == 1000
+    depth = 10**4
+    t = Var("y")
+    for _ in range(depth):
+        t = App(Var("f"), t)
+    succ = SFun(lambda v: SBase("Q", Val(v.payload.literal + 1)))
+    env = {"f": succ, "y": SBase("Q", Val(0))}
+    value = eval_term(t, smart_prim_env(), env, NameSupply()).run(lambda v: v)
+    assert value == SBase("Q", Val(depth))
 
 
 def test_norm_bool_chain_2_golden():

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from ebn.control import reset, ret
+from ebn.control import reset
 from ebn.nbe import NameSupply, eval_term, norm, reify
 from ebn.primitives import (
     BOOL,
@@ -193,7 +193,7 @@ def test_shape_matches():
     assert shape_matches(SPair(SUnit(), SBase("Q", Val(2))), Prod(Unit(), RAT))
     assert shape_matches(SInl(SUnit()), BOOL)
     assert not shape_matches(SInl(SUnit()), Sum(RAT, Unit()))
-    assert shape_matches(SFun(lambda v: ret(v)), Arrow(RAT, RAT))
+    assert shape_matches(SFun(lambda v: v), Arrow(RAT, RAT))
 
 
 def test_eval_results_match_type_shapes():

@@ -7,9 +7,9 @@ from hypothesis import given, strategies as st
 
 from ebn import syntax
 from ebn.chars import parse_chars
-from ebn.examples import power, power_prime
+from ebn.examples import mk_fmap, mk_maybe, power, power_prime
 from ebn.nbe import norm
-from ebn.primitives import BOOL, RAT, lit, naive_prim_env, rational_signature, smart_prim_env
+from ebn.primitives import BOOL, RAT, lit, mk_if, mk_true, naive_prim_env, rational_signature, smart_prim_env
 from ebn.syntax import (
     AnnotationMissing,
     App,
@@ -519,6 +519,26 @@ def test_free_vars():
     assert free_vars(t) == {"y"}
 
 
+def test_free_vars_walks_deep_chains():
+    assert sys.getrecursionlimit() == 1000
+    depth = 10**4
+    chain = Var("z")
+    for _ in range(depth):
+        chain = Fst(chain)
+    assert free_vars(chain) == {"z"}
+    # the smart constructors avoid the free names of their operands
+    assert free_vars(mk_if(mk_true(), chain, lit(0))) == {"z"}
+    assert free_vars(mk_maybe(chain, chain, Var("m"))) == {"z", "m"}
+    assert free_vars(mk_fmap(Lam("q", RAT, chain), Var("m"))) == {"z", "m"}
+    # `x` is bound `depth` times over; it is free again outside the chain
+    lams = Var("x")
+    for _ in range(depth):
+        lams = Lam("x", RAT, App(lams, Var("x")))
+    assert free_vars(lams) == frozenset()
+    assert free_vars(Pair(lams, Var("x"))) == {"x"}
+    assert free_vars(Lam("y", RAT, Pair(Var("y"), Pair(lams, Var("x"))))) == {"x"}
+
+
 def test_children_in_order_and_only_of_terms():
     s, l, r = Var("s"), Lam("l", Unit(), UnitVal()), Lam("r", Unit(), UnitVal())
     assert children(Case(s, l, r)) == (s, l, r)
@@ -619,3 +639,20 @@ def test_printers_handle_deep_chains():
     t = _fst_chain(depth)
     assert print_term(t) == "(fst " * depth + "unit" + ")" * depth
     assert pretty_term(t) == "fst (" * (depth - 1) + "fst unit" + ")" * (depth - 1)
+
+
+def test_printers_are_linear_on_a_long_normal_form():
+    # a right tuple of 10^5 pairs, as its normal form: each node's text is
+    # written once, not copied into every enclosing node's text
+    assert sys.getrecursionlimit() == 1000
+    n = 10**5
+    t = lit(0)
+    for i in reversed(range(n)):
+        t = Pair(lit(i), t)
+    normal = norm(t, SIG, smart_prim_env())
+    printed, pretty = [], []
+    for i in range(n):
+        printed.append(f"(pair (lit {i} Q) ")
+        pretty.append(f"<{i}, ")
+    assert print_term(normal) == "".join(printed) + "(lit 0 Q)" + ")" * n
+    assert pretty_term(normal) == "".join(pretty) + "0" + ">" * n
