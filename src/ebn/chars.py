@@ -3,7 +3,8 @@ interchangeable semantic domains: character lists, and functions over the
 syntax itself (difference lists, so concatenation is constant-time).
 
 Canonical forms are right-nested combs ending in the empty string; the
-printing back-end only accepts those.
+back-end, `print_chars`, only accepts those.  `format_chars` writes any term
+as an s-expression, through the writer that prints terms (`syntax._write`).
 """
 
 from __future__ import annotations

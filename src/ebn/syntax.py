@@ -1,5 +1,6 @@
 """Object-language types and terms: typing, alpha-equivalence, beta-normality,
-and the s-expression reader/printer.
+the s-expression reader, and the writer that prints every text: terms and
+types as s-expressions or surface syntax, a type's repr, chars terms.
 
 Types and terms are records, defined here once for the whole package: each
 record class keeps its fields in slots and raises AttributeError on any
