@@ -526,7 +526,7 @@ def test_free_vars_walks_deep_chains():
     for _ in range(depth):
         chain = Fst(chain)
     assert free_vars(chain) == {"z"}
-    # the smart constructors avoid the free names of their operands
+    # the smart constructors read the free names of their operands
     assert free_vars(mk_if(mk_true(), chain, lit(0))) == {"z"}
     assert free_vars(mk_maybe(chain, chain, Var("m"))) == {"z", "m"}
     assert free_vars(mk_fmap(Lam("q", RAT, chain), Var("m"))) == {"z", "m"}
@@ -641,9 +641,10 @@ def test_printers_handle_deep_chains():
     assert pretty_term(t) == "fst (" * (depth - 1) + "fst unit" + ")" * (depth - 1)
 
 
-def test_printers_are_linear_on_a_long_normal_form():
-    # a right tuple of 10^5 pairs, as its normal form: each node's text is
-    # written once, not copied into every enclosing node's text
+def test_printers_take_a_100000_element_tuple():
+    # the normal form of a right tuple of 10^5 pairs: each node's text is
+    # written once, not copied into every enclosing node's text, so this
+    # takes well under a second per printer
     assert sys.getrecursionlimit() == 1000
     n = 10**5
     t = lit(0)
