@@ -3,8 +3,9 @@
 Exit codes: 0 success, 1 syntax/type error, 2 runtime error (division by
 zero), 64 usage error, 66 unreadable input file, 70 internal error (the term
 nests deeper than the reader or the interpreter can follow within Python's
-recursion limit, about 1,000 levels; type checking and normalization run in
-constant Python stack), 71 out of memory.
+recursion limit, about 1,000 levels, while type checking and normalization
+run in constant Python stack; or the two chars domains disagree), 71 out of
+memory.
 """
 
 from __future__ import annotations
@@ -121,10 +122,10 @@ def _cmd_run(source: str) -> int:
 def _cmd_demo_chars(source: str) -> int:
     term = chars_mod.parse_chars(source)
     normal = chars_mod.norm_chars(term, "list")
-    # The text determines the term, and is written without recursion.
-    text = chars_mod.format_chars(normal)
-    assert text == chars_mod.format_chars(chars_mod.norm_chars(term, "function"))
-    print(f"normal form: {text}")
+    if normal != chars_mod.norm_chars(term, "function"):
+        print("ebn: internal error: the list and function domains disagree", file=sys.stderr)
+        return INTERNAL_ERROR
+    print(f"normal form: {chars_mod.format_chars(normal)}")
     out = sys.stdout
     out.write("denotes:     ")
     chars_mod.print_chars(normal, out)

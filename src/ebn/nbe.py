@@ -19,7 +19,9 @@ sum keeps a pointer to the current frames and runs them once per branch;
 frames are never mutated, so the second run copies nothing.  The left branch
 finishes before the right branch's binder is drawn, so fresh names come out
 in the same order as from the CPS code.  Python stack use does not grow with
-the term.
+the term.  A closure's body runs with the primitives the closure was made
+with: a frame under the body gives the caller's back when they differ, and a
+shift keeps the primitives at its point for the right branch.
 
 A machine step is taken only where control can move.  A non-atomic term
 takes one: an application, a case, a pair, a projection or an injection
@@ -101,7 +103,7 @@ EVAL, RETURN, REIFY, REFLECT = range(4)
     CALL_WITH,  # (arg,): a case branch arrived; apply it to arg, the payload
     PRIM_ARG,  # (args, i, acc, env, impl): argument i - 1 arrived
     CASE,  # (left, right, env): the scrutinee arrived; pick a branch
-    BIND,  # (lam, env, prims): the argument of a source redex arrived
+    BIND,  # (lam, env): the argument of a source redex arrived
     PAIR_SND,  # (term, env): the first component arrived; evaluate the second
     PAIR,  # (first,): the second component arrived
     FST,
@@ -115,14 +117,15 @@ EVAL, RETURN, REIFY, REFLECT = range(4)
     WRAP_INR,
     REFLECT_APP,  # (code, cod): the argument's code arrived
     REFLECT_SND,  # (ty, code): the first projection's value arrived
+    PRIMS,  # (prims,): a closure returned; restore its caller's primitives
     HOST,  # (f,): the host function f takes the value
-) = range(20)
+) = range(21)
 
 # Meta-frames, one per reset in progress; each receives the answer (a term)
 # that reaches the delimiter.
 (
     LAM_BODY,  # (outer frames, x, a): build Lam(x, a, answer)
-    SPLIT_RIGHT,  # (code, a, b, captured frames, xl): run the right branch
+    SPLIT_RIGHT,  # (code, a, b, captured frames, xl, prims): run the right branch
     BUILD_CASE,  # (code, a, b, xl, left answer, xr): build the case
 ) = range(3)
 
@@ -206,7 +209,7 @@ def _run(mode, k, prims, names, term=None, env=None, ty=None, value=None, code=N
             elif cls is App:
                 fun = term.fun
                 if type(fun) is Lam:  # a source redex binds with no closure
-                    k = (BIND, k, fun, env, prims)
+                    k = (BIND, k, fun, env)
                     term = term.arg
                 else:
                     k = (ARG, k, term.arg, env)
@@ -269,7 +272,7 @@ def _run(mode, k, prims, names, term=None, env=None, ty=None, value=None, code=N
             cls = type(ty)
             if cls is Sum:  # shift: both branches continue with frames k
                 x = names.fresh()
-                meta.append((SPLIT_RIGHT, code, ty.left, ty.right, k, x))
+                meta.append((SPLIT_RIGHT, code, ty.left, ty.right, k, x, prims))
                 code = Var(x)
                 value = _reflect_now(ty.left, code)
                 if value is None:
@@ -300,7 +303,7 @@ def _run(mode, k, prims, names, term=None, env=None, ty=None, value=None, code=N
                 _, k, x, a = frame
                 value = Lam(x, a, value)
             elif tag is SPLIT_RIGHT:
-                _, code, a, b, k, xl = frame
+                _, code, a, b, k, xl, prims = frame
                 x = names.fresh()
                 meta.append((BUILD_CASE, code, a, b, xl, value, x))
                 code = Var(x)
@@ -359,7 +362,7 @@ def _run(mode, k, prims, names, term=None, env=None, ty=None, value=None, code=N
                 mode = EVAL
                 continue
         elif tag is BIND:
-            _, k, fun, env, prims = k
+            _, k, fun, env = k
             env = env.copy()
             env[fun.binder] = value
             term = fun.body
@@ -422,6 +425,8 @@ def _run(mode, k, prims, names, term=None, env=None, ty=None, value=None, code=N
                 k = (PAIR, rest, value)
                 code = Snd(whole)
                 mode = REFLECT
+            elif tag is PRIMS:
+                _, k, prims = k
             else:  # HOST
                 value = k[2](value)
                 k = k[1]
@@ -430,10 +435,12 @@ def _run(mode, k, prims, names, term=None, env=None, ty=None, value=None, code=N
         # Apply `fun` to `arg`; `k` continues the application.
         cls = type(fun)
         if cls is Closure:
+            if fun.prims is not prims:
+                k = (PRIMS, k, prims)
+                prims = fun.prims
             env = fun.env.copy()
             env[fun.binder] = arg
             term = fun.body
-            prims = fun.prims
             mode = EVAL
         elif cls is Reflected:
             k = (REFLECT_APP, k, fun.code, fun.cod)

@@ -13,6 +13,7 @@ that type inference is synthesis-only.
 from __future__ import annotations
 
 import re
+from collections import defaultdict
 from decimal import Decimal
 from fractions import Fraction
 from operator import attrgetter
@@ -50,10 +51,13 @@ class Record(metaclass=_RecordType):
     parameters of its `__init__`; they become its slots, and the `__init__`
     stores each with `_set`.  Two records are equal when they are of one
     class and their fields are equal, and then they hash alike; `repr` spells
-    the class and its fields by keyword.  Assigning or deleting an attribute
-    raises AttributeError, so a node that a normal form shares among many
-    parents cannot be changed through one of them.  No code is generated per
-    class, which keeps `import ebn` cheap."""
+    the class and its fields by keyword.  All three walk an explicit stack
+    into tuple fields and into fields whose class keeps them, so a record may
+    nest past the recursion limit; any other field (a Closure, say) is a
+    plain value.  Assigning or deleting an attribute raises AttributeError,
+    so a node that a normal form shares among many parents cannot be changed
+    through one of them.  No code is generated per class, which keeps
+    `import ebn` cheap."""
 
     __match_args__: tuple[str, ...] = ()
     _fields: tuple[str, ...] = ()
@@ -64,20 +68,50 @@ class Record(metaclass=_RecordType):
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r}")
 
-    def _values(self) -> tuple:
-        return tuple([getattr(self, f) for f in self._fields])
-
     def __eq__(self, other: object) -> bool:
         if type(other) is not type(self):
             return NotImplemented
-        return self._values() == other._values()
+        eq, stack = Record.__eq__, [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            cls = type(a)
+            if cls.__eq__ is not eq:  # an element of a tuple field
+                if a is not b and a != b:
+                    return False
+            elif cls is not type(b):
+                return False
+            else:
+                for f in cls._fields:
+                    x, y = getattr(a, f), getattr(b, f)
+                    if x is not y:
+                        t = type(x)
+                        if t.__eq__ is eq:
+                            stack.append((x, y))
+                        elif t is tuple and type(y) is tuple and len(x) == len(y):
+                            stack += zip(x, y)
+                        elif x != y:
+                            return False
+        return True
 
     def __hash__(self) -> int:
-        return hash(self._values())
+        # The nodes in preorder, last field first: a record by its class, a
+        # tuple by its length, any other value as itself.
+        own, nodes, stack = Record.__hash__, [], [self]
+        while stack:
+            u = stack.pop()
+            cls = type(u)
+            if cls.__hash__ is own:
+                nodes.append(cls)
+                stack += [getattr(u, f) for f in cls._fields]
+            elif cls is tuple:
+                nodes.append(len(u))
+                stack += u
+            else:
+                nodes.append(u)
+        return hash(tuple(nodes))
 
     def __repr__(self) -> str:
-        fields = ", ".join([f"{f}={v!r}" for f, v in zip(self._fields, self._values())])
-        return f"{type(self).__qualname__}({fields})"
+        return _write(self, _REPR)
 
     def __reduce__(self):
         # copy and pickle rebuild a record through its `__init__`.
@@ -89,42 +123,7 @@ class Record(metaclass=_RecordType):
 
 
 class ObjType(Record):
-    """Base class of object-language types.  Equality, hashing and repr walk
-    an explicit stack, as do the other functions on types here, so a type may
-    nest deeper than Python's recursion limit."""
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        stack = [(self, other)]
-        while stack:
-            a, b = stack.pop()
-            if a is not b:
-                cls = type(a)
-                if cls is not type(b) or cls is Base and a.name != b.name:
-                    return False
-                parts = _TYPE_PARTS.get(cls)
-                if parts is not None:
-                    stack += zip(parts(a), parts(b))
-        return True
-
-    def __hash__(self) -> int:
-        # The nodes in preorder, a base by its name: the arity of each node
-        # is fixed by its class, so the sequence determines the type.
-        nodes: list = []
-        stack = [self]
-        while stack:
-            u = stack.pop()
-            parts = _TYPE_PARTS.get(type(u))
-            if parts is not None:
-                nodes.append(type(u))
-                stack += parts(u)
-            else:
-                nodes.append(u.name if type(u) is Base else type(u))
-        return hash(tuple(nodes))
-
-    def __repr__(self) -> str:
-        return _write(self, _REPR)
+    """Base class of object-language types."""
 
 
 class Base(ObjType):
@@ -954,11 +953,21 @@ def pretty_type(ty: ObjType) -> str:
     return _write(ty, _PRETTY)
 
 
-# Types as their constructor calls.
-_REPR: dict[type, Callable] = {
-    Base: lambda u: (f"Base(name={u.name!r})",),
-    Unit: lambda u: ("Unit()",),
-    Arrow: lambda u: (")", u.cod, ", cod=", u.dom, "Arrow(dom="),
-    Prod: lambda u: (")", u.right, ", right=", u.left, "Prod(left="),
-    Sum: lambda u: (")", u.right, ", right=", u.left, "Sum(left="),
-}
+def _spell(u: Record) -> list:
+    """The pieces of `Cls(field=value, ...)`, last first: a record, alone or
+    in a tuple field, is written in turn; any other value is its repr."""
+    out = [f"{type(u).__qualname__}("]
+    for i, f in enumerate(u._fields):
+        v = getattr(u, f)
+        out.append(f", {f}=" if i else f"{f}=")
+        if type(v) is tuple:
+            items = [p for x in v for p in (", ", x if isinstance(x, Record) else repr(x))]
+            out += ("(", *items[1:], ",)" if len(v) == 1 else ")")
+        else:
+            out.append(v if isinstance(v, Record) else repr(v))
+    out.append(")")
+    return out[::-1]
+
+
+# Every record as its constructor call, by keyword.
+_REPR: dict[type, Callable] = defaultdict(lambda: _spell)

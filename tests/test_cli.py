@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from ebn import cli
+from ebn import chars, cli
 from ebn.cli import INTERNAL_ERROR, NO_INPUT, OUT_OF_MEMORY, USAGE_ERROR, main
 from ebn.interp import CRat, format_value
 from ebn.syntax import format_rational, print_term
@@ -151,6 +151,21 @@ def test_demo_chars_long_balanced_term(tmp_path, capsys):
     assert main(["demo", "chars", "--file", str(path)]) == 0
     comb = "".join(f'(cat (chr "{c}") ' for c in text) + "eps" + ")" * len(text)
     assert capsys.readouterr().out == f"normal form: {comb}\ndenotes:     {text}\n"
+
+
+def test_demo_chars_domains_disagree_exits_70(monkeypatch, capsys):
+    norm_chars = chars.norm_chars
+
+    def skewed(t, domain="list"):
+        out = norm_chars(t, domain)
+        return chars.Append(chars.Chr("x"), out) if domain == "function" else out
+
+    monkeypatch.setattr(chars, "norm_chars", skewed)
+    assert main(["demo", "chars", "--inline", '(chr "a")']) == INTERNAL_ERROR == 70
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("ebn: internal error:")
+    assert "Traceback" not in captured.err
 
 
 def test_unreadable_file_exits_66(tmp_path, capsys):

@@ -292,8 +292,9 @@ def test_norm_propagates_typing_errors():
 # Atoms evaluated in place and source redexes bound directly
 
 
-def _eval(src: str, env: dict) -> SemValue:
-    return eval_term(parse_term(src), smart_prim_env(), env, NameSupply()).run(lambda v: v)
+def _eval(src: str, env: dict, prims=None) -> SemValue:
+    prims = smart_prim_env() if prims is None else prims
+    return eval_term(parse_term(src), prims, env, NameSupply()).run(lambda v: v)
 
 
 def test_eval_unbound_primitive_arguments_leftmost_first():
@@ -356,6 +357,34 @@ def test_eval_nullary_primitives_and_host_function():
     assert value == SBase("Q", parse_term(
         "(prim * (prim * (var c) (lit 2 Q)) (prim * (var y) (lit 2 Q)))"
     ))
+
+
+def test_closure_primitives_do_not_leak_into_the_caller():
+    # f was made with naive primitives; the smart code that applies it folds
+    # its own product after f returns
+    f = _eval("(lam (x Q) (var x))", {}, naive_prim_env())
+    src = "(prim * (app (var f) (lit 2 Q)) (prim * (lit 3 Q) (lit 4 Q)))"
+    value = _eval(src, {"f": f})
+    assert print_term(reify(RAT, value, NameSupply())) == "(lit 24 Q)"
+
+
+def test_shift_inside_a_closure_keeps_its_primitives_for_the_right_branch():
+    # g (naive) cases on a residual sum; the shift happens inside g's body,
+    # so both branches run g's rest naively and the smart caller's rest
+    # smartly
+    g = _eval(
+        "(lam (h (arrow Q (sum unit unit))) (case (app (var h) (lit 1 Q)) "
+        "(lam (u unit) (prim * (lit 2 Q) (lit 3 Q))) (lam (u unit) (prim * (lit 4 Q) (lit 5 Q)))))",
+        {},
+        naive_prim_env(),
+    )
+    src = "(lam (h (arrow Q (sum unit unit))) (prim * (app (var g) (var h)) (prim * (lit 6 Q) (lit 7 Q))))"
+    value = _eval(src, {"g": g})
+    assert print_term(reify(Arrow(Arrow(RAT, BOOL), RAT), value, NameSupply())) == (
+        "(lam (x0 (arrow Q (sum unit unit))) (case (app (var x0) (lit 1 Q)) "
+        "(lam (x1 unit) (prim * (prim * (lit 2 Q) (lit 3 Q)) (lit 42 Q))) "
+        "(lam (x2 unit) (prim * (prim * (lit 4 Q) (lit 5 Q)) (lit 42 Q)))))"
+    )
 
 
 def test_nested_host_function_applications_run_in_constant_stack():
@@ -516,6 +545,7 @@ def test_infer_and_norm_right_tuple_at_default_limit(n):
     assert len(prods) == n - 1 and last == RAT and all(p.left == RAT for p in prods)
     got = norm(t, SIG, smart_prim_env())
     assert _leaves(got) == _leaves(t)
+    assert got == t  # source literals are reused, so the normal form is the term
 
 
 def test_infer_and_norm_10000_deep_fst_chain_at_default_limit():

@@ -3,6 +3,7 @@ concrete values, primitive tables and chars terms."""
 
 import copy
 import pickle
+import sys
 from fractions import Fraction
 
 import pytest
@@ -183,6 +184,21 @@ def test_closure_equals_only_itself():
     assert c == c
     assert c != Closure("x", Var("x"), {}, env)
     assert {c: 1}[c] == 1
+    # inside a record too: a record holding a closure hashes, and two
+    # closures of one lambda stay unequal
+    pair = semantics.SPair(c, semantics.SUnit())
+    assert pair == semantics.SPair(c, semantics.SUnit())
+    assert hash(pair) == hash(semantics.SPair(c, semantics.SUnit()))
+    assert pair != semantics.SPair(Closure("x", Var("x"), {}, env), semantics.SUnit())
+
+
+def test_plain_fields_compare_as_values():
+    # a field that is not a record is compared with `==`, not by its class
+    assert Lit(1, "Q") == Lit(Fraction(1), "Q")
+    assert hash(Lit(1, "Q")) == hash(Lit(Fraction(1), "Q"))
+    assert syntax.PrimApp("f", (Lit(1, "Q"),)) == syntax.PrimApp("f", (Lit(Fraction(1), "Q"),))
+    assert syntax.PrimApp("f", (Var("x"),)) != syntax.PrimApp("f", (Var("x"), Var("x")))
+    assert PrimType((RAT, RAT), RAT) != PrimType((RAT, Q), Unit())
 
 
 def test_repr_golden():
@@ -196,6 +212,11 @@ def test_repr_golden():
     assert repr(SBase("Q", Var("m"))) == "SBase(base='Q', payload=Var(name='m'))"
     assert repr(interp.CRat(Fraction(1, 2))) == "CRat(value=Fraction(1, 2))"
     assert repr(chars.Chr("a")) == "Chr(char='a')"
+    assert repr(syntax.PrimApp("f", (Var("x"),))) == "PrimApp(name='f', args=(Var(name='x'),))"
+    assert repr(syntax.PrimApp("f", ())) == "PrimApp(name='f', args=())"
+    assert repr(PrimType((RAT, Q), RAT)) == (
+        "PrimType(args=(Base(name='Q'), Base(name='Q')), result=Base(name='Q'))"
+    )
 
 
 def test_validation_at_construction():
@@ -203,3 +224,65 @@ def test_validation_at_construction():
         PrimSignature(bases={}, prims={"id": PrimType((Q,), Q)})
     with pytest.raises(ValueError):
         chars.Chr("ab")
+
+
+def _nest(n, level, leaf):
+    for _ in range(n):
+        leaf = level(leaf)
+    return leaf
+
+
+# Deep records: `build(end)` nests `n` levels around an innermost leaf that
+# depends on `end`, and `repr(build(0))` is `n` copies of `text`, then `leaf`,
+# then `n` closing parentheses.
+DEEP = {
+    "right tuple of 10^5": (
+        lambda end: _nest(
+            99_999, lambda t: syntax.Pair(Lit(Fraction(1), "Q"), t), Lit(Fraction(end), "Q")
+        ),
+        99_999,
+        "Pair(first=Lit(value=Fraction(1, 1), base='Q'), second=",
+        "Lit(value=Fraction(0, 1), base='Q')",
+    ),
+    "fst chain of 10^4": (
+        lambda end: _nest(10_000, Fst, Var("pq"[end])), 10_000, "Fst(arg=", "Var(name='p')"
+    ),
+    "comb of 20,000": (
+        lambda end: chars.reify_list("a" * 19_999 + "ab"[end]),
+        20_000,
+        "Append(left=Chr(char='a'), right=",
+        "Eps()",
+    ),
+    "SPair chain of 10^4": (
+        lambda end: _nest(
+            10_000,
+            lambda v: semantics.SPair(SBase("Q", Val(Fraction(1))), v),
+            (semantics.SUnit(), semantics.SInl(semantics.SUnit()))[end],
+        ),
+        10_000,
+        "SPair(first=SBase(base='Q', payload=Val(literal=Fraction(1, 1))), second=",
+        "SUnit()",
+    ),
+    "CPair chain of 10^4": (
+        lambda end: _nest(
+            10_000,
+            lambda v: interp.CPair(interp.CRat(Fraction(1, 2)), v),
+            (interp.CUnit(), interp.CRat(Fraction(0)))[end],
+        ),
+        10_000,
+        "CPair(first=CRat(value=Fraction(1, 2)), second=",
+        "CUnit()",
+    ),
+}
+
+
+@pytest.mark.parametrize("build, n, text, leaf", DEEP.values(), ids=DEEP.keys())
+def test_deep_records_compare_hash_and_print(build, n, text, leaf):
+    # equality, hashing and repr walk an explicit stack, so two separately
+    # built copies of any depth are equal, hash alike and print alike
+    assert sys.getrecursionlimit() == 1000
+    a, b = build(0), build(0)
+    assert a is not b and a == b and not a != b
+    assert hash(a) == hash(b)
+    assert repr(a) == repr(b) == text * n + leaf + ")" * n
+    assert a != build(1)
