@@ -460,6 +460,85 @@ def test_parse_errors_carry_position():
     assert (exc.value.line, exc.value.col, exc.value.message) == (2, 7, "unterminated string")
 
 
+# One input for each error the reader raises, with its class, message, line
+# and column.
+_READERS = {"term": parse_term, "type": parse_type, "chars": parse_chars}
+_READ_ERRORS = [
+    ('term', '', ParseError, 'unexpected end of input, expected a term', 1, 1),
+    ('term', '(', ParseError, 'unexpected end of input, expected a term constructor', 1, 2),
+    ('term', '(lit', ParseError, 'unexpected end of input, expected a rational literal', 1, 5),
+    ('term', '(lit 1', ParseError, 'unexpected end of input, expected a base type name', 1, 7),
+    ('term', '(prim', ParseError, 'unexpected end of input, expected a primitive name', 1, 6),
+    ('term', '(prim f', ParseError, 'unexpected end of input, expected a term', 1, 8),
+    ('term', '(var', ParseError, 'unexpected end of input, expected a variable name', 1, 5),
+    ('term', '(lam', ParseError, "unexpected end of input, expected '(' before the binder", 1, 5),
+    ('term', '(lam (', ParseError, 'unexpected end of input, expected a binder name', 1, 7),
+    ('term', '(lam (x', ParseError, 'unexpected end of input, expected a type', 1, 8),
+    ('term', '(lam (x Q', ParseError, "unexpected end of input, expected ')' after the binder", 1, 10),
+    ('term', '(lam (x Q)', ParseError, 'unexpected end of input, expected a term', 1, 11),
+    ('term', '(inl unit', ParseError, 'unexpected end of input, expected a type', 1, 10),
+    ('term', '(app (var f)', ParseError, 'unexpected end of input, expected a term', 1, 13),
+    ('term', '(fst unit', ParseError, "unexpected end of input, expected ')'", 1, 10),
+    ('type', '', ParseError, 'unexpected end of input, expected a type', 1, 1),
+    ('type', '(', ParseError, 'unexpected end of input, expected a type constructor', 1, 2),
+    ('type', '(arrow Q', ParseError, 'unexpected end of input, expected a type', 1, 9),
+    ('chars', '', ParseError, 'unexpected end of input, expected a chars term', 1, 1),
+    ('chars', '(', ParseError, "unexpected end of input, expected 'chr' or 'cat'", 1, 2),
+    ('chars', '(chr', ParseError, 'unexpected end of input, expected a one-character string', 1, 5),
+    ('chars', '(cat eps', ParseError, 'unexpected end of input, expected a chars term', 1, 9),
+    ('term', ')', ParseError, "expected a term, found ')'", 1, 1),
+    ('term', '()', ParseError, "expected a term constructor, found ')'", 1, 2),
+    ('term', '(lam x (var x))', ParseError, "expected '(' before the binder, found 'x'", 1, 6),
+    ('term', '(lam (x Q (var x))', ParseError, "expected ')' after the binder, found '('", 1, 11),
+    ('term', '(fst unit unit)', ParseError, "expected ')', found 'unit'", 1, 11),
+    ('term', '(bad)', ParseError, "unknown term form 'bad'", 1, 2),
+    ('term', '(pair ; a comment\n  unit\n\t(bad))', ParseError, "unknown term form 'bad'", 3, 3),
+    ('type', ')', ParseError, "expected a type, found ')'", 1, 1),
+    ('type', '(unit)', ParseError, "unknown type form 'unit'", 1, 2),
+    ('type', '(arrow Q Q Q)', ParseError, "expected ')', found 'Q'", 1, 12),
+    ('type', '(func Q Q)', ParseError, "unknown type form 'func'", 1, 2),
+    ('chars', ')', ParseError, "expected a chars term, found ')'", 1, 1),
+    ('chars', '(eps)', ParseError, "unknown chars form 'eps'", 1, 2),
+    ('chars', '(cat eps eps eps)', ParseError, "expected ')', found 'eps'", 1, 14),
+    ('chars', '(str "a")', ParseError, "unknown chars form 'str'", 1, 2),
+    ('chars', '(chr "a"', ParseError, "unexpected end of input, expected ')'", 1, 9),
+    ('term', 'x', ParseError, "unexpected atom 'x'", 1, 1),
+    ('term', '(fst x)', ParseError, "unexpected atom 'x'", 1, 6),
+    ('term', '"a"', ParseError, 'expected a term, found \'"a"\'', 1, 1),
+    ('term', '(var "a")', ParseError, 'expected a variable name, found \'"a"\'', 1, 6),
+    ('term', '(lit ( Q)', ParseError, "expected a rational literal, found '('", 1, 6),
+    ('term', '(lit 1.5 Q)', ParseError, "malformed rational literal '1.5'", 1, 6),
+    ('term', '(lit 1/0 Q)', ParseError, "zero denominator in '1/0'", 1, 6),
+    ('term', '(lit 1 ))', ParseError, "expected a base type name, found ')'", 1, 8),
+    ('term', '(prim ) unit)', ParseError, "expected a primitive name, found ')'", 1, 7),
+    ('type', '1Q', ParseError, "malformed base type name '1Q'", 1, 1),
+    ('type', '"a"', ParseError, 'expected a type, found \'"a"\'', 1, 1),
+    ('type', '(arrow Q 2)', ParseError, "malformed base type name '2'", 1, 10),
+    ('chars', 'a', ParseError, "expected a chars term, found 'a'", 1, 1),
+    ('chars', '"a"', ParseError, 'expected a chars term, found \'"a"\'', 1, 1),
+    ('term', '(lam (x) (var x))', AnnotationMissing, "binder 'x' has no type annotation", 1, 7),
+    ('term', '(inl unit)', AnnotationMissing, 'inl has no sum type annotation', 1, 2),
+    ('term', '(inr\n  (pair unit unit))', AnnotationMissing, 'inr has no sum type annotation', 1, 2),
+    ('chars', '(chr "ab")', ParseError, 'chr takes a one-character string', 1, 6),
+    ('chars', '(chr a)', ParseError, 'chr takes a one-character string', 1, 6),
+    ('chars', '(chr (chr', ParseError, 'chr takes a one-character string', 1, 6),
+    ('term', '(lam (x Q) (var x)) trailing', ParseError, "trailing input 'trailing'", 1, 21),
+    ('term', 'unit unit', ParseError, "trailing input 'unit'", 1, 6),
+    ('type', 'Q )', ParseError, "trailing input ')'", 1, 3),
+    ('chars', 'eps eps', ParseError, "trailing input 'eps'", 1, 5),
+    ('chars', '(cat eps\n (chr "a))', ParseError, 'unterminated string', 2, 7),
+    ('term', '(var x) "', ParseError, 'unterminated string', 1, 9),
+]
+
+
+@pytest.mark.parametrize("sort, text, cls, message, line, col", _READ_ERRORS)
+def test_parse_error_table(sort, text, cls, message, line, col):
+    with pytest.raises(ParseError) as exc:
+        _READERS[sort](text)
+    assert type(exc.value) is cls
+    assert (exc.value.message, exc.value.line, exc.value.col) == (message, line, col)
+
+
 def test_parse_reads_deep_chains():
     depth = 800
     for head in ("prim f", "app (var f)", "fst", "lam (x Q)"):
