@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import sys
 from operator import attrgetter
-from typing import Callable, TextIO
+from typing import Callable, Iterator, TextIO
 
-from .syntax import _LINKS, Record, TokenStream, _set, _write
+from .syntax import _ATOM, _LINKS, _SORT, Record, _form, _read, _set, _write
 
 
 class CharsTerm(Record):
@@ -45,16 +45,22 @@ class NotCanonical(Exception):
 # The two semantic domains
 
 
+def _leaves(t: CharsTerm, last_first: bool) -> Iterator[Chr]:
+    """The `Chr` leaves of `t` in order, or last first, off an explicit stack."""
+    stack = [t]
+    while stack:
+        u = stack.pop()
+        if type(u) is Append:
+            stack += (u.left, u.right) if last_first else (u.right, u.left)
+        elif type(u) is Chr:
+            yield u
+        elif type(u) is not Eps:
+            raise TypeError(f"not a chars term: {u!r}")
+
+
 def eval_list(t: CharsTerm) -> str:
-    """List-of-characters semantics (here: a host string)."""
-    match t:
-        case Eps():
-            return ""
-        case Chr(char=c):
-            return c
-        case Append(left=l, right=r):
-            return eval_list(l) + eval_list(r)
-    raise TypeError(f"not a chars term: {t!r}")
+    """List-of-characters semantics (here: a host string), joined once."""
+    return "".join([leaf.char for leaf in _leaves(t, False)])
 
 
 def reify_list(chars: str) -> CharsTerm:
@@ -66,16 +72,16 @@ def reify_list(chars: str) -> CharsTerm:
 
 
 def eval_fun(t: CharsTerm) -> Callable[[CharsTerm], CharsTerm]:
-    """Difference-list semantics: terms denote prepend functions."""
-    match t:
-        case Eps():
-            return lambda rest: rest
-        case Chr(char=c):
-            return lambda rest: Append(Chr(c), rest)
-        case Append(left=l, right=r):
-            f, g = eval_fun(l), eval_fun(r)
-            return lambda rest: f(g(rest))
-    raise TypeError(f"not a chars term: {t!r}")
+    """Difference-list semantics: a term denotes the function that prepends
+    its characters, and `cat` denotes composition.  Applying it threads
+    `rest` through the leaves, last first, in one loop."""
+
+    def prepend(rest: CharsTerm) -> CharsTerm:
+        for leaf in _leaves(t, True):
+            rest = Append(leaf, rest)
+        return rest
+
+    return prepend
 
 
 def reify_fun(f: Callable[[CharsTerm], CharsTerm]) -> CharsTerm:
@@ -127,26 +133,25 @@ def format_chars(t: CharsTerm) -> str:
     return _write(t, _FORMAT)
 
 
-def _parse(ts: TokenStream) -> CharsTerm:
-    tok = ts.next("a chars term")
+def _chars_atom(tok: str, what: str) -> CharsTerm:
     if tok == "eps":
         return Eps()
-    if tok != "(":
-        raise ts.error(f"expected a chars term, found {tok!r}")
-    head = ts.atom("'chr' or 'cat'")
-    if head == "chr":
-        s = ts.next("a one-character string")
-        if s[0] != '"' or len(s) != 3:
-            raise ts.error("chr takes a one-character string")
-        ts.close()
-        return Chr(s[1])
-    if head == "cat":
-        l = _parse(ts)
-        r = _parse(ts)
-        ts.close()
-        return Append(l, r)
-    raise ts.error(f"unknown chars form {head!r}")
+    raise ValueError(f"expected {what}, found {tok!r}")
+
+
+def _one_char(tok: str, what: str) -> str:
+    if tok[0] != '"' or len(tok) != 3:
+        raise ValueError("chr takes a one-character string")
+    return tok[1]
+
+
+# The reader's sort of chars terms (see `syntax._read`).
+_CHARS = (_SORT, "a chars term", _chars_atom, {}, "'chr' or 'cat'", "chars")
+_CHARS[3].update({
+    "chr": _form(Chr, (_ATOM, "a one-character string", _one_char)),
+    "cat": _form(Append, _CHARS, _CHARS),
+})
 
 
 def parse_chars(text: str) -> CharsTerm:
-    return TokenStream(text).read(_parse)
+    return _read(text, _CHARS)

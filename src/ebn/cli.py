@@ -2,10 +2,10 @@
 
 Exit codes: 0 success, 1 syntax/type error, 2 runtime error (division by
 zero), 64 usage error, 66 unreadable input file, 70 internal error (the term
-nests deeper than the reader or the interpreter can follow within Python's
-recursion limit, about 1,000 levels, while type checking and normalization
-run in constant Python stack; or the two chars domains disagree), 71 out of
-memory.
+nests deeper than the interpreter, behind `ebn run` and the probes of `demo
+power`, can follow within Python's recursion limit, about 1,000 levels; or
+the two chars domains disagree), 71 out of memory.  Reading, type checking,
+normalization and printing run in constant Python stack.
 """
 
 from __future__ import annotations

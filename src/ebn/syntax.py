@@ -1,6 +1,7 @@
 """Object-language types and terms: typing, alpha-equivalence, beta-normality,
-the s-expression reader, and the writer that prints every text: terms and
-types as s-expressions or surface syntax, a type's repr, chars terms.
+the reader of every s-expression (terms, types, chars terms), and the writer
+that prints every text: terms and types as s-expressions or surface syntax,
+a record's repr, chars terms.
 
 Types and terms are records, defined here once for the whole package: each
 record class keeps its fields in slots and raises AttributeError on any
@@ -17,7 +18,7 @@ from collections import defaultdict
 from decimal import Decimal
 from fractions import Fraction
 from operator import attrgetter
-from typing import Any, Callable, Mapping, TypeVar
+from typing import Any, Callable, Mapping
 
 
 # ---------------------------------------------------------------------------
@@ -627,9 +628,7 @@ def format_rational(q: Fraction) -> str:
 
 class ParseError(Exception):
     def __init__(self, message: str, line: int, col: int):
-        self.message = message
-        self.line = line
-        self.col = col
+        self.message, self.line, self.col = message, line, col
         super().__init__(f"{line}:{col}: {message}")
 
 
@@ -637,23 +636,21 @@ class AnnotationMissing(ParseError):
     """A lam/inl/inr form is missing its type annotation."""
 
 
-_T = TypeVar("_T")
-
-# A token is a parenthesis, a string (quotes kept; the closing one is missing
-# only in an unterminated string), an atom, or a line comment.  Whitespace
-# matches nothing, so `findall` skips it.
-_TOKEN_RE = re.compile(r'[()]|"[^"\n]*"?|[^\s();"]+|;[^\n]*')
+# A token is a parenthesis, a string (quotes kept), an atom, a line comment,
+# or a lone quote: the start of a string that its line does not close.
+# Whitespace matches nothing, so `findall` skips it.
+_TOKEN_RE = re.compile(r'[()]|"[^"\n]*"|"|[^\s();"]+|;[^\n]*')
 
 
 def tokenize(text: str) -> list[str]:
     """Split s-expression source into tokens; `;` starts a line comment,
     double quotes delimit single-character strings for the chars language.
     A token's first character gives its kind: `(`, `)`, `"` or an atom."""
-    tokens = [t for t in _TOKEN_RE.findall(text) if t[0] != ";"]
-    if '"' in text:
-        for i, t in enumerate(tokens):
-            if t[0] == '"' and (len(t) == 1 or t[-1] != '"'):
-                raise ParseError("unterminated string", *_position(text, i))
+    tokens = _TOKEN_RE.findall(text)
+    if ";" in text:
+        tokens = [t for t in tokens if t[0] != ";"]
+    if '"' in text and '"' in tokens:
+        raise ParseError("unterminated string", *_position(text, tokens.index('"')))
     return tokens
 
 
@@ -670,146 +667,143 @@ def _position(text: str, index: int) -> tuple[int, int]:
     return text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
 
 
-class TokenStream:
-    """The tokens of one text, read left to right.  The text is kept so that
-    an error can work out its token's line and column."""
+# The reader's slots.  Each is a tuple: its kind, what it expects (for
+# "unexpected end of input, expected ..."), and its data:
+#   (_SORT, what, atom, forms, head_what, name) reads one value of a sort: a
+#       bare atom as `atom(token, what)`, or a form `(head ...)` through the
+#       slots `forms[head]` (see `_form`);
+#   (_ATOM, what, convert) reads one token as `convert(token, what)`;
+#   (_PAREN, what, paren) reads the token `paren`, and (_CLOSE, "')'", ")",
+#       make) the `)` that ends a form: its value is `make` of its values;
+#   (_ANNOT, message, sort, at_head) reads `sort` unless `)` comes next:
+#       that raises AnnotationMissing with `message.format(last value)` at
+#       the last token or, with `at_head`, at the form's head;
+#   (_REST, what, sort) reads values of `sort` until `)` comes next.
+# `atom` and `convert` raise ValueError for a ParseError at their token.
+_SORT, _ATOM, _CLOSE, _PAREN, _ANNOT, _REST = range(6)
 
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = tokenize(text)
-        self.pos = 0
 
-    def error(
-        self, message: str, at: int | None = None, cls: type[ParseError] = ParseError
-    ) -> ParseError:
-        """A `cls` at token `at`, by default the last one read."""
-        return cls(message, *_position(self.text, self.pos - 1 if at is None else at))
+def _form(make: Callable, *operands: tuple) -> tuple:
+    """A form's slots, last first as the reader pushes them."""
+    return ((_CLOSE, "')'", ")", make), *operands[::-1])
 
-    def peek(self) -> str | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
 
-    def next(self, what: str = "token") -> str:
-        try:
-            tok = self.tokens[self.pos]
-        except IndexError:
-            raise self.error(f"unexpected end of input, expected {what}", self.pos) from None
-        self.pos += 1
-        return tok
+def _read(text: str, sort: tuple) -> Any:
+    """The value of `sort` that `text` spells, with no input left over.  One
+    loop pops slots off an explicit stack, so nesting costs no Python stack.
+    An open form's values wait on a second stack from its `(head` onwards."""
+    tokens = tokenize(text)
+    n, i = len(tokens), 0
+    stack, values, heads = [sort], [], []  # heads: (token index, values start)
+    pop, push, append = stack.pop, stack.append, values.append
+    try:  # IndexError: `tokens[i]` past the last token
+        while stack:
+            slot = pop()
+            kind = slot[0]
+            if kind >= _ANNOT:  # these look at the next token before they read
+                if i == n or tokens[i] != ")":
+                    if kind == _REST:
+                        push(slot)
+                    push(slot[2])
+                elif kind == _ANNOT:
+                    at = heads[-1][0] if slot[3] else i - 1
+                    raise AnnotationMissing(slot[1].format(values[-1]), *_position(text, at))
+                continue
+            tok = tokens[i]
+            i += 1
+            if kind == _SORT:
+                if tok != "(":
+                    append(slot[2](tok, slot[1]))
+                    continue
+                if i == n:
+                    raise ParseError(f"unexpected end of input, expected {slot[4]}", *_position(text, i))
+                head = tokens[i]
+                i += 1
+                form = slot[3].get(head)
+                if form is None:
+                    raise ValueError(f"unknown {slot[5]} form {_name(head, slot[4])!r}")
+                heads.append((i - 1, len(values)))
+                stack += form
+            elif kind == _ATOM:
+                append(slot[2](tok, slot[1]))
+            elif tok != slot[2]:
+                raise ValueError(f"expected {slot[1]}, found {tok!r}")
+            elif kind == _CLOSE:
+                start = heads.pop()[1]
+                args = values[start:]
+                del values[start:]
+                append(slot[3](*args))
+    except ValueError as e:
+        raise ParseError(str(e), *_position(text, i - 1)) from None
+    except IndexError:
+        raise ParseError(f"unexpected end of input, expected {slot[1]}", *_position(text, i)) from None
+    if i < n:
+        raise ParseError(f"trailing input {tokens[i]!r}", *_position(text, i))
+    return values[0]
 
-    def expect(self, paren: str, what: str) -> None:
-        tok = self.next(what)
-        if tok != paren:
-            raise self.error(f"expected {what}, found {tok!r}")
 
-    def close(self) -> None:
-        self.expect(")", "')'")
-
-    def atom(self, what: str) -> str:
-        tok = self.next(what)
-        if tok[0] in '()"':
-            raise self.error(f"expected {what}, found {tok!r}")
-        return tok
-
-    def read(self, parse: Callable[[TokenStream], _T]) -> _T:
-        """`parse` applied to the whole stream: input left over is an error."""
-        out = parse(self)
-        if self.pos < len(self.tokens):
-            raise self.error(f"trailing input {self.tokens[self.pos]!r}", self.pos)
-        return out
+def _name(tok: str, what: str) -> str:
+    if tok[0] in '()"':
+        raise ValueError(f"expected {what}, found {tok!r}")
+    return tok
 
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_']*")
-_TYPE_FORMS = {"arrow": Arrow, "prod": Prod, "sum": Sum}
-# Forms whose operands are all terms: head -> (constructor, arity).
-_TERM_FORMS = {
-    "app": (App, 2), "pair": (Pair, 2), "fst": (Fst, 1), "snd": (Snd, 1), "case": (Case, 3)
-}
 
 
-def _parse_type(ts: TokenStream) -> ObjType:
-    tok = ts.next("a type")
-    if tok == "(":
-        head = ts.atom("a type constructor")
-        if head not in _TYPE_FORMS:
-            raise ts.error(f"unknown type form {head!r}")
-        a = _parse_type(ts)
-        b = _parse_type(ts)
-        ts.close()
-        return _TYPE_FORMS[head](a, b)
-    if tok[0] in ')"':
-        raise ts.error(f"expected a type, found {tok!r}")
+def _type_atom(tok: str, what: str) -> ObjType:
     if tok == "unit":
         return Unit()
-    if _NAME_RE.fullmatch(tok):
+    if _NAME_RE.fullmatch(_name(tok, what)):
         return Base(tok)
-    raise ts.error(f"malformed base type name {tok!r}")
+    raise ValueError(f"malformed base type name {tok!r}")
 
 
-def _parse_term(ts: TokenStream) -> Term:
-    tok = ts.next("a term")
-    if tok != "(":
-        if tok == "unit":
-            return UnitVal()
-        if tok[0] in ')"':
-            raise ts.error(f"expected a term, found {tok!r}")
-        raise ts.error(f"unexpected atom {tok!r}")
-    head = ts.atom("a term constructor")
-    form = _TERM_FORMS.get(head)
-    if form is not None:
-        make, arity = form
-        args: list[Term] = []
-        # A plain loop: before Python 3.12 a comprehension adds a frame per level.
-        for _ in range(arity):
-            args.append(_parse_term(ts))
-        ts.close()
-        return make(*args)
-    at_head = ts.pos - 1
-    match head:
-        case "lit":
-            try:
-                q = parse_rational(ts.atom("a rational literal"))
-            except ValueError as e:
-                raise ts.error(str(e)) from None
-            base = ts.atom("a base type name")
-            ts.close()
-            return Lit(q, base)
-        case "prim":
-            name = ts.atom("a primitive name")
-            args = []
-            while ts.peek() != ")":
-                args.append(_parse_term(ts))
-            ts.next()
-            return PrimApp(name, tuple(args))
-        case "var":
-            name = ts.atom("a variable name")
-            ts.close()
-            return Var(name)
-        case "lam":
-            ts.expect("(", "'(' before the binder")
-            binder = ts.atom("a binder name")
-            if ts.peek() == ")":
-                raise ts.error(f"binder {binder!r} has no type annotation", cls=AnnotationMissing)
-            annot = _parse_type(ts)
-            ts.expect(")", "')' after the binder")
-            body = _parse_term(ts)
-            ts.close()
-            return Lam(binder, annot, body)
-        case "inl" | "inr":
-            arg = _parse_term(ts)
-            if ts.peek() == ")":
-                raise ts.error(f"{head} has no sum type annotation", at_head, AnnotationMissing)
-            annot = _parse_type(ts)
-            ts.close()
-            return Inl(arg, annot) if head == "inl" else Inr(arg, annot)
-    raise ts.error(f"unknown term form {head!r}", at_head)
+def _term_atom(tok: str, what: str) -> Term:
+    if tok == "unit":
+        return UnitVal()
+    raise ValueError(f"unexpected atom {_name(tok, what)!r}")
+
+
+# The sorts of types and terms; their forms name the sorts, so come after.
+_TYPE = (_SORT, "a type", _type_atom, {}, "a type constructor", "type")
+_TERM = (_SORT, "a term", _term_atom, {}, "a term constructor", "term")
+_TYPE[3].update(
+    arrow=_form(Arrow, _TYPE, _TYPE), prod=_form(Prod, _TYPE, _TYPE), sum=_form(Sum, _TYPE, _TYPE)
+)
+_TERM[3].update(
+    lit=_form(
+        Lit,
+        (_ATOM, "a rational literal", lambda tok, what: parse_rational(_name(tok, what))),
+        (_ATOM, "a base type name", _name),
+    ),
+    prim=_form(lambda name, *args: PrimApp(name, args), (_ATOM, "a primitive name", _name),
+               (_REST, "a term", _TERM)),
+    var=_form(Var, (_ATOM, "a variable name", _name)),
+    lam=_form(
+        Lam,
+        (_PAREN, "'(' before the binder", "("),
+        (_ATOM, "a binder name", _name),
+        (_ANNOT, "binder {!r} has no type annotation", _TYPE, False),
+        (_PAREN, "')' after the binder", ")"),
+        _TERM,
+    ),
+    app=_form(App, _TERM, _TERM),
+    pair=_form(Pair, _TERM, _TERM),
+    fst=_form(Fst, _TERM),
+    snd=_form(Snd, _TERM),
+    inl=_form(Inl, _TERM, (_ANNOT, "inl has no sum type annotation", _TYPE, True)),
+    inr=_form(Inr, _TERM, (_ANNOT, "inr has no sum type annotation", _TYPE, True)),
+    case=_form(Case, _TERM, _TERM, _TERM),
+)
 
 
 def parse_term(text: str) -> Term:
-    return TokenStream(text).read(_parse_term)
+    return _read(text, _TERM)
 
 
 def parse_type(text: str) -> ObjType:
-    return TokenStream(text).read(_parse_type)
+    return _read(text, _TYPE)
 
 
 # ---------------------------------------------------------------------------

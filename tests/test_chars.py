@@ -1,5 +1,6 @@
 import io
 import random
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -121,6 +122,14 @@ def test_parse_and_format():
         parse_chars('(chr "ab")')
     with pytest.raises(ParseError):
         parse_chars("(cat eps)")
+
+
+def test_long_combs_at_the_default_limit():
+    assert sys.getrecursionlimit() == 1000
+    comb = reify_list("a" * 20_000)
+    for domain in ("list", "function"):
+        assert norm_chars(comb, domain) == comb
+    assert parse_chars(format_chars(comb)) == comb
 
 
 def test_chr_rejects_long_strings():

@@ -36,6 +36,14 @@ def test_norm_from_file(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "(lit 3 Q)"
 
 
+def test_norm_from_file_reads_a_5000_deep_chain(tmp_path, capsys):
+    path = tmp_path / "chain.sexp"
+    path.write_text("(lam (x Q) " + "(prim * (var x) " * 5000 + "(lit 2 Q)" + ")" * 5001, encoding="utf-8")
+    assert main(["norm", "--file", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert out == "(lam (x0 Q) " + "(prim * (var x0) " * 5000 + "(lit 2 Q)" + ")" * 5001 + "\n"
+
+
 def test_norm_output_renormalizes_to_itself(capsys):
     src = "(lam (x Q) (prim * (var x) (app (lam (y Q) (var y)) (lit 1 Q))))"
     assert main(["norm", "--inline", src]) == 0
@@ -198,12 +206,15 @@ def test_recursion_limit_exits_70(capsys):
     tree = _mul_tree(8)
     assert main(["norm", "--inline", f"(lam (x Q) {tree})"]) == 0
     assert capsys.readouterr().out.strip() == f"(lam (x0 Q) {tree.replace('(var x)', '(var x0)')})"
-    deep_fst = "(fst " * 2000 + "unit" + ")" * 2000  # fails in the reader
+    # the reader, infer and norm take a 2,000-deep fst chain; the interpreter recurses
+    deep_fst = "(fst " * 2000 + "(pair " * 2000 + "unit" + " unit)" * 2000 + ")" * 2000
     for argv in (["norm", "--inline", deep_fst], ["check", "--inline", deep_fst]):
-        assert main(argv) == INTERNAL_ERROR == 70
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and err.startswith("ebn: internal error:")
-        assert "Traceback" not in err
+        assert main(argv) == 0
+        assert capsys.readouterr().out == "unit\n"
+    assert main(["run", "--inline", deep_fst]) == INTERNAL_ERROR == 70
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("ebn: internal error:")
+    assert "Traceback" not in err
 
 
 def test_out_of_memory_exits_71(monkeypatch, capsys):

@@ -539,13 +539,23 @@ def test_parse_error_table(sort, text, cls, message, line, col):
     assert (exc.value.message, exc.value.line, exc.value.col) == (message, line, col)
 
 
-def test_parse_reads_deep_chains():
-    depth = 800
+@pytest.mark.parametrize("depth", [800, 10_000])
+def test_parse_reads_deep_chains(depth):
     for head in ("prim f", "app (var f)", "fst", "lam (x Q)"):
         t = parse_term(f"({head} " * depth + "unit" + ")" * depth)
         for _ in range(depth):
             t = children(t)[-1]
         assert t == UnitVal()
+
+
+def test_parse_reads_what_the_writer_prints_at_any_depth():
+    assert sys.getrecursionlimit() == 1000
+    t = lit(0)  # a right tuple of 10^5
+    for i in range(100_000, 0, -1):
+        t = Pair(lit(i), t)
+    assert parse_term(print_term(t)) == t
+    ty = _arrows(20_000)
+    assert parse_type(print_type(ty)) == ty
 
 
 def test_parse_annotation_missing():
