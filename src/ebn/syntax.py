@@ -5,8 +5,10 @@ a record's repr, chars terms.
 
 Types and terms are records, defined here once for the whole package: each
 record class keeps its fields in slots and raises AttributeError on any
-assignment or deletion, so a record never changes after its `__init__`.  A
-term may share a subterm by reference (normal forms do), so it is a DAG that
+assignment or deletion, so a record never changes after its `__init__`.
+Types are hash-consed: building a type returns the one node of its class and
+fields, so types compare and hash by identity, in O(1) at any depth.  A term
+may share a subterm by reference (normal forms do), so it is a DAG that
 stands for a tree.  Binders (lam, inl, inr) carry explicit type annotations so
 that type inference is synthesis-only.
 """
@@ -54,11 +56,12 @@ class Record(metaclass=_RecordType):
     class and their fields are equal, and then they hash alike; `repr` spells
     the class and its fields by keyword.  All three walk an explicit stack
     into tuple fields and into fields whose class keeps them, so a record may
-    nest past the recursion limit; any other field (a Closure, say) is a
-    plain value.  Assigning or deleting an attribute raises AttributeError,
-    so a node that a normal form shares among many parents cannot be changed
-    through one of them.  No code is generated per class, which keeps
-    `import ebn` cheap."""
+    nest past the recursion limit; any other field (a Closure or a type, say)
+    is a plain value.  Types override equality and hashing: they are
+    interned (see ObjType), so they compare and hash by identity.  Assigning
+    or deleting an attribute raises AttributeError, so a node that a normal
+    form shares among many parents cannot be changed through one of them.
+    No code is generated per class, which keeps `import ebn` cheap."""
 
     __match_args__: tuple[str, ...] = ()
     _fields: tuple[str, ...] = ()
@@ -123,8 +126,34 @@ class Record(metaclass=_RecordType):
 # Types
 
 
-class ObjType(Record):
-    """Base class of object-language types."""
+class _InternedType(_RecordType):
+    """The class of type classes.  Calling one returns the node in `_TYPES`
+    for its class and fields, built by the first such call."""
+
+    def __call__(cls, *args, **kwargs):
+        node = _TYPES.get((cls, args))
+        if kwargs or node is None:  # key a new node by its fields in order
+            node = super().__call__(*args, **kwargs)
+            fields = tuple([getattr(node, f) for f in cls._fields])
+            node = _TYPES.setdefault((cls, fields), node)
+        return node
+
+
+# Every type built so far, by `(class, fields)`.
+_TYPES: dict[tuple, ObjType] = {}
+
+
+class ObjType(Record, metaclass=_InternedType):
+    """Base class of object-language types.  Types are interned: `Base("Q")`
+    is the one node named "Q", and copy, deepcopy and pickle return it too.
+    Two types are equal only when they are the same node, so equality and
+    hashing are those of `object`, O(1) at any depth.  The table `_TYPES`
+    keeps every distinct type for the life of the process.  It is not weak:
+    a parsed term's types would die with the term and be built again at the
+    next parse, and a program meets few distinct types."""
+
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
 
 class Base(ObjType):
@@ -360,9 +389,14 @@ def infer(env: Mapping[str, ObjType], sig, t: Term) -> ObjType:
     one per term whose child is being typed, so Python stack use does not
     grow with the term.  One environment dict is updated in place: a Lam's
     frame saves the binding its binder shadows and puts it back when the
-    body is done.  The error path is read off the stack only when raising."""
+    body is done.  The error path is read off the stack only when raising.
+    Types are interned, so every check is one `is`; each distinct
+    annotation is validated once, and each base of a literal looked up
+    once."""
     env = dict(env)
     bases, prims = sig.bases, sig.prims
+    lits: dict[str, tuple] = {}  # a literal's base name -> (type, carrier test)
+    checked: set[ObjType] = set()  # the annotations validated so far
     stack: list[list] = []
     while True:
         # Descend: type the leaves at once, push a frame for anything else.
@@ -373,14 +407,18 @@ def infer(env: Mapping[str, ObjType], sig, t: Term) -> ObjType:
             except KeyError:
                 raise UnboundVariable(f"unbound variable {t.name!r}", _path(stack)) from None
         elif cls is Lit:
-            b = t.base
-            if b not in bases:
-                raise UnknownBaseType(f"unknown base type {b!r}", _path(stack))
-            if not bases[b](t.value):
-                raise TypeMismatch(Base(b), f"literal {t.value!r} outside its carrier", _path(stack))
-            ty = Base(b)
+            lit = lits.get(t.base)
+            if lit is None:
+                b = t.base
+                if b not in bases:
+                    raise UnknownBaseType(f"unknown base type {b!r}", _path(stack))
+                lit = lits[b] = Base(b), bases[b]
+            ty, carrier = lit
+            if not carrier(t.value):
+                raise TypeMismatch(ty, f"literal {t.value!r} outside its carrier", _path(stack))
         elif cls is Lam:
-            _annotation(t.annot, sig, stack)
+            if t.annot not in checked:
+                _annotation(t.annot, sig, stack, checked)
             x = t.binder
             stack.append([t, 0, env.get(x, _UNBOUND)])
             env[x] = t.annot
@@ -406,7 +444,8 @@ def infer(env: Mapping[str, ObjType], sig, t: Term) -> ObjType:
             ty = _UNIT_TYPE
         elif cls is Inl or cls is Inr:
             a = t.annot
-            _annotation(a, sig, stack)
+            if a not in checked:
+                _annotation(a, sig, stack, checked)
             if not isinstance(a, Sum):
                 raise TypeMismatch("a sum type annotation", a, _path(stack))
             stack.append([t, 0, None])
@@ -432,9 +471,8 @@ def infer(env: Mapping[str, ObjType], sig, t: Term) -> ObjType:
                     env[u.binder] = saved
                 ty = Arrow(u.annot, ty)
             elif cls is PrimApp:
-                want = saved.args[i]
-                if ty is not want and ty != want:
-                    raise TypeMismatch(want, ty, _path(stack))
+                if ty is not saved.args[i]:
+                    raise TypeMismatch(saved.args[i], ty, _path(stack))
                 i += 1
                 if i < len(u.args):
                     frame[1] = i
@@ -448,7 +486,7 @@ def infer(env: Mapping[str, ObjType], sig, t: Term) -> ObjType:
                     frame[1:] = 1, ty
                     t = u.arg
                     break
-                if ty is not saved.dom and ty != saved.dom:
+                if ty is not saved.dom:
                     raise TypeMismatch(saved.dom, ty, _path(stack))
                 ty = saved.cod
             elif cls is Pair:
@@ -473,19 +511,19 @@ def infer(env: Mapping[str, ObjType], sig, t: Term) -> ObjType:
                 else:
                     sty, lty = saved
                     side = sty.right
-                if not isinstance(ty, Arrow) or ty.dom is not side and ty.dom != side:
+                if not isinstance(ty, Arrow) or ty.dom is not side:
                     raise TypeMismatch(f"a function from {pretty_type(side)}", ty, _path(stack))
                 if i == 1:
                     frame[1:] = 2, (saved, ty)
                     t = u.right
                     break
-                if ty.cod is not lty.cod and ty.cod != lty.cod:
+                if ty.cod is not lty.cod:
                     raise TypeMismatch(lty.cod, ty.cod, _path(stack))
                 ty = lty.cod
             else:  # Inl or Inr
                 a = u.annot
                 want = a.left if cls is Inl else a.right
-                if ty is not want and ty != want:
+                if ty is not want:
                     raise TypeMismatch(want, ty, _path(stack))
                 ty = a
             stack.pop()
@@ -498,13 +536,14 @@ def _path(stack: list[list]) -> tuple[int, ...]:
     return tuple(frame[1] for frame in stack)
 
 
-def _annotation(a: ObjType, sig, stack: list[list]) -> None:
-    """Validate an annotation; an unknown base gets the path of the term
-    being typed."""
+def _annotation(a: ObjType, sig, stack: list[list], checked: set[ObjType]) -> None:
+    """Validate an annotation and add it to `checked`; an unknown base gets
+    the path of the term being typed."""
     try:
         validate_type(a, sig)
     except UnknownBaseType as e:
         raise UnknownBaseType(e.args[0], _path(stack)) from None
+    checked.add(a)
 
 
 _UNBOUND = object()  # the saved binding of a name that was not bound
@@ -645,7 +684,13 @@ _TOKEN_RE = re.compile(r'[()]|"[^"\n]*"|"|[^\s();"]+|;[^\n]*')
 def tokenize(text: str) -> list[str]:
     """Split s-expression source into tokens; `;` starts a line comment,
     double quotes delimit single-character strings for the chars language.
-    A token's first character gives its kind: `(`, `)`, `"` or an atom."""
+    A token's first character gives its kind: `(`, `)`, `"` or an atom.
+    A text with neither (every term and type text) is split by `str.split`
+    once its parentheses are spaced out: that gives `_TOKEN_RE`'s tokens,
+    since `str.split` and `re` take the same 29 code points for whitespace,
+    in about half the time."""
+    if '"' not in text and ";" not in text:
+        return text.replace("(", " ( ").replace(")", " ) ").split()
     tokens = _TOKEN_RE.findall(text)
     if ";" in text:
         tokens = [t for t in tokens if t[0] != ";"]

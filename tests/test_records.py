@@ -157,6 +157,43 @@ def test_keyword_construction():
     assert Arrow(cod=Unit(), dom=Q) == Arrow(Q, Unit())
 
 
+def test_types_are_interned():
+    # one node per class and fields, however the type is built
+    assert Base("Q") is Q is RAT and Base(name="Q") is Q and Unit() is Unit()
+    ty = Arrow(Sum(Unit(), Q), syntax.Prod(Q, Q))
+    assert Arrow(cod=syntax.Prod(right=Q, left=Q), dom=Sum(Unit(), Q)) is ty
+    assert Arrow(Sum(Unit(), Q), cod=syntax.Prod(Q, Q)) is ty
+    for twin in (copy.copy(ty), copy.deepcopy(ty), pickle.loads(pickle.dumps(ty))):
+        assert twin is ty
+    assert Base("R") is not Q and Sum(Q, Q) is not syntax.Prod(Q, Q)
+
+
+def test_building_an_existing_type_leaves_the_table_alone():
+    ty = Arrow(Sum(Unit(), Base("R")), Q)
+    size = len(syntax._TYPES)
+    assert Arrow(Sum(Unit(), Base("R")), Q) is ty and Base(name="R") is ty.dom.right
+    with pytest.raises(TypeError):
+        Base()
+    with pytest.raises(TypeError):
+        Arrow(Q, domain=Q)
+    assert len(syntax._TYPES) == size
+    Arrow(ty, ty)
+    assert len(syntax._TYPES) == size + 1
+
+
+def test_a_deep_type_is_one_node_that_compares_and_hashes_in_constant_time():
+    assert sys.getrecursionlimit() == 1000
+    a = _nest(20_000, lambda t: Arrow(Q, t), Q)
+    b = _nest(20_000, lambda t: Arrow(Q, t), Q)
+    assert a is b
+    # equality and hashing are object's, so neither walks the 20,000 levels
+    assert type(a).__eq__ is object.__eq__ and type(a).__hash__ is object.__hash__
+    assert a == b and hash(a) == hash(b) == object.__hash__(a)
+    assert a != Arrow(Q, a) and a != _nest(20_000, lambda t: Arrow(Q, t), Unit())
+    # a record holding a type compares it as one value, by identity
+    assert Lam("f", a, Var("f")) == Lam("f", b, Var("f")) != Lam("f", Arrow(Q, a), Var("f"))
+
+
 def test_different_classes_with_equal_fields_differ():
     t = Var("p")
     assert Fst(t) != Snd(t)

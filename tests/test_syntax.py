@@ -1,4 +1,5 @@
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -123,6 +124,25 @@ def test_infer_case_branch_shapes():
             SIG,
             Case(scrut, Lam("a", RAT, Var("a")), Lam("b", Unit(), UnitVal())),
         )
+
+
+def test_infer_returns_the_interned_types():
+    assert infer({}, SIG, lit(1)) is RAT
+    assert infer({}, SIG, Lam("x", RAT, Var("x"))) is Arrow(RAT, RAT)
+    assert infer({}, SIG, Pair(lit(1), UnitVal())) is Prod(RAT, Unit())
+    assert infer({}, SIG, mk_true()) is BOOL
+
+
+def test_infer_validates_each_distinct_annotation_once(monkeypatch):
+    calls = []
+    real = syntax.validate_type
+    monkeypatch.setattr(syntax, "validate_type", lambda ty, sig: calls.append(ty) or real(ty, sig))
+    t = UnitVal()
+    for i in range(10):
+        t = App(Lam(f"x{i}", RAT, t), lit(i))
+    t = Pair(t, Inl(UnitVal(), Sum(Unit(), RAT)))
+    assert infer({}, SIG, t) == Prod(Unit(), Sum(Unit(), RAT))
+    assert calls == [RAT, Sum(Unit(), RAT)]
 
 
 def test_infer_annotation_must_be_sum():
@@ -556,6 +576,33 @@ def test_parse_reads_what_the_writer_prints_at_any_depth():
     assert parse_term(print_term(t)) == t
     ty = _arrows(20_000)
     assert parse_type(print_type(ty)) == ty
+
+
+def test_parse_type_returns_the_interned_node():
+    for ty in (RAT, Unit(), BOOL, Arrow(Sum(RAT, RAT), RAT), _arrows(20_000), _arrows(20_000, left=True)):
+        assert parse_type(print_type(ty)) is ty
+    assert parse_term("(lam (x Q) (var x))").annot is RAT
+
+
+# The 29 code points that `re` takes for `\s`, and `str.split` for whitespace.
+_WHITESPACE = (
+    "\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f \x85\xa0\u1680"
+    + "".join(map(chr, range(0x2000, 0x200B)))
+    + "\u2028\u2029\u202f\u205f\u3000"
+)
+
+
+def test_whitespace_is_the_same_for_re_and_str_split():
+    every = "".join(map(chr, range(sys.maxunicode + 1)))
+    assert "".join(re.findall(r"\s", every)) == _WHITESPACE
+    assert "".join(c for c in _WHITESPACE if len(f"a{c}a".split()) == 2) == _WHITESPACE
+    assert "".join(c for c in every if c.isspace()) == _WHITESPACE
+
+
+@given(st.text(st.sampled_from("()()ax_'Q*+=é/-0123456789" + _WHITESPACE), max_size=80))
+def test_split_tokenizer_agrees_with_the_regex(text):
+    # texts without `"` or `;` take the `str.split` path
+    assert syntax.tokenize(text) == syntax._TOKEN_RE.findall(text)
 
 
 def test_parse_annotation_missing():
