@@ -155,6 +155,9 @@ class ObjType(Record, metaclass=_InternedType):
     __eq__ = object.__eq__
     __hash__ = object.__hash__
 
+    def __deepcopy__(self, memo: dict) -> ObjType:
+        return self  # without rebuilding the fields, so at any depth
+
 
 class Base(ObjType):
     def __init__(self, name: str):

@@ -189,6 +189,7 @@ def test_a_deep_type_is_one_node_that_compares_and_hashes_in_constant_time():
     # equality and hashing are object's, so neither walks the 20,000 levels
     assert type(a).__eq__ is object.__eq__ and type(a).__hash__ is object.__hash__
     assert a == b and hash(a) == hash(b) == object.__hash__(a)
+    assert copy.copy(a) is a and copy.deepcopy(a) is a
     assert a != Arrow(Q, a) and a != _nest(20_000, lambda t: Arrow(Q, t), Unit())
     # a record holding a type compares it as one value, by identity
     assert Lam("f", a, Var("f")) == Lam("f", b, Var("f")) != Lam("f", Arrow(Q, a), Var("f"))
