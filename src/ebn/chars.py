@@ -13,11 +13,11 @@ import sys
 from operator import attrgetter
 from typing import Callable, Iterator, TextIO
 
-from .syntax import _ATOM, _LINKS, _SORT, Record, _form, _read, _set, _write
+from .syntax import _ATOM, _LINKS, _SORT, Record, _form, _itself, _read, _set, _write
 
 
 class CharsTerm(Record):
-    pass
+    __deepcopy__ = _itself
 
 
 class Eps(CharsTerm):

@@ -1,11 +1,11 @@
 """Command-line front door: parse, typecheck, normalize, interpret, demos.
 
 Exit codes: 0 success, 1 syntax/type error, 2 runtime error (division by
-zero), 64 usage error, 66 unreadable input file, 70 internal error (the term
-nests deeper than the interpreter, behind `ebn run` and the probes of `demo
-power`, can follow within Python's recursion limit, about 1,000 levels; or
-the two chars domains disagree), 71 out of memory.  Reading, type checking,
-normalization and printing run in constant Python stack.
+zero), 64 usage error, 66 unreadable input file, 70 internal error (the two
+chars domains disagree, or a `demo power` exponent of about 500 bits or more
+is too deep for the recursive generator), 71 out of memory.  `ebn run` no
+longer exits 70 on deep terms.  Reading, type checking, normalization,
+interpretation and printing run in constant Python stack.
 """
 
 from __future__ import annotations

@@ -9,7 +9,7 @@ arithmetic, with == yielding the sum-encoded Bool (inr unit for true).
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Mapping
+from typing import Mapping
 
 from .syntax import (
     App,
@@ -27,8 +27,10 @@ from .syntax import (
     Term,
     UnitVal,
     Var,
+    children,
     format_rational,
     _set,
+    _write,
 )
 
 
@@ -66,8 +68,15 @@ class CInr(ConcreteValue):
 
 
 class CFun(ConcreteValue):
-    def __init__(self, apply: Callable[[ConcreteValue], ConcreteValue]):
-        _set(self, "apply", apply)
+    """The value of `lam` in `env`.  It keeps `env` itself, not a copy: `run`
+    never changes an env dict once made.  It equals only itself."""
+
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, lam: Lam, env: dict[str, ConcreteValue]):
+        _set(self, "lam", lam)
+        _set(self, "env", env)
 
 
 def _rat(v: ConcreteValue) -> Fraction:
@@ -77,90 +86,81 @@ def _rat(v: ConcreteValue) -> Fraction:
 
 
 def run(t: Term, env: Mapping[str, ConcreteValue] | None = None) -> ConcreteValue:
-    """Call-by-value evaluation; env must cover the free variables."""
-    env = {} if env is None else env
-    match t:
-        case Lit(value=v, base=b):
-            if b != "Q":
-                raise ShapeMismatch(f"no concrete carrier for base {b!r}")
-            return CRat(v)
-        case PrimApp(name=c, args=args):
-            vals = [run(a, env) for a in args]
-            match c:
-                case "==":
-                    x, y = _rat(vals[0]), _rat(vals[1])
-                    return CInr(CUnit()) if x == y else CInl(CUnit())
-                case "*":
-                    return CRat(_rat(vals[0]) * _rat(vals[1]))
-                case "/":
-                    x, y = _rat(vals[0]), _rat(vals[1])
-                    if y == 0:
-                        raise RuntimeDivisionByZero(f"{x} / 0")
-                    return CRat(x / y)
-            raise ShapeMismatch(f"no concrete meaning for primitive {c!r}")
-        case UnitVal():
-            return CUnit()
-        case Var(name=x):
+    """Call-by-value evaluation; env must cover the free variables.  One loop
+    over a stack of frames `(term, operand values so far, env)`.  A frame
+    evaluates its operands left to right, then makes its value, or applies a
+    closure by running the closure's body in its place.  A case's operands
+    are its scrutinee and then the branch that the scrutinee picks."""
+    stack = [(t, [], {} if env is None else dict(env))]
+    while True:
+        t, vals, env = stack[-1]
+        cls = type(t)
+        if cls is Var:
+            x = t.name
             if x not in env:
                 raise ShapeMismatch(f"unbound variable {x!r}")
-            return env[x]
-        case Lam(binder=x, body=n):
-            def closure(v: ConcreteValue, _env=dict(env)) -> ConcreteValue:
-                inner = dict(_env)
-                inner[x] = v
-                return run(n, inner)
-
-            return CFun(closure)
-        case App(fun=l, arg=m):
-            f = run(l, env)
-            a = run(m, env)
-            if not isinstance(f, CFun):
-                raise ShapeMismatch(f"applied a non-function {type(f).__name__}")
-            return f.apply(a)
-        case Pair(first=m, second=n):
-            return CPair(run(m, env), run(n, env))
-        case Fst(arg=l):
-            v = run(l, env)
-            if not isinstance(v, CPair):
-                raise ShapeMismatch(f"projected a non-pair {type(v).__name__}")
-            return v.first
-        case Snd(arg=l):
-            v = run(l, env)
-            if not isinstance(v, CPair):
-                raise ShapeMismatch(f"projected a non-pair {type(v).__name__}")
-            return v.second
-        case Inl(arg=m):
-            return CInl(run(m, env))
-        case Inr(arg=m):
-            return CInr(run(m, env))
-        case Case(scrutinee=l, left=m, right=n):
-            s = run(l, env)
-            match s:
-                case CInl(value=v):
-                    branch = m
-                case CInr(value=v):
-                    branch = n
-                case _:
+            v = env[x]
+        elif cls is Lit:
+            if t.base != "Q":
+                raise ShapeMismatch(f"no concrete carrier for base {t.base!r}")
+            v = CRat(t.value)
+        elif cls is Lam:
+            v = CFun(t, env)
+        elif cls is UnitVal:
+            v = CUnit()
+        else:
+            if cls is Case and vals:
+                s = vals[0]
+                if not isinstance(s, (CInl, CInr)):
                     raise ShapeMismatch(f"cased a non-sum {type(s).__name__}")
-            f = run(branch, env)
-            if not isinstance(f, CFun):
-                raise ShapeMismatch("case branch is not a function")
-            return f.apply(v)
-    raise TypeError(f"not a term: {t!r}")
+                ops = (t.scrutinee, t.left if type(s) is CInl else t.right)
+            else:
+                ops = (t.scrutinee,) if cls is Case else children(t)
+            if len(vals) < len(ops):
+                stack.append((ops[len(vals)], [], env))
+                continue
+            if cls is App or cls is Case:
+                f, a = vals if cls is App else (vals[1], vals[0].value)
+                if not isinstance(f, CFun):
+                    what = f"applied a non-function {type(f).__name__}"
+                    raise ShapeMismatch(what if cls is App else "case branch is not a function")
+                stack[-1] = (f.lam.body, [], {**f.env, f.lam.binder: a})
+                continue
+            if cls is PrimApp:
+                c = t.name
+                if c not in ("==", "*", "/"):
+                    raise ShapeMismatch(f"no concrete meaning for primitive {c!r}")
+                x, y = _rat(vals[0]), _rat(vals[1])
+                if c == "/" and y == 0:
+                    raise RuntimeDivisionByZero(f"{x} / 0")
+                if c == "==":
+                    v = CInr(CUnit()) if x == y else CInl(CUnit())
+                else:
+                    v = CRat(x * y if c == "*" else x / y)
+            elif cls is Pair:
+                v = CPair(*vals)
+            elif cls is Fst or cls is Snd:
+                if not isinstance(vals[0], CPair):
+                    raise ShapeMismatch(f"projected a non-pair {type(vals[0]).__name__}")
+                v = vals[0].first if cls is Fst else vals[0].second
+            else:
+                v = (CInl if cls is Inl else CInr)(vals[0])
+        stack.pop()
+        if not stack:
+            return v
+        stack[-1][1].append(v)
+
+
+# Each value's pieces for `syntax._write`, last first.
+_FORMAT = {
+    CUnit: lambda v: ("unit",),
+    CRat: lambda v: (format_rational(v.value),),
+    CPair: lambda v: (">", v.second, ", ", v.first, "<"),
+    CInl: lambda v: (v.value, "inl "),
+    CInr: lambda v: (v.value, "inr "),
+    CFun: lambda v: ("<fun>",),
+}
 
 
 def format_value(v: ConcreteValue) -> str:
-    match v:
-        case CUnit():
-            return "unit"
-        case CRat(value=q):
-            return format_rational(q)
-        case CPair(first=a, second=b):
-            return f"<{format_value(a)}, {format_value(b)}>"
-        case CInl(value=a):
-            return f"inl {format_value(a)}"
-        case CInr(value=a):
-            return f"inr {format_value(a)}"
-        case CFun():
-            return "<fun>"
-    raise TypeError(f"not a value: {v!r}")
+    return _write(v, _FORMAT)

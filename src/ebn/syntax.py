@@ -143,6 +143,14 @@ class _InternedType(_RecordType):
 _TYPES: dict[tuple, ObjType] = {}
 
 
+def _itself(node: Record, memo: dict) -> Record:
+    """`__deepcopy__` of a type, a term or a chars term: the node itself,
+    without a walk into its fields, so at any depth.  It assumes that their
+    fields are immutable all the way down: names, `Fraction` literals, tuples
+    of nodes and interned types."""
+    return node
+
+
 class ObjType(Record, metaclass=_InternedType):
     """Base class of object-language types.  Types are interned: `Base("Q")`
     is the one node named "Q", and copy, deepcopy and pickle return it too.
@@ -154,9 +162,7 @@ class ObjType(Record, metaclass=_InternedType):
 
     __eq__ = object.__eq__
     __hash__ = object.__hash__
-
-    def __deepcopy__(self, memo: dict) -> ObjType:
-        return self  # without rebuilding the fields, so at any depth
+    __deepcopy__ = _itself
 
 
 class Base(ObjType):
@@ -201,6 +207,8 @@ _TYPE_PARTS: dict[type, Callable[[ObjType], tuple[ObjType, ObjType]]] = {
 
 class Term(Record):
     """Base class of object-language terms."""
+
+    __deepcopy__ = _itself
 
 
 class Lit(Term):

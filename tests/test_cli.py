@@ -206,13 +206,17 @@ def test_recursion_limit_exits_70(capsys):
     tree = _mul_tree(8)
     assert main(["norm", "--inline", f"(lam (x Q) {tree})"]) == 0
     assert capsys.readouterr().out.strip() == f"(lam (x0 Q) {tree.replace('(var x)', '(var x0)')})"
-    # the reader, infer and norm take a 2,000-deep fst chain; the interpreter recurses
+    # the reader, infer, norm and the interpreter take a 2,000-deep fst chain
     deep_fst = "(fst " * 2000 + "(pair " * 2000 + "unit" + " unit)" * 2000 + ")" * 2000
-    for argv in (["norm", "--inline", deep_fst], ["check", "--inline", deep_fst]):
-        assert main(argv) == 0
+    for command in ("norm", "check", "run"):
+        assert main([command, "--inline", deep_fst]) == 0
         assert capsys.readouterr().out == "unit\n"
-    assert main(["run", "--inline", deep_fst]) == INTERNAL_ERROR == 70
-    err = capsys.readouterr().err
+    # the power generator recurses once per bit of the exponent, and a
+    # 500-bit exponent fails there, before anything large is built
+    assert sys.getrecursionlimit() == 1000
+    assert main(["demo", "power", str(2**500 - 1)]) == INTERNAL_ERROR == 70
+    out, err = capsys.readouterr()
+    assert out == ""
     assert err.count("\n") == 1 and err.startswith("ebn: internal error:")
     assert "Traceback" not in err
 

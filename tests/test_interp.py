@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -101,7 +102,52 @@ def test_format_value():
     assert format_value(CRat(Fraction(-1, 2))) == "-1/2"
     assert format_value(CRat(Fraction(3))) == "3"
     assert format_value(CPair(CUnit(), CInr(CUnit()))) == "<unit, inr unit>"
-    assert format_value(CFun(lambda v: v)) == "<fun>"
+    assert format_value(CFun(Lam("x", RAT, Var("x")), {})) == "<fun>"
+
+
+def test_a_closure_equals_only_itself():
+    lam = Lam("x", RAT, Var("x"))
+    f = run(lam)
+    assert f == f and f != run(lam) and f != CFun(lam, {})
+    assert hash(f) == object.__hash__(f)
+    assert CPair(f, CUnit()) == CPair(f, CUnit()) != CPair(run(lam), CUnit())
+
+
+def _nest(n, level, leaf):
+    for _ in range(n):
+        leaf = level(leaf)
+    return leaf
+
+
+def test_run_and_format_a_right_tuple_of_100000_at_default_limit():
+    # run and format_value loop over explicit stacks, as norm does
+    assert sys.getrecursionlimit() == 1000
+    n = 100_000
+    t, want = lit(0), CRat(Fraction(0))
+    for i in range(1, n):
+        t, want = Pair(lit(i), t), CPair(CRat(Fraction(i)), want)
+    value = run(t)
+    assert value == want
+    text = "".join([f"<{i}, " for i in range(n - 1, 0, -1)]) + "0" + ">" * (n - 1)
+    assert format_value(value) == text
+
+
+def test_run_10000_deep_chains_at_default_limit():
+    assert sys.getrecursionlimit() == 1000
+    n = 10_000
+    fst_chain = _nest(n, Fst, _nest(n, lambda t: Pair(t, UnitVal()), UnitVal()))
+    assert run(fst_chain) == CUnit()
+    # a curried function of n arguments, applied to all of them: each inner
+    # binder shadows the outer ones, so the body sees the last argument
+    app_chain = _nest(n, lambda t: Lam("x", RAT, t), Var("x"))
+    for i in range(n):
+        app_chain = App(app_chain, lit(i))
+    assert run(app_chain) == CRat(Fraction(n - 1))
+    # n negations of true, each a case in the scrutinee of the next
+    if_chain = _nest(n, lambda t: mk_if(t, mk_false(), mk_true()), mk_true())
+    assert run(if_chain) == CInr(CUnit())
+    mul_chain = _nest(n, lambda t: PrimApp("*", (lit(2), t)), lit(1))
+    assert run(mul_chain) == CRat(Fraction(2**n))
 
 
 def test_interp_is_independent_of_the_normalizer():

@@ -70,7 +70,7 @@ SAMPLES = [
     interp.CPair(interp.CUnit(), interp.CUnit()),
     interp.CInl(interp.CUnit()),
     interp.CInr(interp.CUnit()),
-    interp.CFun(print),
+    interp.CFun(Lam("x", Q, Var("x")), {}),
     PrimType((RAT, RAT), RAT),
     rational_signature(),
     primitives.RULES["*"],
@@ -112,7 +112,7 @@ def test_fields_cannot_be_assigned_or_deleted(r):
 @pytest.mark.parametrize("r", SAMPLES, ids=lambda r: type(r).__name__)
 def test_equal_fields_give_equal_records(r):
     twin = type(r)(**{name: getattr(r, name) for name in r.__match_args__})
-    if type(r) is Closure:  # identity equality, see below
+    if type(r) in (Closure, interp.CFun):  # identity equality, see below
         assert twin != r
         return
     assert twin == r and not twin != r
@@ -193,6 +193,14 @@ def test_a_deep_type_is_one_node_that_compares_and_hashes_in_constant_time():
     assert a != Arrow(Q, a) and a != _nest(20_000, lambda t: Arrow(Q, t), Unit())
     # a record holding a type compares it as one value, by identity
     assert Lam("f", a, Var("f")) == Lam("f", b, Var("f")) != Lam("f", Arrow(Q, a), Var("f"))
+
+
+def test_deepcopy_of_a_deep_term_or_chars_term_is_the_node():
+    # their fields are immutable all the way down, so deepcopy walks none
+    assert sys.getrecursionlimit() == 1000
+    t = _nest(99_999, lambda u: syntax.Pair(Lit(Fraction(1), "Q"), u), Lit(Fraction(0), "Q"))
+    for node in (t, chars.reify_list("a" * 20_000)):
+        assert copy.deepcopy(node) is node
 
 
 def test_different_classes_with_equal_fields_differ():
