@@ -13,7 +13,7 @@ import sys
 from operator import attrgetter
 from typing import Callable, Iterator, TextIO
 
-from .syntax import _ATOM, _LINKS, _SORT, Record, _form, _itself, _read, _set, _write
+from .syntax import _ATOM, _LINKS, _SORT, Record, _add_forms, _form, _itself, _read, _set, _write
 
 
 class CharsTerm(Record):
@@ -146,11 +146,12 @@ def _one_char(tok: str, what: str) -> str:
 
 
 # The reader's sort of chars terms (see `syntax._read`).
-_CHARS = (_SORT, "a chars term", _chars_atom, {}, "'chr' or 'cat'", "chars")
-_CHARS[3].update({
-    "chr": _form(Chr, (_ATOM, "a one-character string", _one_char)),
-    "cat": _form(Append, _CHARS, _CHARS),
-})
+_CHARS = (_SORT, "a chars term", _chars_atom, {}, "'chr' or 'cat'", "chars", {})
+_add_forms(
+    _CHARS,
+    chr=_form(Chr, (_ATOM, "a one-character string", _one_char)),
+    cat=_form(Append, _CHARS, _CHARS),
+)
 
 
 def parse_chars(text: str) -> CharsTerm:

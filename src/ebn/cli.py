@@ -1,11 +1,11 @@
 """Command-line front door: parse, typecheck, normalize, interpret, demos.
 
 Exit codes: 0 success, 1 syntax/type error, 2 runtime error (division by
-zero), 64 usage error, 66 unreadable input file, 70 internal error (the two
-chars domains disagree, or a `demo power` exponent of about 500 bits or more
-is too deep for the recursive generator), 71 out of memory.  `ebn run` no
-longer exits 70 on deep terms.  Reading, type checking, normalization,
-interpretation and printing run in constant Python stack.
+zero), 64 usage error (also a `demo power` exponent n with |n| > 2**20), 66
+unreadable input file, 70 internal error (the two chars domains disagree;
+no other input is known to reach it), 71 out of memory.  Reading, type
+checking, normalization, interpretation and printing run in constant Python
+stack.
 """
 
 from __future__ import annotations
@@ -42,6 +42,9 @@ USAGE_ERROR = 64
 NO_INPUT = 66
 INTERNAL_ERROR = 70  # EX_SOFTWARE
 OUT_OF_MEMORY = 71  # EX_OSERR
+# The largest |n| that `demo power` takes.  Its printed tree grows in
+# proportion to n: at 2**20 it runs in about 19 s and prints 27 MB.
+MAX_DEMO_POWER = 2**20
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -134,6 +137,9 @@ def _cmd_demo_chars(source: str) -> int:
 
 
 def _cmd_demo_power(n: int, naive: bool) -> int:
+    if abs(n) > MAX_DEMO_POWER:
+        print(f"ebn: error: demo power takes |n| <= 2**20 ({MAX_DEMO_POWER})", file=sys.stderr)
+        return USAGE_ERROR
     generated = power(n)
     normal = norm(generated, rational_signature(), _prim_env("naive" if naive else "smart"))
     print(f"generated:   {print_term(generated)}")

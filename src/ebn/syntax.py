@@ -11,6 +11,13 @@ fields, so types compare and hash by identity, in O(1) at any depth.  A term
 may share a subterm by reference (normal forms do), so it is a DAG that
 stands for a tree.  Binders (lam, inl, inr) carry explicit type annotations so
 that type inference is synthesis-only.
+
+The reader keeps a table of the leaf forms it has read, `(lit 4/5 Q)`,
+`(var x)` and `(chr "a")`, by their operand tokens, so it converts each
+distinct leaf once and every read of it returns the one node: reads share
+leaf nodes as normal forms share subterms.  The table holds at most 4,096
+nodes and is emptied when full; a leaf whose operand is malformed is never
+stored.  Bare type atoms map to their interned types.
 """
 
 from __future__ import annotations
@@ -725,9 +732,10 @@ def _position(text: str, index: int) -> tuple[int, int]:
 
 # The reader's slots.  Each is a tuple: its kind, what it expects (for
 # "unexpected end of input, expected ..."), and its data:
-#   (_SORT, what, atom, forms, head_what, name) reads one value of a sort: a
-#       bare atom as `atom(token, what)`, or a form `(head ...)` through the
-#       slots `forms[head]` (see `_form`);
+#   (_SORT, what, atom, forms, head_what, name, leaves) reads one value of a
+#       sort: a bare atom as `atom(token, what)`, or a form `(head ...)`
+#       through the slots `forms[head]` (see `_form`); `leaves` holds the
+#       sort's leaf forms (see `_add_forms`);
 #   (_ATOM, what, convert) reads one token as `convert(token, what)`;
 #   (_PAREN, what, paren) reads the token `paren`, and (_CLOSE, "')'", ")",
 #       make) the `)` that ends a form: its value is `make` of its values;
@@ -744,10 +752,36 @@ def _form(make: Callable, *operands: tuple) -> tuple:
     return ((_CLOSE, "')'", ")", make), *operands[::-1])
 
 
+def _add_forms(sort: tuple, **forms: tuple) -> None:
+    """Add `forms` to the form table of `sort`.  A leaf form, one whose
+    operands are all `_ATOM` slots, also goes into the sort's leaf table as
+    `(make, its operand slots in order)`, for `_read` to take in one step."""
+    sort[3].update(forms)
+    for head, form in forms.items():
+        if all(slot[0] == _ATOM for slot in form[1:]):
+            sort[6][head] = form[0][3], form[:0:-1]
+
+
+# The node of every leaf form read since the table was last emptied, by
+# `(make, its operand tokens)`: `(lit 4/5 Q)` is `(Lit, "4/5", "Q")`, so the
+# leaf forms of a sort differ in `make`.  The table is emptied when it holds
+# `_LEAF_BOUND` nodes, so it stays small whatever is read.
+_LEAVES: dict[tuple, Record] = {}
+_LEAF_BOUND = 4096
+
+
 def _read(text: str, sort: tuple) -> Any:
     """The value of `sort` that `text` spells, with no input left over.  One
     loop pops slots off an explicit stack, so nesting costs no Python stack.
-    An open form's values wait on a second stack from its `(head` onwards."""
+    An open form's values wait on a second stack from its `(head` onwards.
+
+    A leaf form whose operand tokens are followed by `)` is read in one step:
+    its node comes from the table `_LEAVES`, so every read of `(var x)`
+    returns one shared node until the table is next emptied, which happens
+    when it holds `_LEAF_BOUND` (4,096) nodes.  On a miss each operand goes
+    through its slot's converter, one token at a time, so an error is
+    reported at the token the slot walk would report it at; a node is
+    stored only once every operand converted."""
     tokens = tokenize(text)
     n, i = len(tokens), 0
     stack, values, heads = [sort], [], []  # heads: (token index, values start)
@@ -775,6 +809,27 @@ def _read(text: str, sort: tuple) -> Any:
                     raise ParseError(f"unexpected end of input, expected {slot[4]}", *_position(text, i))
                 head = tokens[i]
                 i += 1
+                leaf = slot[6].get(head)
+                if leaf is not None:
+                    make, operands = leaf
+                    j = i + len(operands)  # the `)` that ends the form
+                    if j < n and tokens[j] == ")":
+                        key = (make, *tokens[i:j])
+                        node = _LEAVES.get(key)
+                        if node is None:
+                            args = []
+                            for operand in operands:  # an error is at its token
+                                i += 1
+                                args.append(operand[2](tokens[i - 1], operand[1]))
+                            i += 1
+                            node = make(*args)
+                            if len(_LEAVES) >= _LEAF_BOUND:
+                                _LEAVES.clear()
+                            _LEAVES[key] = node
+                        else:
+                            i = j + 1
+                        append(node)
+                        continue
                 form = slot[3].get(head)
                 if form is None:
                     raise ValueError(f"unknown {slot[5]} form {_name(head, slot[4])!r}")
@@ -807,12 +862,18 @@ def _name(tok: str, what: str) -> str:
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_']*")
 
 
+# Every valid bare type atom read so far, to its type.  Types are interned,
+# so this keeps no type that `_TYPES` does not.
+_TYPE_ATOMS: dict[str, ObjType] = {"unit": Unit()}
+
+
 def _type_atom(tok: str, what: str) -> ObjType:
-    if tok == "unit":
-        return Unit()
-    if _NAME_RE.fullmatch(_name(tok, what)):
-        return Base(tok)
-    raise ValueError(f"malformed base type name {tok!r}")
+    ty = _TYPE_ATOMS.get(tok)
+    if ty is None:
+        if not _NAME_RE.fullmatch(_name(tok, what)):
+            raise ValueError(f"malformed base type name {tok!r}")
+        ty = _TYPE_ATOMS[tok] = Base(tok)
+    return ty
 
 
 def _term_atom(tok: str, what: str) -> Term:
@@ -822,12 +883,13 @@ def _term_atom(tok: str, what: str) -> Term:
 
 
 # The sorts of types and terms; their forms name the sorts, so come after.
-_TYPE = (_SORT, "a type", _type_atom, {}, "a type constructor", "type")
-_TERM = (_SORT, "a term", _term_atom, {}, "a term constructor", "term")
-_TYPE[3].update(
-    arrow=_form(Arrow, _TYPE, _TYPE), prod=_form(Prod, _TYPE, _TYPE), sum=_form(Sum, _TYPE, _TYPE)
+_TYPE = (_SORT, "a type", _type_atom, {}, "a type constructor", "type", {})
+_TERM = (_SORT, "a term", _term_atom, {}, "a term constructor", "term", {})
+_add_forms(
+    _TYPE, arrow=_form(Arrow, _TYPE, _TYPE), prod=_form(Prod, _TYPE, _TYPE), sum=_form(Sum, _TYPE, _TYPE)
 )
-_TERM[3].update(
+_add_forms(
+    _TERM,
     lit=_form(
         Lit,
         (_ATOM, "a rational literal", lambda tok, what: parse_rational(_name(tok, what))),

@@ -20,6 +20,8 @@ from ebn.chars import (
     reify_fun,
     reify_list,
 )
+from ebn import syntax
+from ebn.chars import _leaves
 from ebn.syntax import ParseError
 
 from conftest import gen_chars
@@ -122,6 +124,18 @@ def test_parse_and_format():
         parse_chars('(chr "ab")')
     with pytest.raises(ParseError):
         parse_chars("(cat eps)")
+
+
+def test_two_reads_share_their_chr_leaves(monkeypatch):
+    monkeypatch.setattr(syntax, "_LEAVES", {})
+    src = '(cat (chr "a") (cat eps (cat (chr "b") (chr "a"))))'
+    a, b = parse_chars(src), parse_chars(src)
+    assert a == b and a is not b
+    leaves = [list(_leaves(t, False)) for t in (a, b)]
+    assert [leaf.char for leaf in leaves[0]] == ["a", "b", "a"]
+    assert all(x is y for x, y in zip(*leaves))
+    assert leaves[0][0] is leaves[0][2]
+    assert parse_chars('(chr "a")') is leaves[0][0]
 
 
 def test_long_combs_at_the_default_limit():

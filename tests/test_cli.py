@@ -211,14 +211,26 @@ def test_recursion_limit_exits_70(capsys):
     for command in ("norm", "check", "run"):
         assert main([command, "--inline", deep_fst]) == 0
         assert capsys.readouterr().out == "unit\n"
-    # the power generator recurses once per bit of the exponent, and a
-    # 500-bit exponent fails there, before anything large is built
+    # a 500-bit exponent is refused before the recursive generator runs
     assert sys.getrecursionlimit() == 1000
-    assert main(["demo", "power", str(2**500 - 1)]) == INTERNAL_ERROR == 70
+    assert main(["demo", "power", str(2**500 - 1)]) == USAGE_ERROR == 64
     out, err = capsys.readouterr()
     assert out == ""
-    assert err.count("\n") == 1 and err.startswith("ebn: internal error:")
+    assert err.count("\n") == 1 and err.startswith("ebn: error:")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("n", [2**20 + 1, -(2**20 + 1), 2**600 - 1])
+def test_demo_power_refuses_exponents_past_2_to_the_20(n, capsys, monkeypatch):
+    def built(*args):
+        raise AssertionError("demo power built a term past its bound")
+
+    monkeypatch.setattr(cli, "power", built)
+    assert main(["demo", "power", str(n)]) == USAGE_ERROR == 64
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"ebn: error: demo power takes |n| <= 2**20 ({2**20})\n"
+    assert cli.MAX_DEMO_POWER == 2**20
 
 
 def test_out_of_memory_exits_71(monkeypatch, capsys):

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from ebn import syntax
+from ebn import chars, syntax
 from ebn.chars import parse_chars
 from ebn.examples import mk_fmap, mk_maybe, power, power_prime
 from ebn.nbe import norm
@@ -557,6 +557,94 @@ def test_parse_error_table(sort, text, cls, message, line, col):
         _READERS[sort](text)
     assert type(exc.value) is cls
     assert (exc.value.message, exc.value.line, exc.value.col) == (message, line, col)
+
+
+_SORTS = {"term": syntax._TERM, "type": syntax._TYPE, "chars": chars._CHARS}
+
+
+@pytest.fixture
+def empty_leaves(monkeypatch):
+    """An empty leaf table for the test, and the table as it was after it."""
+    monkeypatch.setattr(syntax, "_LEAVES", {})
+
+
+def _error(read, text: str) -> tuple:
+    with pytest.raises(ParseError) as exc:
+        read(text)
+    return type(exc.value), exc.value.message, exc.value.line, exc.value.col
+
+
+def _leaf_texts(sort: str, text: str) -> list[str]:
+    """Each `(head operand ...)` in `text` whose head is a leaf form of `sort`,
+    spelled alone."""
+    leaves, tokens = _SORTS[sort][6], syntax._TOKEN_RE.findall(text)
+    out = []
+    for k in range(len(tokens) - 1):
+        if tokens[k] == "(" and tokens[k + 1] in leaves:
+            out.append(f"({' '.join(tokens[k + 1 : k + 2 + len(leaves[tokens[k + 1]][1])])})")
+    return out
+
+
+def test_leaf_forms_come_from_the_form_tables():
+    assert sorted(_SORTS["term"][6]) == ["lit", "var"]
+    assert sorted(_SORTS["chars"][6]) == ["chr"]
+    assert _SORTS["type"][6] == {}
+
+
+def test_two_reads_share_their_leaves(empty_leaves):
+    text = "(lam (x Q) (pair (prim + (var x) (lit 4/5 Q)) (pair (lit 4/5 Q) (var x))))"
+    a, b = parse_term(text), parse_term(text)
+    assert a == b and a is not b
+
+    def leaves(t):
+        stack, out = [t], []
+        while stack:
+            u = stack.pop()
+            out.append(u) if type(u) in (Lit, Var) else stack.extend(children(u)[::-1])
+        return out
+
+    la, lb = leaves(a), leaves(b)
+    assert [type(u) for u in la] == [Var, Lit, Lit, Var]
+    assert all(u is v for u, v in zip(la, lb))
+    assert la[0] is la[3] and la[1] is la[2]  # within one read too
+
+
+def test_parse_error_table_with_a_cold_and_a_warm_leaf_table(empty_leaves):
+    warmed = 0
+    for sort, text, cls, message, line, col in _READ_ERRORS:
+        read = _READERS[sort]
+        syntax._LEAVES.clear()
+        assert _error(read, text) == (cls, message, line, col), ("cold", text)
+        for leaf in _leaf_texts(sort, text):
+            try:
+                read(leaf)
+            except ParseError:
+                continue
+            warmed += 1
+        assert _error(read, text) == (cls, message, line, col), ("warm", text)
+    assert warmed >= 7  # the rows with a valid leaf
+
+
+@pytest.mark.parametrize("sort, text", [
+    ("term", "(lit 1/0 Q)"), ("term", "(lit x Q)"), ("term", "(lit 1 ))"), ("term", '(var "a")'),
+    ("chars", '(chr "ab")'), ("chars", "(chr a)"), ("type", "1Q"),
+])
+def test_a_leaf_that_fails_is_never_stored(empty_leaves, sort, text):
+    first = _error(_READERS[sort], text)
+    assert _error(_READERS[sort], text) == first
+    assert syntax._LEAVES == {}
+    assert all(syntax._NAME_RE.fullmatch(tok) for tok in syntax._TYPE_ATOMS)
+
+
+def test_leaf_table_is_emptied_when_full(empty_leaves, monkeypatch):
+    monkeypatch.setattr(syntax, "_LEAF_BOUND", 4)
+    first = parse_term("(lit 0 Q)")
+    for i in range(10):
+        t = parse_term(f"(pair (lit {i} Q) (lit -{i}/7 Q))")
+        assert t == Pair(lit(i), lit(Fraction(-i, 7)))
+        assert len(syntax._LEAVES) <= 4
+    assert parse_term("(lit 0 Q)") == first and parse_term("(lit 0 Q)") is not first
+    assert parse_term("(lit -9/7 Q)") is parse_term("(lit -9/7 Q)")
 
 
 @pytest.mark.parametrize("depth", [800, 10_000])
