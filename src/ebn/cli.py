@@ -43,7 +43,7 @@ NO_INPUT = 66
 INTERNAL_ERROR = 70  # EX_SOFTWARE
 OUT_OF_MEMORY = 71  # EX_OSERR
 # The largest |n| that `demo power` takes.  Its printed tree grows in
-# proportion to n: at 2**20 it runs in about 19 s and prints 27 MB.
+# proportion to n: at 2**20 it runs in about 20 s and prints 27 MB.
 MAX_DEMO_POWER = 2**20
 
 

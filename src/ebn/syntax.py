@@ -762,10 +762,8 @@ def _add_forms(sort: tuple, **forms: tuple) -> None:
             sort[6][head] = form[0][3], form[:0:-1]
 
 
-# The node of every leaf form read since the table was last emptied, by
-# `(make, its operand tokens)`: `(lit 4/5 Q)` is `(Lit, "4/5", "Q")`, so the
-# leaf forms of a sort differ in `make`.  The table is emptied when it holds
-# `_LEAF_BOUND` nodes, so it stays small whatever is read.
+# `_read`'s leaf nodes by `(make, operand tokens)`: `(lit 4/5 Q)` is keyed
+# `(Lit, "4/5", "Q")`, so no two leaf forms may share a `make`.
 _LEAVES: dict[tuple, Record] = {}
 _LEAF_BOUND = 4096
 

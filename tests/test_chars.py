@@ -5,11 +5,13 @@ import sys
 import pytest
 from hypothesis import given, strategies as st
 
+from ebn import syntax
 from ebn.chars import (
     Append,
     Chr,
     Eps,
     NotCanonical,
+    _leaves,
     eval_fun,
     eval_list,
     format_chars,
@@ -20,8 +22,6 @@ from ebn.chars import (
     reify_fun,
     reify_list,
 )
-from ebn import syntax
-from ebn.chars import _leaves
 from ebn.syntax import ParseError
 
 from conftest import gen_chars

@@ -564,7 +564,7 @@ _SORTS = {"term": syntax._TERM, "type": syntax._TYPE, "chars": chars._CHARS}
 
 @pytest.fixture
 def empty_leaves(monkeypatch):
-    """An empty leaf table for the test, and the table as it was after it."""
+    """An empty leaf table for the test; the old one is put back after it."""
     monkeypatch.setattr(syntax, "_LEAVES", {})
 
 
@@ -600,7 +600,10 @@ def test_two_reads_share_their_leaves(empty_leaves):
         stack, out = [t], []
         while stack:
             u = stack.pop()
-            out.append(u) if type(u) in (Lit, Var) else stack.extend(children(u)[::-1])
+            if type(u) in (Lit, Var):
+                out.append(u)
+            else:
+                stack.extend(children(u)[::-1])
         return out
 
     la, lb = leaves(a), leaves(b)
