@@ -10,10 +10,9 @@ as an s-expression, through the writer that prints terms (`syntax._write`).
 from __future__ import annotations
 
 import sys
-from operator import attrgetter
 from typing import Callable, Iterator, TextIO
 
-from .syntax import _ATOM, _LINKS, _SORT, Record, _add_forms, _form, _itself, _read, _set, _write
+from .syntax import _ATOM, _SORT, Record, _add_forms, _form, _itself, _read, _set, _write
 
 
 class CharsTerm(Record):
@@ -121,10 +120,9 @@ def print_chars(t: CharsTerm, out: TextIO | None = None) -> None:
 # S-expression round trip: eps | (chr "c") | (cat t t)
 
 
-_LINKS[Append] = attrgetter("left", "right")
 _FORMAT = {
-    Eps: lambda t: ("eps",),
-    Chr: lambda t: (f'(chr "{t.char}")',),
+    Eps: lambda t: "eps",
+    Chr: lambda t: f'(chr "{t.char}")',
     Append: lambda t: (")", t.right, " ", t.left, "(cat "),
 }
 

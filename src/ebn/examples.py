@@ -8,6 +8,8 @@ against zero survives into the generated term.
 
 from __future__ import annotations
 
+from typing import Iterator
+
 from .primitives import RAT, fresh_binder, lit, mk_if
 from .syntax import (
     App,
@@ -53,48 +55,59 @@ def mk_fmap(f: Term, m: Term) -> Term:
     return mk_maybe(Lam(x, RAT, mk_just(App(f, Var(x)))), mk_nothing(), m)
 
 
+def _steps(n: int) -> Iterator[bool]:
+    """The steps that take x^0 to x^n, n >= 0, over the bits of n from the
+    most significant: False squares x^e into x^(2e), True multiplies it into
+    x^(e+1).  They build the terms that recursion on n would, as a loop."""
+    for i, bit in enumerate(bin(n)[2:]):
+        if i:
+            yield False
+        if bit == "1":
+            yield True
+
+
 def power(n: int) -> Term:
     """x^n as generated code of type Q -> Q; negative exponents guard the
-    zero input and produce -1 divided by the positive power."""
+    zero input and produce -1 divided by the positive power.  Every step
+    shares one `x` and one squaring function."""
     x = Var("x")
+    # Host-level sharing of the half power: squaring goes through an
+    # object-level redex, which normalization inlines (and duplicates).
+    square = Lam("y", RAT, PrimApp("*", (Var("y"), Var("y"))))
+    t = Lam("x", RAT, lit(1))
+    for times in _steps(abs(n)):
+        if times:
+            t = Lam("x", RAT, PrimApp("*", (x, App(t, x))))
+        else:
+            t = Lam("x", RAT, App(square, App(t, x)))
     if n < 0:
         body = mk_if(
             PrimApp("==", (x, lit(0))),
             lit(0),
-            PrimApp("/", (lit(-1), App(power(-n), x))),
+            PrimApp("/", (lit(-1), App(t, x))),
         )
-    elif n == 0:
-        body = lit(1)
-    elif n % 2 == 0:
-        # Host-level sharing of the half power: squaring goes through an
-        # object-level redex, which normalization inlines (and duplicates).
-        square = Lam("y", RAT, PrimApp("*", (Var("y"), Var("y"))))
-        body = App(square, App(power(n // 2), x))
-    else:
-        body = PrimApp("*", (x, App(power(n - 1), x)))
-    return Lam("x", RAT, body)
+        t = Lam("x", RAT, body)
+    return t
 
 
 def power_prime(n: int) -> Term:
     """Variant of type Q -> Maybe Q: the division-by-zero corner case
     returns nothing instead of a sentinel."""
     x = Var("x")
+    square = Lam("y", RAT, PrimApp("*", (Var("y"), Var("y"))))
+    scale = Lam("y", RAT, PrimApp("*", (x, Var("y"))))
+    t = Lam("x", RAT, mk_just(lit(1)))
+    for times in _steps(abs(n)):
+        t = Lam("x", RAT, mk_fmap(scale if times else square, App(t, x)))
     if n < 0:
         recip = Lam("y", RAT, PrimApp("/", (lit(-1), Var("y"))))
         body = mk_if(
             PrimApp("==", (x, lit(0))),
             mk_nothing(),
-            mk_fmap(recip, App(power_prime(-n), x)),
+            mk_fmap(recip, App(t, x)),
         )
-    elif n == 0:
-        body = mk_just(lit(1))
-    elif n % 2 == 0:
-        square = Lam("y", RAT, PrimApp("*", (Var("y"), Var("y"))))
-        body = mk_fmap(square, App(power_prime(n // 2), x))
-    else:
-        scale = Lam("y", RAT, PrimApp("*", (x, Var("y"))))
-        body = mk_fmap(scale, App(power_prime(n - 1), x))
-    return Lam("x", RAT, body)
+        t = Lam("x", RAT, body)
+    return t
 
 
 def power_dprime(n: int) -> Term:

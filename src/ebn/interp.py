@@ -151,14 +151,14 @@ def run(t: Term, env: Mapping[str, ConcreteValue] | None = None) -> ConcreteValu
         stack[-1][1].append(v)
 
 
-# Each value's pieces for `syntax._write`, last first.
+# Each value's pieces for `syntax._write`, last first, or a leaf's text.
 _FORMAT = {
-    CUnit: lambda v: ("unit",),
-    CRat: lambda v: (format_rational(v.value),),
+    CUnit: lambda v: "unit",
+    CRat: lambda v: format_rational(v.value),
     CPair: lambda v: (">", v.second, ", ", v.first, "<"),
     CInl: lambda v: (v.value, "inl "),
     CInr: lambda v: (v.value, "inr "),
-    CFun: lambda v: ("<fun>",),
+    CFun: lambda v: "<fun>",
 }
 
 

@@ -18,6 +18,11 @@ distinct leaf once and every read of it returns the one node: reads share
 leaf nodes as normal forms share subterms.  The table holds at most 4,096
 nodes and is emptied when full; a leaf whose operand is malformed is never
 stored.  Bare type atoms map to their interned types.
+
+The writer prints in one pass.  It keeps the span of text that each node's
+first occurrence wrote, and a node met again writes that span, joined once,
+so a normal form that shares subterms makes the pieces of each distinct
+node once, and its text is that of the tree it stands for.
 """
 
 from __future__ import annotations
@@ -315,9 +320,14 @@ def children(t: Term) -> tuple[Term, ...]:
 def free_vars(t: Term) -> frozenset[str]:
     """The names that occur free in `t`.  Walks an explicit stack: `bound`
     counts the Lams around the node at hand that bind each name, and a Lam
-    leaves its binder under its body, to be unbound on the way out."""
+    leaves its binder under its body, to be unbound on the way out.  A node
+    met a second time (normal forms share subterms) is not walked again: its
+    own free names, less those bound where it occurs, come from `_own_names`,
+    so a shared term costs its DAG size, not its tree size."""
     out: set[str] = set()
     bound: dict[str, int] = {}
+    seen: set[int] = set()
+    memo: dict[int, frozenset[str]] = {}
     stack: list = [t]
     while stack:
         u = stack.pop()
@@ -327,12 +337,40 @@ def free_vars(t: Term) -> frozenset[str]:
         elif cls is Var:
             if not bound.get(u.name):
                 out.add(u.name)
-        elif cls is Lam:
-            bound[u.binder] = bound.get(u.binder, 0) + 1
-            stack += (u.binder, u.body)
+        elif id(u) in seen:
+            out.update([x for x in _own_names(u, memo) if not bound.get(x)])
         else:
-            stack += children(u)
+            seen.add(id(u))
+            if cls is Lam:
+                bound[u.binder] = bound.get(u.binder, 0) + 1
+                stack += (u.binder, u.body)
+            else:
+                stack += children(u)
     return frozenset(out)
+
+
+def _own_names(t: Term, memo: dict[int, frozenset[str]]) -> frozenset[str]:
+    """The free names of `t`, kept in `memo` by id for `t` and every node
+    under it: one post-order walk over an explicit stack, which visits each
+    distinct node once.  A node's set may be as large as the term's distinct
+    names, so a spine of n nodes under n distinct names costs n^2 here:
+    `free_vars` calls this only for the nodes that recur."""
+    stack: list = [t]
+    while stack:
+        u = stack[-1]
+        if id(u) in memo:
+            stack.pop()
+        elif type(u) is Var:
+            memo[id(u)] = frozenset((u.name,))
+        else:
+            kids = children(u)
+            todo = [c for c in kids if id(c) not in memo]
+            if todo:
+                stack += todo
+                continue
+            names = frozenset().union(*[memo[id(c)] for c in kids])
+            memo[id(u)] = names - {u.binder} if type(u) is Lam else names
+    return memo[id(t)]
 
 
 # ---------------------------------------------------------------------------
@@ -926,82 +964,126 @@ def parse_type(text: str) -> ObjType:
 # Printing
 
 
-# The nodes a node links to: a term's children, the annotation of a lam or an
-# injection, a type's components; chars.py adds the two sides of an Append.
-_LINKS: dict[type, Callable] = {
-    **_CHILDREN, **_TYPE_PARTS,
-    Lam: attrgetter("annot", "body"),
-    Inl: attrgetter("arg", "annot"),
-    Inr: attrgetter("arg", "annot"),
-}
-
-
 def _write(root: Record, parts: dict[type, Callable]) -> str:
-    """The text of `root`, where `parts[cls](u)` gives the pieces of a node `u`
-    of class `cls` last first: strings, and nodes written in turn.  A parent
-    puts any parentheses around a child, so a node's text is the same where
-    it recurs.  Pass one finds the nodes with more than one parent (normal
-    forms share subterms).  Pass two pops pieces onto one list joined once,
-    so time is linear in the bytes written; an end marker `(id, start)` under
-    a shared node's pieces joins `out[start:]` into its text, for reuse."""
-    seen, shared, stack = set(), set(), [root]
-    while stack:
-        u = stack.pop()
-        if id(u) in seen:
-            shared.add(id(u))
-        else:
-            seen.add(id(u))
-            links = _LINKS.get(type(u))
-            if links is not None:
-                stack += links(u)
-    del seen  # before pass two allocates: it lowers the peak
+    """The text of `root`, in one pass.  `parts[cls](u)` gives a node `u` of
+    class `cls` either as its whole text, a string, or as its pieces last
+    first: strings, and nodes written in turn.  A parent puts any
+    parentheses around a child, so a node's text is the same wherever it
+    occurs, and a normal form may share a node among many parents.  Pieces
+    pop off one stack onto one list, joined once at the end, so time is
+    linear in the bytes written and Python stack use is constant.
+
+    `known` keeps, by id, the text of each leaf met so far, and the span of
+    `out` that each other node's first occurrence wrote, as the one int
+    `start * _SPAN + end`: it holds `start` until the node's id, pushed
+    under its pieces, marks the end.  A node met a second time joins its
+    span once into its text, and every later occurrence writes that text,
+    so each node's parts are made once per call."""
     out: list[str] = []
-    memo: dict[int, str] = {}
+    known: dict[int, Any] = {}
     stack = [root]
     pop, write = stack.pop, out.append
-    while stack:
-        u = pop()
-        cls = type(u)
-        if cls is str:
-            write(u)
-        elif cls is tuple:  # the end of a shared node
-            k, start = u
-            memo[k] = text = "".join(out[start:])
-            out[start:] = (text,)
-        else:
-            k = id(u)
-            if k in shared:
-                if k in memo:
-                    write(memo[k])
-                    continue
-                stack.append((k, len(out)))
-            try:
-                stack += parts[cls](u)
-            except KeyError:
-                raise TypeError(f"cannot write {u!r}") from None
+    try:  # KeyError: `u` has no parts, or is an int
+        while stack:
+            u = pop()
+            cls = type(u)
+            if cls is str:
+                write(u)
+            elif cls is int:  # the end of the first text of the node with id `u`
+                known[u] = known[u] * _SPAN + len(out)
+            else:
+                k = id(u)
+                text = known.get(k)
+                if text is None:
+                    pieces = parts[cls](u)
+                    if type(pieces) is str:
+                        known[k] = pieces
+                        write(pieces)
+                    else:
+                        known[k] = len(out)
+                        stack.append(k)
+                        stack += pieces
+                else:
+                    if type(text) is int:
+                        start, end = divmod(text, _SPAN)
+                        known[k] = text = "".join(out[start:end])
+                    write(text)
+    except KeyError:
+        raise TypeError(f"cannot write {u!r}") from None
+    del known  # before the join allocates: it lowers the peak
     return "".join(out)
 
 
-# S-expressions, of terms and of types.
+# `_write` packs a span of its list of pieces into one int, smaller than a
+# pair of them; the list is far shorter than `_SPAN`.
+_SPAN = 1 << 40
+
+
+class _TypeText(dict):
+    """The text of each annotation under one printer, written on first use,
+    so a term's annotations cost one lookup each.  Only types are kept:
+    they are interned, so this keeps no type that `_TYPES` does not."""
+
+    def __init__(self, parts: dict[type, Callable]):
+        self.parts = parts
+
+    def __missing__(self, ty: ObjType) -> str:
+        text = _write(ty, self.parts)
+        if isinstance(ty, ObjType):
+            self[ty] = text
+        return text
+
+
+def _print_prim(u: PrimApp) -> Any:
+    """`(prim name a ...)` last first, or its whole text when every operand
+    is a variable: a variable's text joins the piece beside it."""
+    args = u.args
+    if len(args) == 2:  # the common case, without a loop
+        a, b = args
+        if type(b) is Var:
+            last = f" (var {b.name}))"
+            if type(a) is Var:
+                return f"(prim {u.name} (var {a.name}){last}"
+            return last, a, f"(prim {u.name} "
+        if type(a) is Var:
+            return ")", b, f"(prim {u.name} (var {a.name}) "
+        return ")", b, " ", a, f"(prim {u.name} "
+    pieces, text = [], ")"  # the text after the operand at hand
+    for a in reversed(args):
+        if type(a) is Var:
+            text = f" (var {a.name}){text}"
+        else:
+            pieces += (text, a)
+            text = " "
+    text = f"(prim {u.name}{text}"
+    if not pieces:
+        return text
+    pieces.append(text)
+    return pieces
+
+
+# S-expressions, of terms and of types.  A leaf is its text; an annotation's
+# text joins the piece beside it.
 _PRINT: dict[type, Callable] = {
-    Lit: lambda u: (f"(lit {format_rational(u.value)} {u.base})",),
-    PrimApp: lambda u: (")", *[p for a in u.args[::-1] for p in (a, " ")], u.name, "(prim "),
-    UnitVal: lambda u: ("unit",),
-    Var: lambda u: (f"(var {u.name})",),
-    Lam: lambda u: (")", u.body, ") ", u.annot, f"(lam ({u.binder} "),
+    Lit: lambda u: f"(lit {format_rational(u.value)} {u.base})",
+    PrimApp: _print_prim,
+    UnitVal: lambda u: "unit",
+    Var: lambda u: f"(var {u.name})",
+    Lam: lambda u: (")", u.body, f"(lam ({u.binder} {_PRINTED[u.annot]}) "),
     App: lambda u: (")", u.arg, " ", u.fun, "(app "),
     Pair: lambda u: (")", u.second, " ", u.first, "(pair "),
     Fst: lambda u: (")", u.arg, "(fst "),
     Snd: lambda u: (")", u.arg, "(snd "),
-    Inl: lambda u: (")", u.annot, " ", u.arg, "(inl "),
-    Inr: lambda u: (")", u.annot, " ", u.arg, "(inr "),
+    Inl: lambda u: (f" {_PRINTED[u.annot]})", u.arg, "(inl "),
+    Inr: lambda u: (f" {_PRINTED[u.annot]})", u.arg, "(inr "),
     Case: lambda u: (")", u.right, " ", u.left, " ", u.scrutinee, "(case "),
-    Base: lambda u: (u.name,),
-    Unit: lambda u: ("unit",),
+    Base: lambda u: u.name,
+    Unit: lambda u: "unit",
     Arrow: lambda u: (")", u.cod, " ", u.dom, "(arrow "),
     Prod: lambda u: (")", u.right, " ", u.left, "(prod "),
     Sum: lambda u: (")", u.right, " ", u.left, "(sum "),
 }
+_PRINTED = _TypeText(_PRINT)
 
 
 def print_term(t: Term) -> str:
@@ -1026,14 +1108,14 @@ def _operand(c: Record, prec: int) -> tuple:
 
 # Surface syntax, of terms and of types.
 _PRETTY: dict[type, Callable] = {
-    Lit: lambda u: (format_rational(u.value),),
+    Lit: lambda u: format_rational(u.value),
     PrimApp: lambda u: (
         (")", u.args[1], f" {u.name} ", u.args[0], "(") if len(u.args) == 2
         else (")", *[p for a in u.args[::-1] for p in (a, ", ")][:-1], f"{u.name}(")
     ),
-    UnitVal: lambda u: ("unit",),
-    Var: lambda u: (u.name,),
-    Lam: lambda u: (u.body, ". ", u.annot, f"\\{u.binder}:"),
+    UnitVal: lambda u: "unit",
+    Var: lambda u: u.name,
+    Lam: lambda u: (u.body, f"\\{u.binder}:{_PRETTIED[u.annot]}. "),
     App: lambda u: (*_operand(u.arg, 2), " ", *_operand(u.fun, 1)),
     Pair: lambda u: (">", u.second, ", ", u.first, "<"),
     Fst: lambda u: (*_operand(u.arg, 2), "fst "),
@@ -1043,12 +1125,13 @@ _PRETTY: dict[type, Callable] = {
     Case: lambda u: (
         *_operand(u.right, 2), " ", *_operand(u.left, 2), " ", *_operand(u.scrutinee, 2), "case "
     ),
-    Base: lambda u: (u.name,),
-    Unit: lambda u: ("unit",),
+    Base: lambda u: u.name,
+    Unit: lambda u: "unit",
     Arrow: lambda u: (u.cod, " -> ", *_operand(u.dom, 1)),
     Prod: lambda u: (*_operand(u.right, 2), " * ", *_operand(u.left, 2)),
     Sum: lambda u: (*_operand(u.right, 2), " + ", *_operand(u.left, 2)),
 }
+_PRETTIED = _TypeText(_PRETTY)
 
 
 def pretty_term(t: Term, prec: int = 0) -> str:
@@ -1063,20 +1146,34 @@ def pretty_type(ty: ObjType) -> str:
     return _write(ty, _PRETTY)
 
 
-def _spell(u: Record) -> list:
-    """The pieces of `Cls(field=value, ...)`, last first: a record, alone or
-    in a tuple field, is written in turn; any other value is its repr."""
-    out = [f"{type(u).__qualname__}("]
+def _spell(u: Record) -> Any:
+    """`Cls(field=value, ...)` last first, or its whole text when no field
+    holds a record: a record, alone or in a tuple field, is written in turn;
+    any other value's repr joins the piece beside it."""
+    pieces, text = [], f"{type(u).__qualname__}("
     for i, f in enumerate(u._fields):
         v = getattr(u, f)
-        out.append(f", {f}=" if i else f"{f}=")
-        if type(v) is tuple:
-            items = [p for x in v for p in (", ", x if isinstance(x, Record) else repr(x))]
-            out += ("(", *items[1:], ",)" if len(v) == 1 else ")")
+        text += f", {f}=" if i else f"{f}="
+        if isinstance(v, Record):
+            pieces += (text, v)
+            text = ""
+        elif type(v) is tuple:
+            text += "("
+            for j, x in enumerate(v):
+                if j:
+                    text += ", "
+                if isinstance(x, Record):
+                    pieces += (text, x)
+                    text = ""
+                else:
+                    text += repr(x)
+            text += ",)" if len(v) == 1 else ")"
         else:
-            out.append(v if isinstance(v, Record) else repr(v))
-    out.append(")")
-    return out[::-1]
+            text += repr(v)
+    if not pieces:
+        return text + ")"
+    pieces.append(text + ")")
+    return pieces[::-1]
 
 
 # Every record as its constructor call, by keyword.

@@ -1,4 +1,7 @@
+import sys
 from fractions import Fraction
+
+import pytest
 
 from ebn.examples import (
     MAYBE_RAT,
@@ -12,7 +15,7 @@ from ebn.examples import (
 )
 from ebn.interp import CRat, run
 from ebn.nbe import norm
-from ebn.primitives import RAT, lit, naive_prim_env, rational_signature, smart_prim_env
+from ebn.primitives import RAT, lit, mk_if, naive_prim_env, rational_signature, smart_prim_env
 from ebn.syntax import (
     App,
     Arrow,
@@ -28,6 +31,7 @@ from ebn.syntax import (
     Var,
     alpha_eq,
     infer,
+    print_term,
 )
 
 from conftest import PROBES
@@ -114,3 +118,73 @@ def test_naive_power_contains_unit_multiplications():
 def test_generators_are_pure():
     assert power(-6) == power(-6)
     assert power_prime(5) == power_prime(5)
+
+
+# The recursive generators that the loops replace, kept only as the reference
+# that the loops must agree with.
+def _power_by_recursion(n):
+    x = Var("x")
+    if n < 0:
+        body = mk_if(
+            PrimApp("==", (x, lit(0))),
+            lit(0),
+            PrimApp("/", (lit(-1), App(_power_by_recursion(-n), x))),
+        )
+    elif n == 0:
+        body = lit(1)
+    elif n % 2 == 0:
+        square = Lam("y", RAT, PrimApp("*", (Var("y"), Var("y"))))
+        body = App(square, App(_power_by_recursion(n // 2), x))
+    else:
+        body = PrimApp("*", (x, App(_power_by_recursion(n - 1), x)))
+    return Lam("x", RAT, body)
+
+
+def _power_prime_by_recursion(n):
+    x = Var("x")
+    if n < 0:
+        recip = Lam("y", RAT, PrimApp("/", (lit(-1), Var("y"))))
+        body = mk_if(
+            PrimApp("==", (x, lit(0))),
+            mk_nothing(),
+            mk_fmap(recip, App(_power_prime_by_recursion(-n), x)),
+        )
+    elif n == 0:
+        body = mk_just(lit(1))
+    elif n % 2 == 0:
+        square = Lam("y", RAT, PrimApp("*", (Var("y"), Var("y"))))
+        body = mk_fmap(square, App(_power_prime_by_recursion(n // 2), x))
+    else:
+        scale = Lam("y", RAT, PrimApp("*", (x, Var("y"))))
+        body = mk_fmap(scale, App(_power_prime_by_recursion(n - 1), x))
+    return Lam("x", RAT, body)
+
+
+def _power_dprime_by_recursion(n):
+    ident = Lam("z", RAT, Var("z"))
+    return Lam("x", RAT, mk_maybe(ident, lit(0), App(_power_prime_by_recursion(n), Var("x"))))
+
+
+LADDER = sorted({s * (2**k - 1) for k in range(65) for s in (1, -1)} | {2**k for k in range(65)})
+
+
+@pytest.mark.parametrize("n", LADDER)
+def test_loops_build_the_terms_of_the_recursive_generators(n):
+    assert power(n) == _power_by_recursion(n)
+    assert power_prime(n) == _power_prime_by_recursion(n)
+    assert power_dprime(n) == _power_dprime_by_recursion(n)
+
+
+def test_generators_take_a_500_bit_exponent_at_recursion_limit_150():
+    # x^0, then 499 squarings and 500 multiplications: one `(lam (x Q)` each
+    n = 2**500 - 1
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(150)
+    try:
+        for make, want in ((power, RAT), (power_prime, MAYBE_RAT), (power_dprime, RAT)):
+            for m, lams in ((n, 1000), (-n, 1001)):
+                t = make(m)
+                assert infer({}, SIG, t) == Arrow(RAT, want)
+                assert print_term(t).count("(lam (x Q) ") == lams + (make is power_dprime)
+    finally:
+        sys.setrecursionlimit(limit)

@@ -1,6 +1,7 @@
 import random
 import re
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -724,6 +725,43 @@ def test_print_examples():
     assert print_type(Sum(RAT, Unit())) == "(sum Q unit)"
 
 
+def test_print_prim_operands_of_every_arity():
+    # a variable operand's text is written into the piece beside it
+    x, y, one = Var("x"), Var("y"), lit(1)
+    cases = {
+        (): "(prim f)",
+        (x,): "(prim f (var x))",
+        (one,): "(prim f (lit 1 Q))",
+        (x, y): "(prim f (var x) (var y))",
+        (x, one): "(prim f (var x) (lit 1 Q))",
+        (one, y): "(prim f (lit 1 Q) (var y))",
+        (one, one): "(prim f (lit 1 Q) (lit 1 Q))",
+        (x, one, y): "(prim f (var x) (lit 1 Q) (var y))",
+        (one, x, y): "(prim f (lit 1 Q) (var x) (var y))",
+        (x, y, x): "(prim f (var x) (var y) (var x))",
+        (one, one, x, one): "(prim f (lit 1 Q) (lit 1 Q) (var x) (lit 1 Q))",
+    }
+    for args, text in cases.items():
+        assert print_term(PrimApp("f", args)) == text
+        assert print_term(Lam("x", Arrow(RAT, Unit()), PrimApp("f", args))) == (
+            f"(lam (x (arrow Q unit)) {text})"
+        )
+    assert print_term(Inr(PrimApp("f", (x,)), BOOL)) == "(inr (prim f (var x)) (sum unit unit))"
+
+
+def test_printers_make_each_nodes_pieces_once(monkeypatch):
+    # a compound node met again writes the text of its first occurrence
+    t = lit(3)
+    for _ in range(12):
+        t = PrimApp("*", (t, t))
+    for table, write in ((syntax._PRINT, print_term), (syntax._PRETTY, pretty_term), (syntax._REPR, repr)):
+        calls = []
+        real = table[PrimApp]
+        monkeypatch.setitem(table, PrimApp, lambda u, real=real: calls.append(u) or real(u))
+        assert write(t).count("3") == 4096
+        assert len(calls) == 12
+
+
 @given(_raw_terms)
 def test_print_parse_round_trip(t):
     back = parse_term(print_term(t))
@@ -766,6 +804,48 @@ def test_free_vars_walks_deep_chains():
     assert free_vars(Lam("y", RAT, Pair(Var("y"), Pair(lams, Var("x"))))) == {"x"}
 
 
+def test_free_vars_of_a_shared_normal_form_cost_its_dag_size():
+    # `norm(power(2**20))` is an 18-node DAG that stands for a tree of
+    # about 2^21 nodes; `mk_if` reads the free names of both branches
+    assert sys.getrecursionlimit() == 1000
+    nf = norm(power(2**20), SIG, smart_prim_env())
+    start = time.process_time()
+    assert free_vars(nf) == frozenset()
+    assert free_vars(nf.body) == {"x0"}
+    mk_if(nf, nf, nf)
+    assert time.process_time() - start < 0.05
+
+
+def _free_vars_of_the_tree(t):
+    """The free names of `t`, walked as the tree it stands for."""
+    out, bound, stack = set(), {}, [t]
+    while stack:
+        u = stack.pop()
+        if type(u) is str:
+            bound[u] -= 1
+        elif type(u) is Var:
+            if not bound.get(u.name):
+                out.add(u.name)
+        elif type(u) is Lam:
+            bound[u.binder] = bound.get(u.binder, 0) + 1
+            stack += (u.binder, u.body)
+        else:
+            stack += children(u)
+    return out
+
+
+@given(_raw_terms)
+def test_free_vars_agrees_with_the_tree_walk(t):
+    # shared nodes under binders that bind some of their names, and not others
+    for u in (
+        t,
+        Pair(t, t),
+        Lam("a", RAT, Pair(t, Lam("b", RAT, App(t, Var("b"))))),
+        Case(t, Lam("x", RAT, t), Lam("y", RAT, PrimApp("*", (t, Var("x"))))),
+    ):
+        assert free_vars(u) == syntax._own_names(u, {}) == _free_vars_of_the_tree(u)
+
+
 def test_children_in_order_and_only_of_terms():
     s, l, r = Var("s"), Lam("l", Unit(), UnitVal()), Lam("r", Unit(), UnitVal())
     assert children(Case(s, l, r)) == (s, l, r)
@@ -782,12 +862,14 @@ def test_children_in_order_and_only_of_terms():
 
 
 def unshare(t):
-    """A copy of `t` in which no node is shared: every subterm is rebuilt."""
+    """A copy of the term or chars term `t` in which no node is shared: every
+    node under it is rebuilt (a type is interned, so rebuilding one returns
+    it)."""
 
     def copy(v):
         if isinstance(v, tuple):
             return tuple(map(copy, v))
-        return unshare(v) if isinstance(v, syntax.Term) else v
+        return unshare(v) if isinstance(v, syntax.Record) else v
 
     return type(t)(**{name: copy(getattr(t, name)) for name in t.__match_args__})
 
@@ -812,6 +894,7 @@ def _assert_prints_as_tree(t):
     assert print_term(t) == print_term(flat)
     for prec in (0, 1, 2):
         assert pretty_term(t, prec) == pretty_term(flat, prec)
+    assert repr(t) == repr(flat)
 
 
 def test_printers_ignore_sharing_in_normal_forms():
@@ -827,11 +910,22 @@ def test_printers_ignore_sharing_in_normal_forms():
         assert k == 1 or _dag_size(t) < _tree_size(t)
 
 
-@given(_raw_terms)
-def test_printers_ignore_sharing(t):
+_chars_terms = st.recursive(
+    st.one_of(st.just(chars.Eps()), st.builds(chars.Chr, st.sampled_from("abc"))),
+    lambda cs: st.builds(chars.Append, cs, cs),
+    max_leaves=10,
+)
+
+
+@given(_raw_terms, _chars_terms)
+def test_printers_ignore_sharing(t, c):
     # In `App(t, t)` the one node is an operand at precedence 1 and 2.
     for shared in (Pair(t, t), PrimApp("*", (t, t)), Case(Var("s"), t, t), App(t, t)):
         _assert_prints_as_tree(shared)
+    for shared in (chars.Append(c, c), chars.Append(chars.Append(c, c), c)):
+        flat = unshare(shared)
+        assert chars.format_chars(shared) == chars.format_chars(flat)
+        assert repr(shared) == repr(flat)
 
 
 def test_printers_format_each_shared_node_once(monkeypatch):
@@ -884,3 +978,24 @@ def test_printers_take_a_100000_element_tuple():
         pretty.append(f"<{i}, ")
     assert print_term(normal) == "".join(printed) + "(lit 0 Q)" + ")" * n
     assert pretty_term(normal) == "".join(pretty) + "0" + ">" * n
+
+
+def test_printers_write_a_node_first_met_10_to_the_5_deep_as_a_tree():
+    # `Pair(c, c)` over a right tuple `c` of 10^5: the shared node's first
+    # text ends 10^5 levels down, and its second occurrence reuses it
+    assert sys.getrecursionlimit() == 1000
+    n = 10**5
+    c = lit(0)
+    for i in reversed(range(n)):
+        c = Pair(lit(i), c)
+    t = Pair(c, c)
+    printed = "".join([f"(pair (lit {i} Q) " for i in range(n)]) + "(lit 0 Q)" + ")" * n
+    assert print_term(t) == f"(pair {printed} {printed})"
+    pretty = "".join([f"<{i}, " for i in range(n)]) + "0" + ">" * n
+    assert pretty_term(t) == f"<{pretty}, {pretty}>"
+    spelled = (
+        "".join([f"Pair(first=Lit(value=Fraction({i}, 1), base='Q'), second=" for i in range(n)])
+        + "Lit(value=Fraction(0, 1), base='Q')"
+        + ")" * n
+    )
+    assert repr(t) == f"Pair(first={spelled}, second={spelled})"
