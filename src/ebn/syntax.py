@@ -31,6 +31,7 @@ import re
 from collections import defaultdict
 from decimal import Decimal
 from fractions import Fraction
+from itertools import repeat
 from operator import attrgetter
 from typing import Any, Callable, Mapping
 
@@ -318,59 +319,90 @@ def children(t: Term) -> tuple[Term, ...]:
 
 
 def free_vars(t: Term) -> frozenset[str]:
-    """The names that occur free in `t`.  Walks an explicit stack: `bound`
-    counts the Lams around the node at hand that bind each name, and a Lam
-    leaves its binder under its body, to be unbound on the way out.  A node
-    met a second time (normal forms share subterms) is not walked again: its
-    own free names, less those bound where it occurs, come from `_own_names`,
-    so a shared term costs its DAG size, not its tree size."""
+    """The names that occur free in `t`.  It is walked as a tree for up to
+    `_TREE_STEPS` steps.  A term that needs more may be a normal form that
+    shares subterms and stands for a far larger tree, so it is then walked
+    as a DAG: one walk over its distinct nodes finds those that more than
+    one edge reaches, and each of them is walked once for its own free
+    names.  That costs the DAG size plus, at each edge into a shared node,
+    that node's number of free names; a large term that shares nothing pays
+    the walk over its distinct nodes and the steps before it on top."""
+    names = _free_names(t, (), _TREE_STEPS)
+    if names is None:
+        names = _free_names(t, _shared_nodes(t), repeat(None))
+    return names
+
+
+# Under a millisecond of tree walk.  It covers every term whose names
+# `mk_if`, `mk_maybe` and `mk_fmap` read while `perfbench` builds its items.
+_TREE_STEPS = range(1 << 12)
+
+
+def _shared_nodes(t: Term) -> set[int]:
+    """The ids of the compound nodes of `t` that more than one edge
+    reaches.  A leaf is left out: its free names cost nothing to find."""
+    seen: set[int] = set()
+    shared: set[int] = set()
+    stack = [t]
+    while stack:
+        for c in children(stack.pop()):
+            if type(c) in _LEAF_TERMS:
+                continue
+            k = id(c)
+            if k in seen:
+                shared.add(k)
+            else:
+                seen.add(k)
+                stack.append(c)
+    return shared
+
+
+_LEAF_TERMS = frozenset((Var, Lit, UnitVal))
+
+
+def _free_names(t: Term, shared, steps) -> frozenset[str] | None:
+    """The free names of `t`, or None once `steps` runs out.  One walk over
+    an explicit stack: `bound` counts the Lams around the node at hand that
+    bind each name, and a Lam leaves its binder under its body, to be
+    unbound on the way out.  A node whose id is in `shared` is walked once,
+    in a frame of its own, for its own free names, kept in `memo`; where it
+    occurs, those names less the ones bound there join the rest."""
+    memo: dict[int, frozenset[str]] = {}
+    frames: list = []  # the walks that wait for a shared node's names
     out: set[str] = set()
     bound: dict[str, int] = {}
-    seen: set[int] = set()
-    memo: dict[int, frozenset[str]] = {}
     stack: list = [t]
-    while stack:
+    for _ in steps:
+        if not stack:
+            if not frames:
+                return frozenset(out)
+            names = frozenset(out)
+            out, bound, stack = frames.pop()
+            memo[id(stack[-1])] = names
+            continue
         u = stack.pop()
         cls = type(u)
         if cls is str:  # leaving the body of a Lam that binds `u`
             bound[u] -= 1
-        elif cls is Var:
+            continue
+        if cls is Var:
             if not bound.get(u.name):
                 out.add(u.name)
-        elif id(u) in seen:
-            out.update([x for x in _own_names(u, memo) if not bound.get(x)])
-        else:
-            seen.add(id(u))
-            if cls is Lam:
-                bound[u.binder] = bound.get(u.binder, 0) + 1
-                stack += (u.binder, u.body)
-            else:
-                stack += children(u)
-    return frozenset(out)
-
-
-def _own_names(t: Term, memo: dict[int, frozenset[str]]) -> frozenset[str]:
-    """The free names of `t`, kept in `memo` by id for `t` and every node
-    under it: one post-order walk over an explicit stack, which visits each
-    distinct node once.  A node's set may be as large as the term's distinct
-    names, so a spine of n nodes under n distinct names costs n^2 here:
-    `free_vars` calls this only for the nodes that recur."""
-    stack: list = [t]
-    while stack:
-        u = stack[-1]
-        if id(u) in memo:
-            stack.pop()
-        elif type(u) is Var:
-            memo[id(u)] = frozenset((u.name,))
-        else:
-            kids = children(u)
-            todo = [c for c in kids if id(c) not in memo]
-            if todo:
-                stack += todo
+            continue
+        if shared and id(u) in shared:
+            names = memo.get(id(u))
+            if names is not None:
+                out.update([x for x in names if not bound.get(x)])
                 continue
-            names = frozenset().union(*[memo[id(c)] for c in kids])
-            memo[id(u)] = names - {u.binder} if type(u) is Lam else names
-    return memo[id(t)]
+            stack.append(u)  # met again once its names are known
+            frames.append((out, bound, stack))
+            out, bound, stack = set(), {}, []
+        if cls is Lam:
+            bound[u.binder] = bound.get(u.binder, 0) + 1
+            stack += (u.binder, u.body)
+        else:
+            stack += children(u)
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -1035,31 +1067,22 @@ class _TypeText(dict):
 
 
 def _print_prim(u: PrimApp) -> Any:
-    """`(prim name a ...)` last first, or its whole text when every operand
-    is a variable: a variable's text joins the piece beside it."""
+    """`(prim name a b)` last first, where a variable operand's text joins
+    the piece beside it, or its whole text when both operands are variables.
+    Every primitive of the signature is binary; other arities take one
+    piece per operand."""
     args = u.args
-    if len(args) == 2:  # the common case, without a loop
-        a, b = args
-        if type(b) is Var:
-            last = f" (var {b.name}))"
-            if type(a) is Var:
-                return f"(prim {u.name} (var {a.name}){last}"
-            return last, a, f"(prim {u.name} "
+    if len(args) != 2:
+        return (")", *[p for a in args[::-1] for p in (a, " ")], f"(prim {u.name}")
+    a, b = args
+    if type(b) is Var:
+        last = f" (var {b.name}))"
         if type(a) is Var:
-            return ")", b, f"(prim {u.name} (var {a.name}) "
-        return ")", b, " ", a, f"(prim {u.name} "
-    pieces, text = [], ")"  # the text after the operand at hand
-    for a in reversed(args):
-        if type(a) is Var:
-            text = f" (var {a.name}){text}"
-        else:
-            pieces += (text, a)
-            text = " "
-    text = f"(prim {u.name}{text}"
-    if not pieces:
-        return text
-    pieces.append(text)
-    return pieces
+            return f"(prim {u.name} (var {a.name}){last}"
+        return last, a, f"(prim {u.name} "
+    if type(a) is Var:
+        return ")", b, f"(prim {u.name} (var {a.name}) "
+    return ")", b, " ", a, f"(prim {u.name} "
 
 
 # S-expressions, of terms and of types.  A leaf is its text; an annotation's

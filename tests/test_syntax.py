@@ -1,3 +1,4 @@
+import itertools
 import random
 import re
 import sys
@@ -816,6 +817,20 @@ def test_free_vars_of_a_shared_normal_form_cost_its_dag_size():
     assert time.process_time() - start < 0.05
 
 
+def test_a_shared_spine_of_distinct_names_costs_its_length():
+    # the shared node's names are found once, not once per node under it
+    assert sys.getrecursionlimit() == 1000
+    n = 5000
+    c = Var("v0")
+    for i in range(1, n):
+        c = PrimApp("*", (Var(f"v{i}"), c))
+    names = {f"v{i}" for i in range(n)}
+    start = time.process_time()
+    assert free_vars(Pair(c, c)) == names
+    assert free_vars(Lam("v7", RAT, Pair(c, Lam("v9", RAT, c)))) == names - {"v7"}
+    assert time.process_time() - start < 0.05
+
+
 def _free_vars_of_the_tree(t):
     """The free names of `t`, walked as the tree it stands for."""
     out, bound, stack = set(), {}, [t]
@@ -836,14 +851,18 @@ def _free_vars_of_the_tree(t):
 
 @given(_raw_terms)
 def test_free_vars_agrees_with_the_tree_walk(t):
-    # shared nodes under binders that bind some of their names, and not others
+    # shared nodes under binders that bind some of their names, and not
+    # others, and shared nodes inside shared nodes
+    s = Pair(t, Var("a"))
     for u in (
         t,
+        Lam("a", RAT, Pair(s, App(Lam("x", RAT, s), Pair(s, t)))),
         Pair(t, t),
         Lam("a", RAT, Pair(t, Lam("b", RAT, App(t, Var("b"))))),
         Case(t, Lam("x", RAT, t), Lam("y", RAT, PrimApp("*", (t, Var("x"))))),
     ):
-        assert free_vars(u) == syntax._own_names(u, {}) == _free_vars_of_the_tree(u)
+        dag = syntax._free_names(u, syntax._shared_nodes(u), itertools.repeat(None))
+        assert free_vars(u) == dag == _free_vars_of_the_tree(u)
 
 
 def test_children_in_order_and_only_of_terms():
