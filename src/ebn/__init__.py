@@ -61,7 +61,6 @@ from .semantics import (
     SInr,
     SPair,
     SUnit,
-    Val,
 )
 from .syntax import (
     AnnotationMissing,

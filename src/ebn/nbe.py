@@ -50,9 +50,7 @@ from .semantics import (
     SInr,
     SPair,
     SUnit,
-    Val,
     ValueEnv,
-    reify_base,
 )
 from .syntax import (
     App,
@@ -147,8 +145,8 @@ def _mismatch(expected: str, value) -> ShapeMismatch:
 
 def _atom(term, env, prims, lits):
     """The value of an atomic term, which needs no machine step: a variable,
-    a lambda, a source literal (one value per Lit per run, kept in `lits`)
-    or unit.  None for any other term."""
+    a lambda, a source literal (one value per Lit per run, kept in `lits`,
+    whose payload is the Lit itself) or unit.  None for any other term."""
     cls = type(term)
     if cls is Var:
         try:
@@ -158,7 +156,7 @@ def _atom(term, env, prims, lits):
     if cls is Lit:
         value = lits.get(id(term))
         if value is None:
-            value = lits[id(term)] = SBase(term.base, Val(term.value, term))
+            value = lits[id(term)] = SBase(term.base, term)
         return value
     if cls is Lam:
         return Closure(term.binder, term.body, env, prims)
@@ -230,8 +228,10 @@ def _run(mode, k, prims, names, term=None, env=None, ty=None, value=None, code=N
                 continue
         elif mode is REIFY:
             cls = type(ty)
-            if cls is Base:
-                value = reify_base(ty.name, value)
+            if cls is Base:  # a literal or residual code is its own code
+                if type(value) is not SBase or value.base != ty.name:
+                    raise _mismatch(f"a {ty.name} value", value)
+                value = value.payload
             elif cls is Arrow:
                 if type(value) not in (Closure, Reflected, SFun):
                     raise _mismatch("a function value", value)
@@ -455,11 +455,11 @@ def _run(mode, k, prims, names, term=None, env=None, ty=None, value=None, code=N
 
 def eval_term(t: Term, prims: PrimEnv, env: ValueEnv, names: NameSupply) -> Residual[SemValue]:
     """Evaluate a well-typed term, as a computation whose continuation is a
-    host function.  Each source literal becomes one Val payload per run,
-    which keeps its Lit for reification; primitive arguments are forced left
-    to right before dispatch, lambdas close over their
-    environment, and case evaluates only the branch selected by the
-    scrutinee's tag."""
+    host function.  Each source literal becomes one value per run, whose
+    payload is the Lit itself, so reification gives back the source node;
+    primitive arguments are forced left to right before dispatch, lambdas
+    close over their environment, and case evaluates only the branch
+    selected by the scrutinee's tag."""
     return Residual(lambda kf: _run(EVAL, (HOST, None, kf), prims, names, term=t, env=dict(env)))
 
 

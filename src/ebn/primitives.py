@@ -24,8 +24,6 @@ from .semantics import (
     SInl,
     SInr,
     SUnit,
-    Val,
-    base_code,
 )
 from .syntax import (
     Base,
@@ -137,7 +135,7 @@ def rational_signature() -> PrimSignature:
 # Semantic environments
 
 
-def _rat_payload(v: SemValue) -> Term | Val:
+def _rat_payload(v: SemValue) -> Term:
     if type(v) is SBase and v.base == "Q":
         return v.payload
     raise ShapeMismatch(f"expected a Q value, found {type(v).__name__}")
@@ -147,7 +145,7 @@ def _embed(ty: ObjType, host: object) -> SemValue:
     """A folded host result as a semantic value of the result type: a
     literal at a base type, a tag at Bool."""
     if isinstance(ty, Base):
-        return SBase(ty.name, Val(host))
+        return SBase(ty.name, Lit(host, ty.name))
     return SInr(SUnit()) if host else SInl(SUnit())
 
 
@@ -164,14 +162,14 @@ def _entry(op: str, smart: bool):
         a, b = args
         pa, pb = _rat_payload(a), _rat_payload(b)
         if smart:
-            if type(pa) is Val:
-                if type(pb) is Val:
-                    return _embed(result, fold(pa.literal, pb.literal))
-                if left_unit is not None and pa.literal == left_unit:
+            if type(pa) is Lit:
+                if type(pb) is Lit:
+                    return _embed(result, fold(pa.value, pb.value))
+                if left_unit is not None and pa.value == left_unit:
                     return b
-            if right_unit is not None and type(pb) is Val and pb.literal == right_unit:
+            if right_unit is not None and type(pb) is Lit and pb.value == right_unit:
                 return a
-        return result, PrimApp(op, (base_code("Q", pa), base_code("Q", pb)))
+        return result, PrimApp(op, (pa, pb))
 
     return apply
 

@@ -1,8 +1,10 @@
 """The residualizing semantic domain.
 
-Semantic values mirror the type structure: sums become tagged values, and
-base-type values carry either residual code, the Term itself, or a literal
-(Val): reflection at a base type is the identity on code.
+Semantic values mirror the type structure: sums become tagged values, and a
+base-type value carries a Term: a `Lit` is a known literal, which the smart
+primitives fold, and any other term is residual code.  Reflection and
+reification at a base type are the identity on that term, so a source
+literal reifies to its own node.
 Functions are records the normalizer's machine (`nbe.py`) applies: a Closure
 of a lambda over its environment, or Reflected code of arrow type.  A client
 may also build an SFun around a host function from value to value, which the
@@ -10,7 +12,7 @@ machine calls in place and whose result it returns to the current frame.
 
 Semantic values are records (`syntax.Record`), immutable like terms:
 assigning or deleting any attribute raises AttributeError.  A Closure
-compares by identity; a Val's source `term` takes no part in equality.
+compares by identity.
 """
 
 from __future__ import annotations
@@ -22,19 +24,6 @@ from .syntax import Lit, ObjType, Record, ShapeMismatch, Term, _set
 
 # ---------------------------------------------------------------------------
 # Semantic values
-
-
-class Val(Record):
-    """An actual literal of the base type's carrier.  `term` is the source
-    `Lit` it was read from, if any: reification hands that node back, so every
-    copy of a literal in a normal form is the one source node.  It takes no
-    part in equality, hashing or repr."""
-
-    _fields = ("literal",)
-
-    def __init__(self, literal: Any, term: Lit | None = None):
-        _set(self, "literal", literal)
-        _set(self, "term", term)
 
 
 class SemValue(Record):
@@ -95,7 +84,7 @@ class SInr(SemValue):
 
 
 class SBase(SemValue):
-    def __init__(self, base: str, payload: Term | Val):
+    def __init__(self, base: str, payload: Term):
         _set(self, "base", base)
         _set(self, "payload", payload)
 
@@ -110,17 +99,4 @@ PrimImpl = Callable[..., Union[SemValue, tuple[ObjType, Term]]]
 PrimEnv = Mapping[str, PrimImpl]
 
 
-def base_code(base: str, payload: Term | Val) -> Term:
-    """Read the payload of a base value back as code: residual code is
-    itself, a literal read from the source is its source `Lit`, and any other
-    literal (a folded one) becomes a new `Lit`."""
-    if type(payload) is Val:
-        return payload.term or Lit(payload.literal, base)
-    return payload
-
-
-def reify_base(base: str, value: SemValue) -> Term:
-    """Read a value of a base type back as code, after checking its shape."""
-    if type(value) is SBase and value.base == base:
-        return base_code(base, value.payload)
-    raise ShapeMismatch(f"expected a {base} value, found {type(value).__name__}")
+Val = Lit  # the class of a known literal's payload, by its earlier name

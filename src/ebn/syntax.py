@@ -42,10 +42,9 @@ from typing import Any, Callable, Mapping
 
 class _RecordType(type):
     """The class of record classes.  The parameters of a record class's own
-    `__init__` are its fields: they become its `__slots__`, its
-    `__match_args__` and, unless the class names others, the `_fields` that
-    equality, hashing and repr read.  A class without an `__init__` of its
-    own adds no slots."""
+    `__init__` are its fields: they become its `__slots__` and its
+    `__match_args__`, which equality, hashing, repr and pickling read.  A
+    class without an `__init__` of its own adds no slots."""
 
     def __new__(mcls, name: str, bases: tuple, ns: dict):
         init = ns.get("__init__")
@@ -53,7 +52,6 @@ class _RecordType(type):
         ns.setdefault("__slots__", fields)
         if init is not None:
             ns["__match_args__"] = fields
-            ns.setdefault("_fields", fields)
         return super().__new__(mcls, name, bases, ns)
 
 
@@ -67,17 +65,18 @@ class Record(metaclass=_RecordType):
     parameters of its `__init__`; they become its slots, and the `__init__`
     stores each with `_set`.  Two records are equal when they are of one
     class and their fields are equal, and then they hash alike; `repr` spells
-    the class and its fields by keyword.  All three walk an explicit stack
-    into tuple fields and into fields whose class keeps them, so a record may
-    nest past the recursion limit; any other field (a Closure or a type, say)
-    is a plain value.  Types override equality and hashing: they are
+    the class and its fields by keyword, and pickle writes the table of its
+    distinct nodes (`_table`).  All four walk an explicit stack into tuple
+    fields and into fields whose class keeps them, so a record may nest past
+    the recursion limit; any other field (a Closure or a type, say) is a
+    plain value.  `copy` rebuilds a record from its fields, or from deep
+    copies of them.  Types override equality and hashing: they are
     interned (see ObjType), so they compare and hash by identity.  Assigning
     or deleting an attribute raises AttributeError, so a node that a normal
     form shares among many parents cannot be changed through one of them.
     No code is generated per class, which keeps `import ebn` cheap."""
 
     __match_args__: tuple[str, ...] = ()
-    _fields: tuple[str, ...] = ()
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -98,7 +97,7 @@ class Record(metaclass=_RecordType):
             elif cls is not type(b):
                 return False
             else:
-                for f in cls._fields:
+                for f in cls.__match_args__:
                     x, y = getattr(a, f), getattr(b, f)
                     if x is not y:
                         t = type(x)
@@ -119,7 +118,7 @@ class Record(metaclass=_RecordType):
             cls = type(u)
             if cls.__hash__ is own:
                 nodes.append(cls)
-                stack += [getattr(u, f) for f in cls._fields]
+                stack += [getattr(u, f) for f in cls.__match_args__]
             elif cls is tuple:
                 nodes.append(len(u))
                 stack += u
@@ -131,8 +130,51 @@ class Record(metaclass=_RecordType):
         return _write(self, _REPR)
 
     def __reduce__(self):
-        # copy and pickle rebuild a record through its `__init__`.
-        return type(self), tuple([getattr(self, f) for f in self.__match_args__])
+        return _untable, (_table(self),)
+
+    def __copy__(self):
+        return type(self)(*[getattr(self, f) for f in self.__match_args__])
+
+    def __deepcopy__(self, memo: dict):
+        from copy import deepcopy  # imported by whoever calls this
+        return type(self)(*[deepcopy(getattr(self, f), memo) for f in self.__match_args__])
+
+
+def _table(root: Record) -> list[tuple]:
+    """The distinct nodes of `root` as rows `(class, *fields)`, in post-order.
+    In a row a record is its row's number, a tuple the list of its elements
+    so written, and any other value `v` is `(v,)`.  One loop, at any depth."""
+    rows: list[tuple] = []
+    row: dict[int, int] = {}
+
+    def code(x):
+        return row[id(x)] if isinstance(x, Record) else (x,)
+
+    stack: list = [root]
+    while stack:
+        u = stack.pop()
+        if type(u) is list:  # `[node, *fields]`, once each record among them has a row
+            node, *fields = u
+            row[id(node)] = len(rows)
+            rows.append((type(node), *[list(map(code, v)) if type(v) is tuple else code(v) for v in fields]))
+        elif id(u) not in row:
+            fields = [getattr(u, f) for f in type(u).__match_args__]
+            stack.append([u, *fields])
+            for v in fields:
+                stack += [x for x in (v if type(v) is tuple else (v,)) if isinstance(x, Record)]
+    return rows
+
+
+def _untable(rows: list[tuple]) -> Record:
+    """The record whose `_table` is `rows`, built row by row: a type interned."""
+    nodes: list = []
+
+    def value(c):
+        return nodes[c] if type(c) is int else c[0] if type(c) is tuple else tuple(map(value, c))
+
+    for cls, *fields in rows:
+        nodes.append(cls(*map(value, fields)))
+    return nodes[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +189,7 @@ class _InternedType(_RecordType):
         node = _TYPES.get((cls, args))
         if kwargs or node is None:  # key a new node by its fields in order
             node = super().__call__(*args, **kwargs)
-            fields = tuple([getattr(node, f) for f in cls._fields])
+            fields = tuple([getattr(node, f) for f in cls.__match_args__])
             node = _TYPES.setdefault((cls, fields), node)
         return node
 
@@ -1051,21 +1093,6 @@ def _write(root: Record, parts: dict[type, Callable]) -> str:
 _SPAN = 1 << 40
 
 
-class _TypeText(dict):
-    """The text of each annotation under one printer, written on first use,
-    so a term's annotations cost one lookup each.  Only types are kept:
-    they are interned, so this keeps no type that `_TYPES` does not."""
-
-    def __init__(self, parts: dict[type, Callable]):
-        self.parts = parts
-
-    def __missing__(self, ty: ObjType) -> str:
-        text = _write(ty, self.parts)
-        if isinstance(ty, ObjType):
-            self[ty] = text
-        return text
-
-
 def _print_prim(u: PrimApp) -> Any:
     """`(prim name a b)` last first, where a variable operand's text joins
     the piece beside it, or its whole text when both operands are variables.
@@ -1085,20 +1112,19 @@ def _print_prim(u: PrimApp) -> Any:
     return ")", b, " ", a, f"(prim {u.name} "
 
 
-# S-expressions, of terms and of types.  A leaf is its text; an annotation's
-# text joins the piece beside it.
+# S-expressions, of terms and of types.  A leaf is its text.
 _PRINT: dict[type, Callable] = {
     Lit: lambda u: f"(lit {format_rational(u.value)} {u.base})",
     PrimApp: _print_prim,
     UnitVal: lambda u: "unit",
     Var: lambda u: f"(var {u.name})",
-    Lam: lambda u: (")", u.body, f"(lam ({u.binder} {_PRINTED[u.annot]}) "),
+    Lam: lambda u: (")", u.body, ") ", u.annot, f"(lam ({u.binder} "),
     App: lambda u: (")", u.arg, " ", u.fun, "(app "),
     Pair: lambda u: (")", u.second, " ", u.first, "(pair "),
     Fst: lambda u: (")", u.arg, "(fst "),
     Snd: lambda u: (")", u.arg, "(snd "),
-    Inl: lambda u: (f" {_PRINTED[u.annot]})", u.arg, "(inl "),
-    Inr: lambda u: (f" {_PRINTED[u.annot]})", u.arg, "(inr "),
+    Inl: lambda u: (")", u.annot, " ", u.arg, "(inl "),
+    Inr: lambda u: (")", u.annot, " ", u.arg, "(inr "),
     Case: lambda u: (")", u.right, " ", u.left, " ", u.scrutinee, "(case "),
     Base: lambda u: u.name,
     Unit: lambda u: "unit",
@@ -1106,7 +1132,6 @@ _PRINT: dict[type, Callable] = {
     Prod: lambda u: (")", u.right, " ", u.left, "(prod "),
     Sum: lambda u: (")", u.right, " ", u.left, "(sum "),
 }
-_PRINTED = _TypeText(_PRINT)
 
 
 def print_term(t: Term) -> str:
@@ -1138,7 +1163,7 @@ _PRETTY: dict[type, Callable] = {
     ),
     UnitVal: lambda u: "unit",
     Var: lambda u: u.name,
-    Lam: lambda u: (u.body, f"\\{u.binder}:{_PRETTIED[u.annot]}. "),
+    Lam: lambda u: (u.body, ". ", u.annot, f"\\{u.binder}:"),
     App: lambda u: (*_operand(u.arg, 2), " ", *_operand(u.fun, 1)),
     Pair: lambda u: (">", u.second, ", ", u.first, "<"),
     Fst: lambda u: (*_operand(u.arg, 2), "fst "),
@@ -1154,7 +1179,6 @@ _PRETTY: dict[type, Callable] = {
     Prod: lambda u: (*_operand(u.right, 2), " * ", *_operand(u.left, 2)),
     Sum: lambda u: (*_operand(u.right, 2), " + ", *_operand(u.left, 2)),
 }
-_PRETTIED = _TypeText(_PRETTY)
 
 
 def pretty_term(t: Term, prec: int = 0) -> str:
@@ -1174,7 +1198,7 @@ def _spell(u: Record) -> Any:
     holds a record: a record, alone or in a tuple field, is written in turn;
     any other value's repr joins the piece beside it."""
     pieces, text = [], f"{type(u).__qualname__}("
-    for i, f in enumerate(u._fields):
+    for i, f in enumerate(u.__match_args__):
         v = getattr(u, f)
         text += f", {f}=" if i else f"{f}="
         if isinstance(v, Record):

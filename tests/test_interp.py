@@ -98,6 +98,21 @@ def test_run_shape_errors():
     assert ebn.interp.ShapeMismatch is ebn.semantics.ShapeMismatch
 
 
+@pytest.mark.parametrize(
+    "t, message",
+    [
+        (Case(lit(1), Lam("a", RAT, Var("a")), Lam("b", RAT, Var("b"))), "cased a non-sum CRat"),
+        (App(lit(1), lit(2)), "applied a non-function CRat"),
+        (Case(Inl(lit(1), Sum(RAT, RAT)), lit(1), Lam("b", RAT, Var("b"))), "case branch is not a function"),
+    ],
+    ids=["case of a non-sum", "application of a non-function", "case branch not a function"],
+)
+def test_run_shape_errors_name_the_value(t, message):
+    with pytest.raises(ShapeMismatch) as exc:
+        run(t)
+    assert str(exc.value) == message
+
+
 def test_format_value():
     assert format_value(CRat(Fraction(-1, 2))) == "-1/2"
     assert format_value(CRat(Fraction(3))) == "3"

@@ -30,7 +30,6 @@ from ebn.semantics import (
     SInr,
     SPair,
     SUnit,
-    Val,
 )
 from ebn.syntax import (
     App,
@@ -95,7 +94,7 @@ def test_reify_constant_unit_function_over_sum():
 
 
 def test_reify_base_val_emits_literal():
-    assert reify(RAT, SBase("Q", Val(3)), NameSupply()) == lit(3)
+    assert reify(RAT, SBase("Q", lit(3)), NameSupply()) == lit(3)
 
 
 def test_reify_base_exp_emits_code():
@@ -103,7 +102,7 @@ def test_reify_base_exp_emits_code():
 
 
 def test_reify_pair_and_sum():
-    v = SPair(SBase("Q", Val(1)), SInr(SUnit()))
+    v = SPair(SBase("Q", lit(1)), SInr(SUnit()))
     ty = Prod(RAT, Sum(RAT, Unit()))
     got = reify(ty, v, NameSupply())
     assert got == Pair(lit(1), Inr(UnitVal(), Sum(RAT, Unit())))
@@ -192,6 +191,58 @@ def test_norm_product_of_sums_golden():
         "(lam (x5 Q) (pair (inr unit (sum unit unit)) (inl (var x5) (sum Q unit)))) "
         "(lam (x6 unit) (pair (inr unit (sum unit unit)) (inr unit (sum Q unit))))))))"
     )
+
+
+# A sum whose right summand is compound: the shift reflects the right
+# branch's binder through a machine step, not at once.  Each row: the term,
+# its normal form, and arguments to run both on.
+RIGHT_COMPOUND = {
+    "prod": (
+        "(lam (s (sum Q (prod Q Q))) (case (var s) (lam (a Q) (var a)) "
+        "(lam (p (prod Q Q)) (fst (var p)))))",
+        "(lam (x0 (sum Q (prod Q Q))) (case (var x0) (lam (x1 Q) (var x1)) "
+        "(lam (x2 (prod Q Q)) (fst (var x2)))))",
+        ["(inl (lit 3 Q) (sum Q (prod Q Q)))", "(inr (pair (lit 4 Q) (lit 5 Q)) (sum Q (prod Q Q)))"],
+    ),
+    "arrow": (
+        "(lam (s (sum Q (arrow Q Q))) (case (var s) (lam (a Q) (var a)) "
+        "(lam (f (arrow Q Q)) (app (var f) (lit 2 Q)))))",
+        "(lam (x0 (sum Q (arrow Q Q))) (case (var x0) (lam (x1 Q) (var x1)) "
+        "(lam (x2 (arrow Q Q)) (app (var x2) (lit 2 Q)))))",
+        [
+            "(inl (lit 3 Q) (sum Q (arrow Q Q)))",
+            "(inr (lam (y Q) (prim * (var y) (lit 7 Q))) (sum Q (arrow Q Q)))",
+        ],
+    ),
+    "sum": (
+        "(lam (s (sum Q (sum unit unit))) (case (var s) (lam (a Q) (var a)) "
+        "(lam (b (sum unit unit)) (case (var b) (lam (u unit) (lit 0 Q)) (lam (u unit) (lit 1 Q))))))",
+        "(lam (x0 (sum Q (sum unit unit))) (case (var x0) (lam (x1 Q) (var x1)) "
+        "(lam (x2 (sum unit unit)) (case (var x2) (lam (x3 unit) (lit 0 Q)) (lam (x4 unit) (lit 1 Q))))))",
+        [
+            "(inl (lit 3 Q) (sum Q (sum unit unit)))",
+            "(inr (inl unit (sum unit unit)) (sum Q (sum unit unit)))",
+            "(inr (inr unit (sum unit unit)) (sum Q (sum unit unit)))",
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("src, expected, args", RIGHT_COMPOUND.values(), ids=RIGHT_COMPOUND.keys())
+def test_norm_shift_with_a_compound_right_summand_golden(src, expected, args):
+    t = parse_term(src)
+    got = norm(t, SIG, smart_prim_env())
+    assert print_term(got) == expected
+    for arg in map(parse_term, args):
+        assert run(App(got, arg)) == run(App(t, arg))
+
+
+def test_norm_shares_a_folded_literal_used_twice():
+    # the folded product is one Lit, which both components reify to
+    t = parse_term("(app (lam (y Q) (pair (var y) (var y))) (prim * (lit 2 Q) (lit 3 Q)))")
+    got = norm(t, SIG, smart_prim_env())
+    assert got == Pair(lit(6), lit(6))
+    assert got.first is got.second
 
 
 def test_norm_properties_on_generated_terms(oracle_corpus):
@@ -301,7 +352,7 @@ def test_eval_unbound_primitive_arguments_leftmost_first():
     with pytest.raises(UnboundVariable, match="'a'"):
         _eval("(prim * (var a) (var b))", {})
     with pytest.raises(UnboundVariable, match="'b'"):
-        _eval("(prim * (var a) (var b))", {"a": SBase("Q", Val(2))})
+        _eval("(prim * (var a) (var b))", {"a": SBase("Q", lit(2))})
 
 
 def test_eval_unbound_redex_argument():
@@ -346,7 +397,7 @@ def test_eval_nullary_primitives_and_host_function():
     # a client's constants, one folded and one residual, and a host function
     # applied to a non-atomic argument and to an atom
     prims = {
-        "one": lambda args, names: SBase("Q", Val(1)),
+        "one": lambda args, names: SBase("Q", lit(1)),
         "c": lambda args, names: (RAT, Var("c")),
         **smart_prim_env(),
     }
@@ -395,10 +446,10 @@ def test_nested_host_function_applications_run_in_constant_stack():
     t = Var("y")
     for _ in range(depth):
         t = App(Var("f"), t)
-    succ = SFun(lambda v: SBase("Q", Val(v.payload.literal + 1)))
-    env = {"f": succ, "y": SBase("Q", Val(0))}
+    succ = SFun(lambda v: SBase("Q", lit(v.payload.value + 1)))
+    env = {"f": succ, "y": SBase("Q", lit(0))}
     value = eval_term(t, smart_prim_env(), env, NameSupply()).run(lambda v: v)
-    assert value == SBase("Q", Val(depth))
+    assert value == SBase("Q", lit(depth))
 
 
 def test_norm_bool_chain_2_golden():

@@ -21,7 +21,7 @@ from ebn.primitives import (
     rational_signature,
     smart_prim_env,
 )
-from ebn.semantics import SBase, ShapeMismatch, SInl, SInr, SUnit, Val
+from ebn.semantics import SBase, ShapeMismatch, SInl, SInr, SUnit
 from ebn.syntax import (
     Arrow,
     Base,
@@ -29,6 +29,7 @@ from ebn.syntax import (
     Inl,
     Inr,
     Lam,
+    Pair,
     PrimApp,
     Unit,
     UnitVal,
@@ -36,6 +37,7 @@ from ebn.syntax import (
     Var,
     alpha_eq,
     infer,
+    print_term,
 )
 
 from conftest import TermGen, gen_rational
@@ -53,7 +55,7 @@ def prim(op, a, b, env=SMART, names=None):
 
 
 def val(x) -> SBase:
-    return SBase("Q", Val(Fraction(x)))
+    return SBase("Q", lit(x))
 
 
 def exp(code) -> SBase:
@@ -238,6 +240,16 @@ def test_if_normalizes_and_runs():
 def test_if_typing():
     t = mk_if(mk_true(), lit(1), lit(0))
     assert infer({}, SIG, t) == infer({}, SIG, lit(1)) == RAT
+
+
+def test_if_branch_binders_skip_every_taken_name():
+    # u and u0 are free in the else branch, w and w0 in the then branch
+    t = mk_if(Var("c"), Pair(Var("w"), Var("w0")), Pair(Var("u"), Var("u0")))
+    assert t.left.binder == "u1" and t.right.binder == "w1"
+    assert print_term(t) == (
+        "(case (var c) (lam (u1 unit) (pair (var u) (var u0))) "
+        "(lam (w1 unit) (pair (var w) (var w0))))"
+    )
 
 
 def test_if_branch_binders_avoid_capture():

@@ -9,6 +9,8 @@ from fractions import Fraction
 import pytest
 
 from ebn import chars, interp, primitives, semantics, syntax
+from ebn.examples import power
+from ebn.nbe import norm
 from ebn.primitives import (
     RAT,
     PrimRule,
@@ -17,7 +19,7 @@ from ebn.primitives import (
     rational_signature,
     smart_prim_env,
 )
-from ebn.semantics import Closure, SBase, Val
+from ebn.semantics import Closure, SBase
 from ebn.syntax import (
     App,
     Arrow,
@@ -56,7 +58,6 @@ SAMPLES = [
     Inl(U, Sum(Unit(), Q)),
     Inr(U, Sum(Q, Unit())),
     syntax.Case(Var("s"), Var("l"), Var("r")),
-    Val(Fraction(3)),
     semantics.SUnit(),
     semantics.SFun(print),
     Closure("x", Var("x"), {}, smart_prim_env()),
@@ -64,7 +65,7 @@ SAMPLES = [
     semantics.SPair(semantics.SUnit(), semantics.SUnit()),
     semantics.SInl(semantics.SUnit()),
     semantics.SInr(semantics.SUnit()),
-    SBase("Q", Val(Fraction(1))),
+    SBase("Q", Lit(Fraction(1), "Q")),
     interp.CUnit(),
     interp.CRat(Fraction(1, 2)),
     interp.CPair(interp.CUnit(), interp.CUnit()),
@@ -136,13 +137,13 @@ def test_pickle_round_trip():
     source = Lit(Fraction(5), "Q")
     t = Lam("x", Arrow(Q, Sum(Unit(), Q)), App(Var("f"), source))
     assert pickle.loads(pickle.dumps(t)) == t
-    v = pickle.loads(pickle.dumps(Val(Fraction(5), source)))
-    assert v == Val(Fraction(5)) and v.term == source
+    v = pickle.loads(pickle.dumps(SBase("Q", source)))
+    assert v == SBase("Q", source) and type(v.payload) is Lit
 
 
 def test_match_args_follow_the_constructor():
     assert Lam.__match_args__ == ("binder", "annot", "body")
-    assert Val.__match_args__ == ("literal", "term")
+    assert SBase.__match_args__ == ("base", "payload")
     assert PrimRule.__match_args__ == ("type", "fold", "left_unit", "right_unit")
     assert Unit.__match_args__ == () and UnitVal.__match_args__ == ()
     match Lam("x", Q, Var("x")):
@@ -211,17 +212,6 @@ def test_different_classes_with_equal_fields_differ():
     assert syntax.Prod(Q, Q) != Sum(Q, Q)
     assert semantics.SInl(semantics.SUnit()) != semantics.SInr(semantics.SUnit())
     assert Lit(Fraction(1), "Q") != Fraction(1)
-
-
-def test_val_source_term_takes_no_part_in_equality():
-    q = Fraction(5)
-    source = Lit(q, "Q")
-    assert Val(q).term is None
-    assert Val(q, source).term is source
-    assert Val(q, source) == Val(q)
-    assert hash(Val(q, source)) == hash(Val(q))
-    assert Val(q) != Val(Fraction(6))
-    assert repr(Val(q, source)) == "Val(literal=Fraction(5, 1))"
 
 
 def test_closure_equals_only_itself():
@@ -302,11 +292,11 @@ DEEP = {
     "SPair chain of 10^4": (
         lambda end: _nest(
             10_000,
-            lambda v: semantics.SPair(SBase("Q", Val(Fraction(1))), v),
+            lambda v: semantics.SPair(SBase("Q", Lit(Fraction(1), "Q")), v),
             (semantics.SUnit(), semantics.SInl(semantics.SUnit()))[end],
         ),
         10_000,
-        "SPair(first=SBase(base='Q', payload=Val(literal=Fraction(1, 1))), second=",
+        "SPair(first=SBase(base='Q', payload=Lit(value=Fraction(1, 1), base='Q')), second=",
         "SUnit()",
     ),
     "CPair chain of 10^4": (
@@ -332,3 +322,55 @@ def test_deep_records_compare_hash_and_print(build, n, text, leaf):
     assert hash(a) == hash(b)
     assert repr(a) == repr(b) == text * n + leaf + ")" * n
     assert a != build(1)
+
+
+@pytest.mark.parametrize("build, n, text, leaf", DEEP.values(), ids=DEEP.keys())
+def test_pickle_round_trips_deep_records(build, n, text, leaf):
+    # pickle writes a flat table of the nodes, so any depth loads back
+    assert sys.getrecursionlimit() == 1000
+    a = build(0)
+    back = pickle.loads(pickle.dumps(a))
+    assert back is not a and back == a
+
+
+def _distinct_nodes(t):
+    seen, stack = {id(t)}, [t]
+    while stack:
+        for c in syntax.children(stack.pop()):
+            if id(c) not in seen:
+                seen.add(id(c))
+                stack.append(c)
+    return len(seen)
+
+
+def test_pickle_keeps_a_normal_form_shared():
+    # the normal form of power 2**20 is a 22-node DAG that stands for a tree
+    # of millions of nodes
+    normal = norm(power(2**20), rational_signature(), smart_prim_env())
+    back = pickle.loads(pickle.dumps(normal))
+    assert _distinct_nodes(normal) == _distinct_nodes(back) == 22
+    assert syntax._table(back) == syntax._table(normal)  # the same DAG
+    shared = syntax.PrimApp("*", (normal.body, normal.body))
+    back = pickle.loads(pickle.dumps(shared))
+    assert syntax._table(back) == syntax._table(shared) and back.args[0] is back.args[1]
+
+
+def test_pickle_gives_back_interned_types():
+    ty = _nest(20_000, lambda t: Arrow(Q, t), Sum(Unit(), Q))
+    assert pickle.loads(pickle.dumps(ty)) is ty
+    back = pickle.loads(pickle.dumps(Lam("f", ty, Inl(Var("f"), Sum(ty, Q)))))
+    assert back.annot is ty and back.body.annot is Sum(ty, Q)
+
+
+def test_copy_is_shallow_and_deepcopy_keeps_terms():
+    a, b = Fst(Var("p")), Snd(Var("p"))
+    pair = syntax.Pair(a, b)
+    twin = copy.copy(pair)
+    assert twin is not pair and twin == pair and twin.first is a and twin.second is b
+    value = semantics.SPair(SBase("Q", a), SBase("Q", b))
+    twin = copy.deepcopy(value)
+    assert twin == value and twin.first is not value.first
+    assert twin.first.payload is a and twin.second.payload is b
+    v = SBase("Q", a)
+    twin = copy.deepcopy(semantics.SPair(v, v))
+    assert twin.first is twin.second is not v

@@ -21,7 +21,6 @@ from ebn.semantics import (
     SInl,
     SPair,
     SUnit,
-    Val,
 )
 from ebn.syntax import (
     App,
@@ -40,6 +39,7 @@ from ebn.syntax import (
     Var,
     alpha_eq,
     infer,
+    parse_term,
 )
 
 from conftest import TermGen, ACCEPT_TYPES
@@ -72,9 +72,16 @@ def test_eval_literal_reifies_to_itself():
     assert out == lit(3)
 
 
+def test_eval_literal_payload_is_the_source_lit():
+    # a known literal is its Lit: the source node itself, not a copy
+    t = parse_term("(lit 5 Q)")
+    value = eval_closed(t)
+    assert value == SBase("Q", t) and value.payload is t
+
+
 def test_eval_beta_at_semantic_level():
     t = App(Lam("x", RAT, Var("x")), lit(3))
-    assert eval_closed(t) == eval_closed(lit(3)) == SBase("Q", Val(3))
+    assert eval_closed(t) == eval_closed(lit(3)) == SBase("Q", lit(3))
 
 
 def test_eval_case_dispatches_left():
@@ -83,7 +90,7 @@ def test_eval_case_dispatches_left():
         Lam("a", RAT, Var("a")),
         Lam("b", Unit(), lit(0)),
     )
-    assert eval_closed(t) == SBase("Q", Val(1))
+    assert eval_closed(t) == SBase("Q", lit(1))
 
 
 def test_eval_case_only_runs_chosen_branch():
@@ -94,12 +101,12 @@ def test_eval_case_only_runs_chosen_branch():
         Lam("a", RAT, Var("a")),
         Lam("b", Unit(), PrimApp("/", (lit(1), lit(0)))),
     )
-    assert eval_closed(t) == SBase("Q", Val(1))
+    assert eval_closed(t) == SBase("Q", lit(1))
 
 
 def test_eval_structural_values():
     assert eval_closed(UnitVal()) == SUnit()
-    assert eval_closed(Pair(lit(1), UnitVal())) == SPair(SBase("Q", Val(1)), SUnit())
+    assert eval_closed(Pair(lit(1), UnitVal())) == SPair(SBase("Q", lit(1)), SUnit())
     assert isinstance(eval_closed(Lam("x", RAT, Var("x"))), Closure)
 
 
@@ -187,10 +194,10 @@ def shape_matches(value, ty):
 
 
 def test_shape_matches():
-    assert shape_matches(SBase("Q", Val(1)), RAT)
-    assert not shape_matches(SBase("Q", Val(1)), Unit())
+    assert shape_matches(SBase("Q", lit(1)), RAT)
+    assert not shape_matches(SBase("Q", lit(1)), Unit())
     assert shape_matches(SUnit(), Unit())
-    assert shape_matches(SPair(SUnit(), SBase("Q", Val(2))), Prod(Unit(), RAT))
+    assert shape_matches(SPair(SUnit(), SBase("Q", lit(2))), Prod(Unit(), RAT))
     assert shape_matches(SInl(SUnit()), BOOL)
     assert not shape_matches(SInl(SUnit()), Sum(RAT, Unit()))
     assert shape_matches(SFun(lambda v: v), Arrow(RAT, RAT))

@@ -12,7 +12,18 @@ from ebn import chars, syntax
 from ebn.chars import parse_chars
 from ebn.examples import mk_fmap, mk_maybe, power, power_prime
 from ebn.nbe import norm
-from ebn.primitives import BOOL, RAT, lit, mk_if, mk_true, naive_prim_env, rational_signature, smart_prim_env
+from ebn.primitives import (
+    BOOL,
+    RAT,
+    PrimSignature,
+    PrimType,
+    lit,
+    mk_if,
+    mk_true,
+    naive_prim_env,
+    rational_signature,
+    smart_prim_env,
+)
 from ebn.syntax import (
     AnnotationMissing,
     App,
@@ -32,6 +43,7 @@ from ebn.syntax import (
     Snd,
     Sum,
     TypeMismatch,
+    TypingError,
     UnboundVariable,
     Unit,
     UnitVal,
@@ -150,6 +162,33 @@ def test_infer_validates_each_distinct_annotation_once(monkeypatch):
 def test_infer_annotation_must_be_sum():
     with pytest.raises(TypeMismatch):
         infer({}, SIG, Inl(lit(1), RAT))
+
+
+def test_infer_nullary_primitive():
+    sig = PrimSignature(bases=SIG.bases, prims={**SIG.prims, "c": PrimType((), RAT)})
+    assert infer({}, sig, PrimApp("c", ())) is RAT
+    t = Lam("x", RAT, PrimApp("*", (Var("x"), PrimApp("c", ()))))
+    assert infer({}, sig, t) is Arrow(RAT, RAT)
+
+
+@pytest.mark.parametrize(
+    "src, message, path",
+    [
+        (
+            "(lam (x Q) (case (var x) (lam (a Q) (var a)) (lam (b Q) (var b))))",
+            "expected a sum type, found Q (at path 0.0)",
+            (0, 0),
+        ),
+        ("(pair unit (inl (lit 1 Q) (sum unit Q)))", "expected unit, found Q (at path 1.0)", (1, 0)),
+        ("(pair unit (inr unit (sum unit Q)))", "expected Q, found unit (at path 1.0)", (1, 0)),
+    ],
+    ids=["case of a non-sum", "inl payload", "inr payload"],
+)
+def test_infer_shape_errors_carry_message_and_path(src, message, path):
+    with pytest.raises(TypingError) as exc:
+        infer({}, SIG, parse_term(src))
+    assert type(exc.value) is TypeMismatch
+    assert str(exc.value) == message and exc.value.path == path
 
 
 def test_infer_restores_outer_binding_after_a_lam():
@@ -724,6 +763,59 @@ def test_print_examples():
         == "(case (var s) (lam (a unit) unit) (lam (b unit) unit))"
     )
     assert print_type(Sum(RAT, Unit())) == "(sum Q unit)"
+
+
+# Terms whose lam, inl and inr carry compound annotations, with their
+# print_term, pretty_term and repr texts.
+_ANNOTATED = [
+    (
+        "(lam (f (arrow (prod Q unit) (sum Q (arrow Q Q)))) (lam (p (prod Q unit)) (var f)))",
+        "\\f:Q * unit -> Q + (Q -> Q). \\p:Q * unit. f",
+        "Lam(binder='f', annot=Arrow(dom=Prod(left=Base(name='Q'), right=Unit()), "
+        "cod=Sum(left=Base(name='Q'), right=Arrow(dom=Base(name='Q'), cod=Base(name='Q')))), "
+        "body=Lam(binder='p', annot=Prod(left=Base(name='Q'), right=Unit()), body=Var(name='f')))",
+    ),
+    (
+        "(inl (lam (x (prod Q Q)) (fst (var x))) (sum (arrow (prod Q Q) Q) (sum (prod Q Q) (arrow unit Q))))",
+        "inl (\\x:Q * Q. fst x)",
+        "Inl(arg=Lam(binder='x', annot=Prod(left=Base(name='Q'), right=Base(name='Q')), "
+        "body=Fst(arg=Var(name='x'))), annot=Sum(left=Arrow(dom=Prod(left=Base(name='Q'), "
+        "right=Base(name='Q')), cod=Base(name='Q')), right=Sum(left=Prod(left=Base(name='Q'), "
+        "right=Base(name='Q')), right=Arrow(dom=Unit(), cod=Base(name='Q')))))",
+    ),
+    (
+        "(pair (lam (y (sum (prod Q Q) (arrow unit Q))) (var y)) "
+        "(inr (lam (u unit) (lit 3 Q)) (sum (prod Q Q) (arrow unit Q))))",
+        "<\\y:(Q * Q) + (unit -> Q). y, inr (\\u:unit. 3)>",
+        "Pair(first=Lam(binder='y', annot=Sum(left=Prod(left=Base(name='Q'), right=Base(name='Q')), "
+        "right=Arrow(dom=Unit(), cod=Base(name='Q'))), body=Var(name='y')), "
+        "second=Inr(arg=Lam(binder='u', annot=Unit(), body=Lit(value=Fraction(3, 1), base='Q')), "
+        "annot=Sum(left=Prod(left=Base(name='Q'), right=Base(name='Q')), "
+        "right=Arrow(dom=Unit(), cod=Base(name='Q')))))",
+    ),
+]
+
+
+@pytest.mark.parametrize("text, pretty, spelled", _ANNOTATED, ids=["lam", "inl", "inr"])
+def test_printers_write_compound_annotations(text, pretty, spelled):
+    t = parse_term(text)
+    assert print_term(t) == text
+    assert pretty_term(t) == pretty
+    assert repr(t) == spelled
+
+
+def test_printers_write_each_distinct_annotation_once_per_call(monkeypatch):
+    ty = Sum(Prod(RAT, RAT), Arrow(Unit(), RAT))
+    t = Lam("y", ty, Var("y"))
+    for i in range(50):
+        t = Pair(Pair(Lam(f"x{i}", ty, Var(f"x{i}")), Inr(Lam("u", Unit(), lit(i)), ty)), t)
+    for table, write in ((syntax._PRINT, print_term), (syntax._PRETTY, pretty_term)):
+        calls = []
+        real = table[Sum]
+        monkeypatch.setitem(table, Sum, lambda u, real=real: calls.append(u) or real(u))
+        for _ in range(2):
+            write(t)
+        assert calls == [ty, ty]
 
 
 def test_print_prim_operands_of_every_arity():
