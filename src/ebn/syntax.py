@@ -65,16 +65,15 @@ class Record(metaclass=_RecordType):
     parameters of its `__init__`; they become its slots, and the `__init__`
     stores each with `_set`.  Two records are equal when they are of one
     class and their fields are equal, and then they hash alike; `repr` spells
-    the class and its fields by keyword, and pickle writes the table of its
-    distinct nodes (`_table`).  All four walk an explicit stack into tuple
-    fields and into fields whose class keeps them, so a record may nest past
-    the recursion limit; any other field (a Closure or a type, say) is a
-    plain value.  `copy` rebuilds a record from its fields, or from deep
-    copies of them.  Types override equality and hashing: they are
-    interned (see ObjType), so they compare and hash by identity.  Assigning
-    or deleting an attribute raises AttributeError, so a node that a normal
-    form shares among many parents cannot be changed through one of them.
-    No code is generated per class, which keeps `import ebn` cheap."""
+    the class and its fields by keyword; pickle writes its table of nodes
+    (`tables.py`).  All four walk an explicit stack into tuple fields and
+    into fields whose class keeps them, so a record may nest past the
+    recursion limit; any other field (a Closure or a type, say) is a plain
+    value, and `copy` copies fields.  Types override equality and hashing:
+    they are interned (see ObjType), so they compare and hash by identity.
+    Assigning or deleting an attribute raises AttributeError, so a node that
+    a normal form shares among many parents cannot be changed through one of
+    them.  No code is generated per class, which keeps `import ebn` cheap."""
 
     __match_args__: tuple[str, ...] = ()
 
@@ -130,7 +129,8 @@ class Record(metaclass=_RecordType):
         return _write(self, _REPR)
 
     def __reduce__(self):
-        return _untable, (_table(self),)
+        from .tables import table, untable  # compiled on the first pickle only
+        return untable, (table(self),)
 
     def __copy__(self):
         return type(self)(*[getattr(self, f) for f in self.__match_args__])
@@ -138,43 +138,6 @@ class Record(metaclass=_RecordType):
     def __deepcopy__(self, memo: dict):
         from copy import deepcopy  # imported by whoever calls this
         return type(self)(*[deepcopy(getattr(self, f), memo) for f in self.__match_args__])
-
-
-def _table(root: Record) -> list[tuple]:
-    """The distinct nodes of `root` as rows `(class, *fields)`, in post-order.
-    In a row a record is its row's number, a tuple the list of its elements
-    so written, and any other value `v` is `(v,)`.  One loop, at any depth."""
-    rows: list[tuple] = []
-    row: dict[int, int] = {}
-
-    def code(x):
-        return row[id(x)] if isinstance(x, Record) else (x,)
-
-    stack: list = [root]
-    while stack:
-        u = stack.pop()
-        if type(u) is list:  # `[node, *fields]`, once each record among them has a row
-            node, *fields = u
-            row[id(node)] = len(rows)
-            rows.append((type(node), *[list(map(code, v)) if type(v) is tuple else code(v) for v in fields]))
-        elif id(u) not in row:
-            fields = [getattr(u, f) for f in type(u).__match_args__]
-            stack.append([u, *fields])
-            for v in fields:
-                stack += [x for x in (v if type(v) is tuple else (v,)) if isinstance(x, Record)]
-    return rows
-
-
-def _untable(rows: list[tuple]) -> Record:
-    """The record whose `_table` is `rows`, built row by row: a type interned."""
-    nodes: list = []
-
-    def value(c):
-        return nodes[c] if type(c) is int else c[0] if type(c) is tuple else tuple(map(value, c))
-
-    for cls, *fields in rows:
-        nodes.append(cls(*map(value, fields)))
-    return nodes[-1]
 
 
 # ---------------------------------------------------------------------------

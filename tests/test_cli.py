@@ -297,7 +297,8 @@ def test_import_generates_no_code():
     # Records are plain classes: importing the CLI needs neither dataclasses
     # (which compiles methods for every class) nor the inspect module.  It
     # reads --file with open(), so pathlib and what pathlib imports stay out.
-    unwanted = {"dataclasses", "inspect", "pathlib", "urllib.parse", "ipaddress"}
+    # Records import copy and their pickle tables only when first used.
+    unwanted = {"dataclasses", "inspect", "pathlib", "urllib.parse", "ipaddress", "copy", "ebn.tables"}
     code = f"import sys, ebn.cli; print(sorted({unwanted!r} & set(sys.modules)))"
     done = _python("-c", code)
     assert (done.returncode, done.stdout) == (0, "[]\n")

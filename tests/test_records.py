@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from ebn import chars, interp, primitives, semantics, syntax
+from ebn import chars, interp, primitives, semantics, syntax, tables
 from ebn.examples import power
 from ebn.nbe import norm
 from ebn.primitives import (
@@ -349,10 +349,10 @@ def test_pickle_keeps_a_normal_form_shared():
     normal = norm(power(2**20), rational_signature(), smart_prim_env())
     back = pickle.loads(pickle.dumps(normal))
     assert _distinct_nodes(normal) == _distinct_nodes(back) == 22
-    assert syntax._table(back) == syntax._table(normal)  # the same DAG
+    assert tables.table(back) == tables.table(normal)  # the same DAG
     shared = syntax.PrimApp("*", (normal.body, normal.body))
     back = pickle.loads(pickle.dumps(shared))
-    assert syntax._table(back) == syntax._table(shared) and back.args[0] is back.args[1]
+    assert tables.table(back) == tables.table(shared) and back.args[0] is back.args[1]
 
 
 def test_pickle_gives_back_interned_types():
