@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from .primitives import RAT, fresh_binder, lit, mk_if
+from .primitives import RAT, fresh_binder, lit
 from .syntax import (
     App,
     Case,
@@ -55,6 +55,13 @@ def mk_fmap(f: Term, m: Term) -> Term:
     return mk_maybe(Lam(x, RAT, mk_just(App(f, Var(x)))), mk_nothing(), m)
 
 
+def _unless_zero(x: Var, on_zero: Term, otherwise: Term) -> Term:
+    """`mk_if(x == 0, on_zero, otherwise)` for branches whose only free name
+    is `x`, as every generated term's is: its binders are `u` and `w`, the
+    names `mk_if` would pick, without a walk over the branches."""
+    return Case(PrimApp("==", (x, lit(0))), Lam("u", Unit(), otherwise), Lam("w", Unit(), on_zero))
+
+
 def _steps(n: int) -> Iterator[bool]:
     """The steps that take x^0 to x^n, n >= 0, over the bits of n from the
     most significant: False squares x^e into x^(2e), True multiplies it into
@@ -81,12 +88,7 @@ def power(n: int) -> Term:
         else:
             t = Lam("x", RAT, App(square, App(t, x)))
     if n < 0:
-        body = mk_if(
-            PrimApp("==", (x, lit(0))),
-            lit(0),
-            PrimApp("/", (lit(-1), App(t, x))),
-        )
-        t = Lam("x", RAT, body)
+        t = Lam("x", RAT, _unless_zero(x, lit(0), PrimApp("/", (lit(-1), App(t, x)))))
     return t
 
 
@@ -101,12 +103,7 @@ def power_prime(n: int) -> Term:
         t = Lam("x", RAT, mk_fmap(scale if times else square, App(t, x)))
     if n < 0:
         recip = Lam("y", RAT, PrimApp("/", (lit(-1), Var("y"))))
-        body = mk_if(
-            PrimApp("==", (x, lit(0))),
-            mk_nothing(),
-            mk_fmap(recip, App(t, x)),
-        )
-        t = Lam("x", RAT, body)
+        t = Lam("x", RAT, _unless_zero(x, mk_nothing(), mk_fmap(recip, App(t, x))))
     return t
 
 

@@ -50,8 +50,6 @@ Rational = Fraction
 RAT = Base("Q")
 BOOL: ObjType = Sum(Unit(), Unit())
 
-_ONE = Fraction(1)
-
 
 class DivisionByZero(Exception):
     """A literal-by-literal division folded onto a zero divisor."""
@@ -99,14 +97,15 @@ def _div(v: Fraction, w: Fraction) -> Fraction:
 class PrimRule(Record):
     """One rational primitive: its type, its fold on two literals, and the
     literal its left or right argument may be dropped at (None: no unit
-    law)."""
+    law).  A unit is an int, so that comparing a literal's Fraction with it
+    takes the int fast path of `Fraction.__eq__`."""
 
     def __init__(
         self,
         type: PrimType,
         fold: Callable[[Fraction, Fraction], object],
-        left_unit: Fraction | None,
-        right_unit: Fraction | None,
+        left_unit: int | None,
+        right_unit: int | None,
     ):
         _set(self, "type", type)
         _set(self, "fold", fold)
@@ -117,8 +116,8 @@ class PrimRule(Record):
 # No zero-annihilation rule for *: folding 0 * m would drop m's code.
 RULES: Mapping[str, PrimRule] = {
     "==": PrimRule(PrimType((RAT, RAT), BOOL), operator.eq, None, None),
-    "*": PrimRule(PrimType((RAT, RAT), RAT), operator.mul, _ONE, _ONE),
-    "/": PrimRule(PrimType((RAT, RAT), RAT), _div, None, _ONE),
+    "*": PrimRule(PrimType((RAT, RAT), RAT), operator.mul, 1, 1),
+    "/": PrimRule(PrimType((RAT, RAT), RAT), _div, None, 1),
 }
 
 

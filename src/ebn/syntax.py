@@ -210,15 +210,6 @@ class Sum(ObjType):
         _set(self, "right", right)
 
 
-# The binary type constructors, each with the getter of its two component
-# types.
-_TYPE_PARTS: dict[type, Callable[[ObjType], tuple[ObjType, ObjType]]] = {
-    Arrow: attrgetter("dom", "cod"),
-    Prod: attrgetter("left", "right"),
-    Sum: attrgetter("left", "right"),
-}
-
-
 # ---------------------------------------------------------------------------
 # Terms
 
@@ -466,9 +457,10 @@ def validate_type(ty: ObjType, sig) -> None:
         if cls is Base:
             if u.name not in sig.bases:
                 raise UnknownBaseType(f"unknown base type {u.name!r}")
-        elif cls in _TYPE_PARTS:
-            a, b = _TYPE_PARTS[cls](u)
-            stack += (b, a)
+        elif cls is Arrow:
+            stack += (u.cod, u.dom)
+        elif cls is Prod or cls is Sum:
+            stack += (u.right, u.left)
         elif cls is not Unit:
             raise TypeError(f"not a type: {u!r}")
 
@@ -478,176 +470,182 @@ def infer(env: Mapping[str, ObjType], sig, t: Term) -> ObjType:
     signature `sig`, or raise a TypingError at the leftmost-innermost
     failing subterm.
 
-    One loop over an explicit stack of frames `[term, child index, saved]`,
-    one per term whose child is being typed, so Python stack use does not
-    grow with the term.  One environment dict is updated in place: a Lam's
-    frame saves the binding its binder shadows and puts it back when the
-    body is done.  The error path is read off the stack only when raising.
-    Types are interned, so every check is one `is`; each distinct
-    annotation is validated once, and each base of a literal looked up
-    once."""
+    One loop over immutable frames `(tag, outer frames, x, y)`, one per
+    term whose child is being typed, so Python stack use does not grow
+    with the term; a frame that moves on to its next child is replaced.
+    A variable argument of an application or a primitive that has the
+    type its frame expects is typed in place, with no frame of its own.
+    One environment dict is updated in place: a Lam's frame saves the
+    binding its binder shadows and puts it back when the body is done.
+    The error path is read off the tags only when raising.  Types are
+    interned, so every check is one `is`; arrows and products are read
+    from `_TYPES`, and each distinct annotation is validated once."""
     env = dict(env)
     bases, prims = sig.bases, sig.prims
-    lits: dict[str, tuple] = {}  # a literal's base name -> (type, carrier test)
-    checked: set[ObjType] = set()  # the annotations validated so far
-    stack: list[list] = []
+    checked = set()  # the annotations validated so far
+    k = None
     while True:
-        # Descend: type the leaves at once, push a frame for anything else.
+        # Descend: type an atom at once; a compound term pushes its frame
+        # and goes on to its first child.
         cls = type(t)
         if cls is Var:
-            try:
-                ty = env[t.name]
-            except KeyError:
-                raise UnboundVariable(f"unbound variable {t.name!r}", _path(stack)) from None
-        elif cls is Lit:
-            lit = lits.get(t.base)
-            if lit is None:
-                b = t.base
-                if b not in bases:
-                    raise UnknownBaseType(f"unknown base type {b!r}", _path(stack))
-                lit = lits[b] = Base(b), bases[b]
-            ty, carrier = lit
-            if not carrier(t.value):
-                raise TypeMismatch(ty, f"literal {t.value!r} outside its carrier", _path(stack))
-        elif cls is Lam:
-            if t.annot not in checked:
-                _annotation(t.annot, sig, stack, checked)
-            x = t.binder
-            stack.append([t, 0, env.get(x, _UNBOUND)])
-            env[x] = t.annot
-            t = t.body
+            ty = env.get(t.name)
+            if ty is None:  # not bound, or bound to None once its Lam ended
+                raise UnboundVariable(f"unbound variable {t.name!r}", _path(k))
+        elif cls is App:
+            k = (APP, k, t.arg, None)
+            t = t.fun
+            continue
+        elif cls is Lam or cls is Inl or cls is Inr:
+            a = t.annot
+            if a not in checked:  # an unknown base gets the path of `t`
+                try:
+                    validate_type(a, sig)
+                except UnknownBaseType as e:
+                    raise UnknownBaseType(e.args[0], _path(k)) from None
+                checked.add(a)
+            if cls is Lam:
+                x = t.binder
+                k = (LAM, k, x, env.get(x))
+                env[x] = a
+                t = t.body
+                continue
+            if type(a) is not Sum:
+                raise TypeMismatch("a sum type annotation", a, _path(k))
+            k = (INJ, k, a.left if cls is Inl else a.right, a)
+            t = t.arg
             continue
         elif cls is PrimApp:
             c = t.name
             if c not in prims:
-                raise UnknownPrimitive(f"unknown primitive {c!r}", _path(stack))
+                raise UnknownPrimitive(f"unknown primitive {c!r}", _path(k))
             decl = prims[c]
             if len(t.args) != len(decl.args):
                 raise ArityMismatch(
-                    f"primitive {c!r} expects {len(decl.args)} arguments, got {len(t.args)}",
-                    _path(stack),
+                    f"primitive {c!r} expects {len(decl.args)} arguments, got {len(t.args)}", _path(k)
                 )
-            if not t.args:
-                ty = decl.result
-            else:
-                stack.append([t, 0, decl])
+            if t.args:  # the frame types the arguments after the first
+                k = (PRIM, k, t, 0)
                 t = t.args[0]
                 continue
+            ty = decl.result
+        elif cls is Lit:
+            b = t.base
+            if b not in bases:
+                raise UnknownBaseType(f"unknown base type {b!r}", _path(k))
+            ty = _TYPES.get((Base, (b,))) or Base(b)
+            if not bases[b](t.value):
+                raise TypeMismatch(ty, f"literal {t.value!r} outside its carrier", _path(k))
         elif cls is UnitVal:
             ty = _UNIT_TYPE
-        elif cls is Inl or cls is Inr:
-            a = t.annot
-            if a not in checked:
-                _annotation(a, sig, stack, checked)
-            if not isinstance(a, Sum):
-                raise TypeMismatch("a sum type annotation", a, _path(stack))
-            stack.append([t, 0, None])
-            t = t.arg
+        elif cls is Pair:
+            k = (PAIR, k, t.second, None)
+            t = t.first
             continue
-        elif cls in _FIRST_CHILD:
-            stack.append([t, 0, None])
-            t = _FIRST_CHILD[cls](t)
+        elif cls is Case:
+            k = (CASE, k, t.left, t.right)
+            t = t.scrutinee
+            continue
+        elif cls is Fst or cls is Snd:
+            k = (PROJ, k, cls, None)
+            t = t.arg
             continue
         else:
             raise TypeError(f"not a term: {t!r}")
 
         # Ascend: hand `ty` to the innermost frame, which either checks it
         # and moves on to its next child or finishes with its own type.
-        while stack:
-            frame = stack[-1]
-            u, i, saved = frame
-            cls = type(u)
-            if cls is Lam:
-                if saved is _UNBOUND:
-                    del env[u.binder]
+        while k:
+            tag, outer, x, y = k
+            if tag is APP:
+                if type(ty) is not Arrow:
+                    raise TypeMismatch("a function type", ty, _path(k))
+                t = x
+                if type(t) is not Var or env.get(t.name) is not ty.dom:
+                    k = (ARG, outer, ty.dom, ty.cod)
+                    break
+                ty = ty.cod
+            elif tag is ARG or tag is INJ:
+                if ty is not x:
+                    raise TypeMismatch(x, ty, _path(k))
+                ty = y
+            elif tag is LAM:  # env[x] is the annotation again
+                a = env[x]
+                env[x] = y
+                ty = _TYPES.get((Arrow, (a, ty))) or Arrow(a, ty)
+            elif tag is PRIM:
+                want = prims[x.name].args
+                if ty is not want[y]:
+                    raise TypeMismatch(want[y], ty, _path(k))
+                y += 1
+                while y < len(want):  # variables of the wanted type in place
+                    t = x.args[y]
+                    if type(t) is not Var or env.get(t.name) is not want[y]:
+                        k = (PRIM, outer, x, y)
+                        break
+                    y += 1
                 else:
-                    env[u.binder] = saved
-                ty = Arrow(u.annot, ty)
-            elif cls is PrimApp:
-                if ty is not saved.args[i]:
-                    raise TypeMismatch(saved.args[i], ty, _path(stack))
-                i += 1
-                if i < len(u.args):
-                    frame[1] = i
-                    t = u.args[i]
+                    ty = prims[x.name].result
+                    k = outer
+                    continue
+                break
+            elif tag is SECOND:
+                ty = _TYPES.get((Prod, (x, ty))) or Prod(x, ty)
+            elif tag is PROJ:
+                if type(ty) is not Prod:
+                    raise TypeMismatch("a product type", ty, _path(k))
+                ty = ty.left if x is Fst else ty.right
+            elif tag is PAIR or tag is CASE:  # the first child arrived
+                if tag is CASE and type(ty) is not Sum:
+                    raise TypeMismatch("a sum type", ty, _path(k))
+                t = x
+                k = (SECOND if tag is PAIR else LEFT, outer, ty, y)
+                break
+            else:  # LEFT or RIGHT: a branch arrived
+                side = x.left if tag is LEFT else x.right
+                if type(ty) is not Arrow or ty.dom is not side:
+                    raise TypeMismatch(f"a function from {pretty_type(side)}", ty, _path(k))
+                if tag is LEFT:
+                    t = y
+                    k = (RIGHT, outer, x, ty)
                     break
-                ty = saved.result
-            elif cls is App:
-                if i == 0:
-                    if not isinstance(ty, Arrow):
-                        raise TypeMismatch("a function type", ty, _path(stack))
-                    frame[1:] = 1, ty
-                    t = u.arg
-                    break
-                if ty is not saved.dom:
-                    raise TypeMismatch(saved.dom, ty, _path(stack))
-                ty = saved.cod
-            elif cls is Pair:
-                if i == 0:
-                    frame[1:] = 1, ty
-                    t = u.second
-                    break
-                ty = Prod(saved, ty)
-            elif cls is Fst or cls is Snd:
-                if not isinstance(ty, Prod):
-                    raise TypeMismatch("a product type", ty, _path(stack))
-                ty = ty.left if cls is Fst else ty.right
-            elif cls is Case:
-                if i == 0:
-                    if not isinstance(ty, Sum):
-                        raise TypeMismatch("a sum type", ty, _path(stack))
-                    frame[1:] = 1, ty
-                    t = u.left
-                    break
-                if i == 1:
-                    side = saved.left
-                else:
-                    sty, lty = saved
-                    side = sty.right
-                if not isinstance(ty, Arrow) or ty.dom is not side:
-                    raise TypeMismatch(f"a function from {pretty_type(side)}", ty, _path(stack))
-                if i == 1:
-                    frame[1:] = 2, (saved, ty)
-                    t = u.right
-                    break
-                if ty.cod is not lty.cod:
-                    raise TypeMismatch(lty.cod, ty.cod, _path(stack))
-                ty = lty.cod
-            else:  # Inl or Inr
-                a = u.annot
-                want = a.left if cls is Inl else a.right
-                if ty is not want:
-                    raise TypeMismatch(want, ty, _path(stack))
-                ty = a
-            stack.pop()
+                if ty.cod is not y.cod:
+                    raise TypeMismatch(y.cod, ty.cod, _path(k))
+                ty = ty.cod
+            k = outer
         else:
             return ty
 
 
-def _path(stack: list[list]) -> tuple[int, ...]:
+# The tags of `infer`'s frames `(tag, outer frames, x, y)`, each with the
+# child it waits for and its x and y:
+#   LAM      the body: the binder, and the binding it shadows (None if none);
+#   APP      the function: the argument, None;
+#   ARG      the argument: the domain and the codomain of the function;
+#   PAIR     the first component: the second, None;
+#   SECOND   the second component: the first one's type, None;
+#   PROJ     the pair: Fst or Snd, None;
+#   INJ      the payload: its side of the sum, the sum;
+#   CASE     the scrutinee: the left and the right branch;
+#   LEFT     the left branch: the sum, the right branch;
+#   RIGHT    the right branch: the sum, the left branch's type;
+#   PRIM     argument i: the PrimApp, i.
+# `_INDEX[tag]` is the index of that child among the term's children, and i
+# a PRIM frame's.
+LAM, APP, ARG, PAIR, SECOND, PROJ, INJ, CASE, LEFT, RIGHT, PRIM = range(11)
+_INDEX = b"\0\0\1\0\1\0\0\0\1\2"
+
+
+def _path(k) -> tuple[int, ...]:
     """The child-index route from the root to the term being typed."""
-    return tuple(frame[1] for frame in stack)
+    path = []
+    while k:
+        tag, k, _, i = k
+        path.append(i if tag is PRIM else _INDEX[tag])
+    return tuple(reversed(path))
 
 
-def _annotation(a: ObjType, sig, stack: list[list], checked: set[ObjType]) -> None:
-    """Validate an annotation and add it to `checked`; an unknown base gets
-    the path of the term being typed."""
-    try:
-        validate_type(a, sig)
-    except UnknownBaseType as e:
-        raise UnknownBaseType(e.args[0], _path(stack)) from None
-    checked.add(a)
-
-
-_UNBOUND = object()  # the saved binding of a name that was not bound
 _UNIT_TYPE = Unit()
-_FIRST_CHILD: dict[type, Callable[[Term], Term]] = {
-    App: attrgetter("fun"),
-    Pair: attrgetter("first"),
-    Fst: attrgetter("arg"),
-    Snd: attrgetter("arg"),
-    Case: attrgetter("scrutinee"),
-}
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ebn import chars, syntax
 from ebn.chars import parse_chars
@@ -210,6 +210,243 @@ def test_infer_reports_the_path_of_a_deep_bad_annotation():
         infer({}, SIG, t)
     assert exc.value.path == (0,) * 5000
     assert str(exc.value).startswith("unknown base type 'R' (at path 0.0.0.")
+
+
+# The recursive typer that `infer`'s loop replaced, kept only as the
+# reference that the loop must agree with.
+def _infer_by_recursion(env, sig, t, path=()):
+    def sub(u, i, bound=env):
+        return _infer_by_recursion(bound, sig, u, path + (i,))
+
+    def annotation(a):
+        try:
+            validate_type(a, sig)
+        except UnknownBaseType as e:
+            raise UnknownBaseType(e.args[0], path) from None
+
+    match t:
+        case Var(name=x):
+            if x not in env:
+                raise UnboundVariable(f"unbound variable {x!r}", path)
+            return env[x]
+        case Lit(value=v, base=b):
+            if b not in sig.bases:
+                raise UnknownBaseType(f"unknown base type {b!r}", path)
+            if not sig.bases[b](v):
+                raise TypeMismatch(Base(b), f"literal {v!r} outside its carrier", path)
+            return Base(b)
+        case UnitVal():
+            return Unit()
+        case Lam(binder=x, annot=a, body=body):
+            annotation(a)
+            return Arrow(a, sub(body, 0, {**env, x: a}))
+        case App(fun=f, arg=a):
+            fty = sub(f, 0)
+            if not isinstance(fty, Arrow):
+                raise TypeMismatch("a function type", fty, path + (0,))
+            aty = sub(a, 1)
+            if aty is not fty.dom:
+                raise TypeMismatch(fty.dom, aty, path + (1,))
+            return fty.cod
+        case Pair(first=a, second=b):
+            return Prod(sub(a, 0), sub(b, 1))
+        case Fst(arg=a) | Snd(arg=a):
+            pty = sub(a, 0)
+            if not isinstance(pty, Prod):
+                raise TypeMismatch("a product type", pty, path + (0,))
+            return pty.left if type(t) is Fst else pty.right
+        case Inl(arg=a, annot=s) | Inr(arg=a, annot=s):
+            annotation(s)
+            if not isinstance(s, Sum):
+                raise TypeMismatch("a sum type annotation", s, path)
+            want = s.left if type(t) is Inl else s.right
+            aty = sub(a, 0)
+            if aty is not want:
+                raise TypeMismatch(want, aty, path + (0,))
+            return s
+        case Case(scrutinee=scrutinee, left=left, right=right):
+            sty = sub(scrutinee, 0)
+            if not isinstance(sty, Sum):
+                raise TypeMismatch("a sum type", sty, path + (0,))
+            branches = []
+            for i, branch, side in ((1, left, sty.left), (2, right, sty.right)):
+                bty = sub(branch, i)
+                if not isinstance(bty, Arrow) or bty.dom is not side:
+                    raise TypeMismatch(f"a function from {pretty_type(side)}", bty, path + (i,))
+                branches.append(bty.cod)
+            if branches[1] is not branches[0]:
+                raise TypeMismatch(branches[0], branches[1], path + (2,))
+            return branches[0]
+        case PrimApp(name=c, args=args):
+            if c not in sig.prims:
+                raise UnknownPrimitive(f"unknown primitive {c!r}", path)
+            decl = sig.prims[c]
+            if len(args) != len(decl.args):
+                raise ArityMismatch(
+                    f"primitive {c!r} expects {len(decl.args)} arguments, got {len(args)}", path
+                )
+            for i, (a, want) in enumerate(zip(args, decl.args)):
+                aty = sub(a, i)
+                if aty is not want:
+                    raise TypeMismatch(want, aty, path + (i,))
+            return decl.result
+    raise TypeError(f"not a term: {t!r}")
+
+
+# Well-typed terms over a small pool of names, so binders shadow each other
+# and the outer environment, and variables are often arguments.  The
+# signature adds a primitive whose arguments have three types, and a nullary
+# one.
+_TYPER_SIG = PrimSignature(
+    bases=SIG.bases, prims={**SIG.prims, "pick": PrimType((BOOL, RAT, Unit()), RAT), "c": PrimType((), RAT)}
+)
+_POOL = ("x", "y", "z")
+_SIDES = (RAT, Unit(), BOOL)
+_ANNOTATIONS = (RAT, Unit(), BOOL, Arrow(RAT, RAT), Prod(RAT, Unit()), Sum(Unit(), RAT), Base("R"))
+
+
+def _typed(draw, ty, env, fuel):
+    """A term of type `ty` under `env`, with at most `fuel` eliminations or
+    primitives on any path; introductions follow the type."""
+    forms = [name for name, a in env.items() if a is ty]
+    cls = type(ty)
+    if cls is Base:
+        forms += ["lit", "c", "*", "/", "pick"] if fuel else ["lit", "c"]
+    elif cls is Unit:
+        forms.append("unit")
+    elif cls is Arrow:
+        forms.append("lam")
+    elif cls is Prod:
+        forms.append("pair")
+    else:
+        forms += ["inl", "inr"] + (["=="] if ty is BOOL and fuel else [])
+    if fuel:
+        forms += ["app", "fst", "snd", "case"]
+    form = draw(st.sampled_from(forms))
+    if form in env:
+        return Var(form)
+    if form == "lit":
+        return lit(draw(st.integers(-3, 3)))
+    if form == "unit":
+        return UnitVal()
+    if form in _TYPER_SIG.prims:
+        return PrimApp(form, tuple(_typed(draw, a, env, fuel - 1) for a in _TYPER_SIG.prims[form].args))
+    if form == "lam":
+        x = draw(st.sampled_from(_POOL))
+        return Lam(x, ty.dom, _typed(draw, ty.cod, {**env, x: ty.dom}, fuel))
+    if form == "pair":
+        return Pair(_typed(draw, ty.left, env, fuel), _typed(draw, ty.right, env, fuel))
+    if form in ("inl", "inr"):
+        side = ty.left if form == "inl" else ty.right
+        return (Inl if form == "inl" else Inr)(_typed(draw, side, env, fuel), ty)
+    d = draw(st.sampled_from(_SIDES))
+    if form == "app":
+        return App(_typed(draw, Arrow(d, ty), env, fuel - 1), _typed(draw, d, env, fuel - 1))
+    if form == "fst":
+        return Fst(_typed(draw, Prod(ty, d), env, fuel - 1))
+    if form == "snd":
+        return Snd(_typed(draw, Prod(d, ty), env, fuel - 1))
+    e = draw(st.sampled_from(_SIDES))
+    return Case(
+        _typed(draw, Sum(d, e), env, fuel - 1),
+        _typed(draw, Arrow(d, ty), env, fuel - 1),
+        _typed(draw, Arrow(e, ty), env, fuel - 1),
+    )
+
+
+def _corruptions(t, env):
+    """Every single-node corruption of `t`: (path, kind, the node's scope)."""
+    out, stack = [], [(t, (), env)]
+    while stack:
+        u, path, scope = stack.pop()
+        cls = type(u)
+        if cls in (Lam, Inl, Inr):
+            out.append((path, "annotation", scope))
+        if cls in (Inl, Inr):
+            out.append((path, "side", scope))
+        if cls is Var:
+            out.append((path, "unbind", scope))
+        if cls is PrimApp:
+            out += [(path, "name", scope), (path, "arity", scope)]
+        if cls is Case:
+            out += [(path + (i,), "domain", scope) for i in (1, 2) if type(children(u)[i]) is Lam]
+        inner = {**scope, u.binder: u.annot} if cls is Lam else scope
+        stack += [(c, path + (i,), inner) for i, c in enumerate(children(u))]
+    return out
+
+
+def _replace(t, path, make):
+    """`t` with the node at `path` replaced by `make(node)`."""
+    if not path:
+        return make(t)
+    i, rest = path[0], path[1:]
+    if type(t) is PrimApp:
+        args = list(t.args)
+        args[i] = _replace(args[i], rest, make)
+        return PrimApp(t.name, tuple(args))
+    fields = [getattr(t, f) for f in t.__match_args__]
+    slot = [j for j, v in enumerate(fields) if isinstance(v, syntax.Term)][i]
+    fields[slot] = _replace(fields[slot], rest, make)
+    return type(t)(*fields)
+
+
+@st.composite
+def _typer_inputs(draw):
+    """(env, term): a well-typed term, or one with a single node corrupted:
+    an annotation swapped, a variable unbound, a primitive's name or arity
+    changed, an injection off its side or a case branch with the wrong
+    domain."""
+    env = {x: draw(st.sampled_from(_SIDES)) for x in draw(st.lists(st.sampled_from(_POOL), unique=True))}
+    t = _typed(draw, draw(st.sampled_from(_ANNOTATIONS[:-1])), env, draw(st.integers(0, 3)))
+    spots = _corruptions(t, env)
+    if not spots or not draw(st.integers(0, 3)):
+        return env, t
+    path, kind, scope = draw(st.sampled_from(spots))
+    if kind in ("annotation", "domain"):
+        other = draw(st.sampled_from(_ANNOTATIONS))
+        make = lambda u: type(u)(*[other if f == "annot" else getattr(u, f) for f in u.__match_args__])
+    elif kind == "side":
+        make = lambda u: (Inr if type(u) is Inl else Inl)(u.arg, u.annot)
+    elif kind == "unbind":
+        free = [x for x in _POOL if x not in scope] or ["w"]
+        make = lambda u: Var(draw(st.sampled_from(free)))
+    elif kind == "name":
+        name = draw(st.sampled_from([*_TYPER_SIG.prims, "+"]))
+        make = lambda u: PrimApp(name, u.args)
+    else:
+        n = draw(st.integers(0, 3))
+        make = lambda u: PrimApp(u.name, (u.args * 2)[:n])
+    return env, _replace(t, path, make)
+
+
+def _typing_outcome(typer, env, t):
+    try:
+        return typer(env, _TYPER_SIG, t)
+    except TypingError as e:
+        return type(e), str(e), e.path
+
+
+@settings(max_examples=400, deadline=None)
+@given(_typer_inputs())
+# A variable argument whose type is the function's codomain, not its domain,
+# or a primitive's first argument type or result type, not its own; an outer
+# x used again after an inner lam rebinds it; a lam's binder used outside
+# it; the error paths of an application's argument, of a second primitive
+# argument and of a case's right branch.
+@example(({}, parse_term("(app (lam (y Q) (lam (x unit) (var x))) (lit 1 Q))")))
+@example(({}, parse_term("(lam (f (arrow Q unit)) (lam (x unit) (app (var f) (var x))))")))
+@example(({}, parse_term("(lam (b (sum unit unit)) (prim pick (var b) (var b) unit))")))
+@example(({}, parse_term("(lam (b (sum unit unit)) (prim == (lit 1 Q) (var b)))")))
+@example(({"x": RAT}, parse_term("(pair (lam (x unit) (var x)) (prim * (var x) (var x)))")))
+@example(({}, parse_term("(pair (lam (x Q) (var x)) (var x))")))
+@example(({"x": Unit()}, parse_term("(pair unit (app (lam (y Q) (var y)) (var x)))")))
+@example(({"x": Unit()}, parse_term("(prim * (lit 1 Q) (var x))")))
+@example(({}, parse_term("(case (inl unit (sum unit Q)) (lam (a unit) unit) (lam (b unit) unit))")))
+def test_infer_agrees_with_the_recursive_typer(inputs):
+    env, t = inputs
+    before = dict(env)
+    assert _typing_outcome(infer, env, t) == _typing_outcome(_infer_by_recursion, env, t)
+    assert env == before
 
 
 # ---------------------------------------------------------------------------
