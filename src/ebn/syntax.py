@@ -473,8 +473,8 @@ def infer(env: Mapping[str, ObjType], sig, t: Term) -> ObjType:
     One loop over immutable frames `(tag, outer frames, x, y)`, one per
     term whose child is being typed, so Python stack use does not grow
     with the term; a frame that moves on to its next child is replaced.
-    A variable argument of an application or a primitive that has the
-    type its frame expects is typed in place, with no frame of its own.
+    A variable argument of an application, or of a primitive after its
+    first, that has the type its frame expects is typed in place.
     One environment dict is updated in place: a Lam's frame saves the
     binding its binder shadows and puts it back when the body is done.
     The error path is read off the tags only when raising.  Types are
