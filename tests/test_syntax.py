@@ -433,7 +433,6 @@ def _typing_outcome(typer, env, t):
 # x used again after an inner lam rebinds it; a lam's binder used outside
 # it; the error paths of an application's argument, of a second primitive
 # argument and of a case's right branch.
-@example(({}, parse_term("(app (lam (y Q) (lam (x unit) (var x))) (lit 1 Q))")))
 @example(({}, parse_term("(lam (f (arrow Q unit)) (lam (x unit) (app (var f) (var x))))")))
 @example(({}, parse_term("(lam (b (sum unit unit)) (prim pick (var b) (var b) unit))")))
 @example(({}, parse_term("(lam (b (sum unit unit)) (prim == (lit 1 Q) (var b)))")))
