@@ -29,10 +29,14 @@ pushes a frame and goes on to its first operand.  An atom (a variable, a
 lambda, a literal or unit) becomes its value where it appears, so `x0 == 3`
 calls its primitive in the step that meets it: the CaEK refinement of a CEK
 machine (Flanagan, Sabry, Duba & Felleisen, "The Essence of Compiling with
-Continuations", 1993).  A source redex `(app (lam (y a) b) m)`, and a case
-branch that is a literal lambda, bind the argument directly, with no closure.
-Reflection at a base type or unit is a value at once, so neither a
-primitive's residual result nor the payload of a `shift` takes a step.
+Continuations", 1993).  Each rule is one block of the loop.  A source redex
+`(app (lam (y a) b) m)`, a case branch that is a literal lambda and a
+closure call bind the argument through one step that copies the
+environment, binds and runs the body; a literal lambda builds no closure.
+A primitive's entry is the first value its frame gathers, so every call,
+nullary or not, is made and its request reflected in one place.  Reflection
+at a base type or unit is a value at once, so neither a primitive's
+residual result nor the payload of a `shift` takes a step.
 """
 
 from __future__ import annotations
@@ -99,7 +103,8 @@ EVAL, RETURN, REIFY, REFLECT = range(4)
     ARG,  # (term, env): the function arrived; evaluate its argument
     CALL,  # (fun,): the argument arrived; apply fun to it
     CALL_WITH,  # (arg,): a case branch arrived; apply it to arg, the payload
-    PRIM_ARG,  # (args, i, acc, env, impl): argument i - 1 arrived
+    PRIM_ARG,  # (args, i, acc, env): the value arrives at the end of acc, the
+    # primitive's entry and then the values of args[:i]
     CASE,  # (left, right, env): the scrutinee arrived; pick a branch
     BIND,  # (lam, env): the argument of a source redex arrived
     PAIR_SND,  # (term, env): the first component arrived; evaluate the second
@@ -188,44 +193,35 @@ def _run(mode, k, prims, names, term=None, env=None, ty=None, value=None, code=N
             # operand; an atom, that operand or the term itself, is a value
             # at once and returns to the frame in this same step.
             cls = type(term)
-            if cls is PrimApp:
+            if cls is PrimApp:  # the entry is the first value its frame gathers
                 try:
-                    impl = prims[term.name]
+                    value = prims[term.name]
                 except KeyError:
                     raise UnknownPrimitive(f"no semantic entry for primitive {term.name!r}") from None
-                args = term.args
-                if not args:
-                    value = impl((), names)
-                    if type(value) is tuple:
-                        ty, code = value
-                        mode = REFLECT
+                k = (PRIM_ARG, k, term.args, 0, (), env)
+            else:
+                if cls is App:
+                    fun = term.fun
+                    if type(fun) is Lam:  # a source redex binds with no closure
+                        k = (BIND, k, fun, env)
+                        term = term.arg
                     else:
-                        mode = RETURN
-                    continue
-                k = (PRIM_ARG, k, args, 1, (), env, impl)
-                term = args[0]
-            elif cls is App:
-                fun = term.fun
-                if type(fun) is Lam:  # a source redex binds with no closure
-                    k = (BIND, k, fun, env)
+                        k = (ARG, k, term.arg, env)
+                        term = fun
+                elif cls is Case:
+                    k = (CASE, k, term.left, term.right, env)
+                    term = term.scrutinee
+                elif cls is Pair:
+                    k = (PAIR_SND, k, term.second, env)
+                    term = term.first
+                elif cls in _UNARY:
+                    k = (_UNARY[cls], k)
                     term = term.arg
-                else:
-                    k = (ARG, k, term.arg, env)
-                    term = fun
-            elif cls is Case:
-                k = (CASE, k, term.left, term.right, env)
-                term = term.scrutinee
-            elif cls is Pair:
-                k = (PAIR_SND, k, term.second, env)
-                term = term.first
-            elif cls in _UNARY:
-                k = (_UNARY[cls], k)
-                term = term.arg
-            elif cls not in _ATOMS:
-                raise TypeError(f"not a term: {term!r}")
-            value = _atom(term, env, prims, lits)
-            if value is None:
-                continue
+                elif cls not in _ATOMS:
+                    raise TypeError(f"not a term: {term!r}")
+                value = _atom(term, env, prims, lits)
+                if value is None:
+                    continue
         elif mode is REIFY:
             cls = type(ty)
             if cls is Base:  # a literal or residual code is its own code
@@ -320,7 +316,7 @@ def _run(mode, k, prims, names, term=None, env=None, ty=None, value=None, code=N
             continue
         tag = k[0]
         if tag is PRIM_ARG:
-            _, k, args, i, acc, env, impl = k
+            _, k, args, i, acc, env = k
             acc += (value,)
             n = len(args)
             while i < n:  # the following atoms, in place
@@ -331,57 +327,65 @@ def _run(mode, k, prims, names, term=None, env=None, ty=None, value=None, code=N
                 acc += (value,)
                 i += 1
             if i < n:
-                k = (PRIM_ARG, k, args, i + 1, acc, env, impl)
+                k = (PRIM_ARG, k, args, i + 1, acc, env)
                 mode = EVAL
                 continue
-            value = impl(acc, names)
+            value = acc[0](acc[1:], names)
             if type(value) is tuple:
                 ty, code = value
                 value = _reflect_now(ty, code)
                 if value is None:
                     mode = REFLECT
             continue
-        if tag is CASE:
+        if tag is BIND:
+            _, k, fun, env = k
+            arg = value
+        elif tag is CASE:
             _, k, left, right, env = k
             if type(value) is SInl:
-                term = left
+                fun = left
             elif type(value) is SInr:
-                term = right
+                fun = right
             else:
                 raise _mismatch("a tagged case scrutinee", value)
             arg = value.value
-            if type(term) is Lam:  # a literal lambda binds the payload directly
-                env = env.copy()
-                env[term.binder] = arg
-                term = term.body
-                mode = EVAL
-                continue
-            fun = _atom(term, env, prims, lits)
-            if fun is None:
+            if type(fun) is not Lam:  # any other branch is a function value
                 k = (CALL_WITH, k, arg)
+                term = fun
                 mode = EVAL
                 continue
-        elif tag is BIND:
-            _, k, fun, env = k
-            env = env.copy()
-            env[fun.binder] = value
-            term = fun.body
-            mode = EVAL
-            continue
-        elif tag is ARG:
-            _, k, term, env = k
-            fun = value
-            arg = _atom(term, env, prims, lits)
-            if arg is None:
-                k = (CALL, k, fun)
-                mode = EVAL
+        elif tag is ARG or tag is CALL or tag is CALL_WITH:
+            if tag is ARG:
+                _, k, term, env = k
+                fun = value
+                arg = _atom(term, env, prims, lits)
+                if arg is None:
+                    k = (CALL, k, fun)
+                    mode = EVAL
+                    continue
+            elif tag is CALL:
+                _, k, fun = k
+                arg = value
+            else:
+                _, k, arg = k
+                fun = value
+            cls = type(fun)
+            if cls is Closure:  # its body runs with its own primitives
+                if fun.prims is not prims:
+                    k = (PRIMS, k, prims)
+                    prims = fun.prims
+                env = fun.env
+            elif cls is Reflected:
+                k = (REFLECT_APP, k, fun.code, fun.cod)
+                ty = fun.dom
+                value = arg
+                mode = REIFY
                 continue
-        elif tag is CALL:
-            _, k, fun = k
-            arg = value
-        elif tag is CALL_WITH:
-            _, k, arg = k
-            fun = value
+            elif cls is SFun:
+                value = fun.apply(arg)
+                continue
+            else:
+                raise _mismatch("a function value", fun)
         else:
             if tag is PAIR_SND:
                 _, k, term, env = k
@@ -432,25 +436,12 @@ def _run(mode, k, prims, names, term=None, env=None, ty=None, value=None, code=N
                 k = k[1]
             continue
 
-        # Apply `fun` to `arg`; `k` continues the application.
-        cls = type(fun)
-        if cls is Closure:
-            if fun.prims is not prims:
-                k = (PRIMS, k, prims)
-                prims = fun.prims
-            env = fun.env.copy()
-            env[fun.binder] = arg
-            term = fun.body
-            mode = EVAL
-        elif cls is Reflected:
-            k = (REFLECT_APP, k, fun.code, fun.cod)
-            ty = fun.dom
-            value = arg
-            mode = REIFY
-        elif cls is SFun:
-            value = fun.apply(arg)
-        else:
-            raise _mismatch("a function value", fun)
+        # Bind `arg` to the binder of `fun`, a literal lambda in `env` or a
+        # closure over it, and run the body.
+        env = env.copy()
+        env[fun.binder] = arg
+        term = fun.body
+        mode = EVAL
 
 
 def eval_term(t: Term, prims: PrimEnv, env: ValueEnv, names: NameSupply) -> Residual[SemValue]:

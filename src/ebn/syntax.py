@@ -31,7 +31,6 @@ import re
 from collections import defaultdict
 from decimal import Decimal
 from fractions import Fraction
-from itertools import repeat
 from operator import attrgetter
 from typing import Any, Callable, Mapping
 
@@ -315,60 +314,22 @@ def children(t: Term) -> tuple[Term, ...]:
 
 
 def free_vars(t: Term) -> frozenset[str]:
-    """The names that occur free in `t`.  It is walked as a tree for up to
-    `_TREE_STEPS` steps.  A term that needs more may be a normal form that
-    shares subterms and stands for a far larger tree, so it is then walked
-    as a DAG: one walk over its distinct nodes finds those that more than
-    one edge reaches, and each of them is walked once for its own free
-    names.  That costs the DAG size plus, at each edge into a shared node,
-    that node's number of free names; a large term that shares nothing pays
-    the walk over its distinct nodes and the steps before it on top."""
-    names = _free_names(t, (), _TREE_STEPS)
-    if names is None:
-        names = _free_names(t, _shared_nodes(t), repeat(None))
-    return names
-
-
-# Under a millisecond of tree walk.  It covers every term whose names
-# `mk_if`, `mk_maybe` and `mk_fmap` read while `perfbench` builds its items.
-_TREE_STEPS = range(1 << 12)
-
-
-def _shared_nodes(t: Term) -> set[int]:
-    """The ids of the compound nodes of `t` that more than one edge
-    reaches.  A leaf is left out: its free names cost nothing to find."""
-    seen: set[int] = set()
-    shared: set[int] = set()
-    stack = [t]
-    while stack:
-        for c in children(stack.pop()):
-            if type(c) in _LEAF_TERMS:
-                continue
-            k = id(c)
-            if k in seen:
-                shared.add(k)
-            else:
-                seen.add(k)
-                stack.append(c)
-    return shared
-
-
-_LEAF_TERMS = frozenset((Var, Lit, UnitVal))
-
-
-def _free_names(t: Term, shared, steps) -> frozenset[str] | None:
-    """The free names of `t`, or None once `steps` runs out.  One walk over
-    an explicit stack: `bound` counts the Lams around the node at hand that
-    bind each name, and a Lam leaves its binder under its body, to be
-    unbound on the way out.  A node whose id is in `shared` is walked once,
-    in a frame of its own, for its own free names, kept in `memo`; where it
-    occurs, those names less the ones bound there join the rest."""
+    """The names that occur free in `t`, in one walk over an explicit stack:
+    `bound` counts the Lams around the node at hand that bind each name, and
+    a Lam leaves its binder under its body, to be unbound on the way out.
+    A term may be a normal form that shares subterms and stands for a far
+    larger tree, so a node that more than one edge reaches (`_shared_nodes`)
+    is walked once, in a frame of its own, for its own free names, kept in
+    `memo`; where it occurs, those names less the ones bound there join the
+    rest.  That costs the DAG size plus, at each edge into a shared node,
+    that node's number of free names."""
+    shared = _shared_nodes(t)
     memo: dict[int, frozenset[str]] = {}
     frames: list = []  # the walks that wait for a shared node's names
     out: set[str] = set()
     bound: dict[str, int] = {}
     stack: list = [t]
-    for _ in steps:
+    while True:
         if not stack:
             if not frames:
                 return frozenset(out)
@@ -398,7 +359,28 @@ def _free_names(t: Term, shared, steps) -> frozenset[str] | None:
             stack += (u.binder, u.body)
         else:
             stack += children(u)
-    return None
+
+
+def _shared_nodes(t: Term) -> set[int]:
+    """The ids of the compound nodes of `t` that more than one edge
+    reaches.  A leaf is left out: its free names cost nothing to find."""
+    seen: set[int] = set()
+    shared: set[int] = set()
+    stack = [t]
+    while stack:
+        for c in children(stack.pop()):
+            if type(c) in _LEAF_TERMS:
+                continue
+            k = id(c)
+            if k in seen:
+                shared.add(k)
+            else:
+                seen.add(k)
+                stack.append(c)
+    return shared
+
+
+_LEAF_TERMS = frozenset((Var, Lit, UnitVal))
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,8 @@ from ebn.nbe import (
 )
 from ebn.primitives import (
     BOOL,
+    PrimSignature,
+    PrimType,
     RAT,
     lit,
     naive_prim_env,
@@ -47,6 +49,7 @@ from ebn.syntax import (
     Sum,
     UnboundVariable,
     Unit,
+    UnknownPrimitive,
     UnitVal,
     Var,
     alpha_eq,
@@ -408,6 +411,54 @@ def test_eval_nullary_primitives_and_host_function():
     assert value == SBase("Q", parse_term(
         "(prim * (prim * (var c) (lit 2 Q)) (prim * (var y) (lit 2 Q)))"
     ))
+
+
+def test_a_nullary_primitive_reflects_its_request_at_bool():
+    # the entry of a nullary primitive is called with no arguments through
+    # the one primitive step, and its request is reflected there: at Bool,
+    # a shift that cases on the residual call
+    sig = PrimSignature(bases=SIG.bases, prims={**SIG.prims, "coin": PrimType((), BOOL)})
+    prims = {**smart_prim_env(), "coin": lambda args, names: (BOOL, PrimApp("coin", args))}
+    t = parse_term("(lam (x Q) (case (prim coin) (lam (u unit) (var x)) (lam (w unit) (prim * (var x) (lit 2 Q)))))")
+    assert print_term(norm(t, sig, prims)) == (
+        "(lam (x0 Q) (case (prim coin) (lam (x1 unit) (var x0)) (lam (x2 unit) (prim * (var x0) (lit 2 Q)))))"
+    )
+
+
+def test_a_primitive_missing_from_the_environment_is_reported_before_its_arguments():
+    with pytest.raises(UnknownPrimitive) as e:
+        _eval("(prim * (lit 1 Q) (prim c))", {})
+    assert str(e.value) == "no semantic entry for primitive 'c'"
+    with pytest.raises(UnknownPrimitive, match="^no semantic entry for primitive 'f'$"):
+        _eval("(prim f (var unbound))", {})
+
+
+def test_a_literal_lambda_branch_binds_in_the_case_environment_in_both_branches_of_a_shift():
+    # the scrutinee binds `y` again and shifts at Bool; both runs of the case
+    # frame bind their branch in the environment of the case, where `y` and
+    # `w` are the outer ones, and the left run's `w` does not reach the right
+    t = parse_term(
+        "(lam (y Q) (lam (w Q) (case (app (lam (y Q) (prim == (var y) (lit 1 Q))) (prim * (var y) (lit 2 Q))) "
+        "(lam (w unit) (var y)) (lam (u unit) (prim * (var y) (var w))))))"
+    )
+    assert print_term(norm(t, SIG, smart_prim_env())) == (
+        "(lam (x0 Q) (lam (x1 Q) (case (prim == (prim * (var x0) (lit 2 Q)) (lit 1 Q)) "
+        "(lam (x2 unit) (var x0)) (lam (x3 unit) (prim * (var x0) (var x1))))))"
+    )
+
+
+def test_a_source_redex_binds_in_its_own_environment():
+    # the argument is a redex that binds `b` again; the outer redex binds
+    # `a` where `b` is the outer one
+    t = parse_term("(lam (b Q) (app (lam (a Q) (prim * (var a) (var b))) (app (lam (b Q) (var b)) (lit 3 Q))))")
+    assert print_term(norm(t, SIG, smart_prim_env())) == "(lam (x0 Q) (prim * (lit 3 Q) (var x0)))"
+
+
+def test_applying_a_term_that_a_host_function_returns_is_a_shape_mismatch():
+    # a raw lambda is not a function value, even where a literal one binds
+    g = SFun(lambda v: Lam("y", RAT, Var("y")))
+    with pytest.raises(ShapeMismatch, match="^expected a function value, found Lam$"):
+        _eval("(app (app (var g) unit) (lit 1 Q))", {"g": g})
 
 
 def test_closure_primitives_do_not_leak_into_the_caller():
