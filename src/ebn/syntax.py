@@ -67,7 +67,9 @@ class Record(metaclass=_RecordType):
     the class and its fields by keyword; pickle writes its table of nodes
     (`tables.py`).  All four walk an explicit stack into tuple fields and
     into fields whose class keeps them, so a record may nest past the
-    recursion limit; any other field (a Closure or a type, say) is a plain
+    recursion limit, and visit a node that many parents share once (`==`
+    each pair of nodes), so a shared normal form costs its DAG, not the tree
+    it stands for; any other field (a Closure or a type, say) is a plain
     value, and `copy` copies fields.  Types override equality and hashing:
     they are interned (see ObjType), so they compare and hash by identity.
     Assigning or deleting an attribute raises AttributeError, so a node that
@@ -85,7 +87,7 @@ class Record(metaclass=_RecordType):
     def __eq__(self, other: object) -> bool:
         if type(other) is not type(self):
             return NotImplemented
-        eq, stack = Record.__eq__, [(self, other)]
+        eq, stack, seen = Record.__eq__, [(self, other)], set()
         while stack:
             a, b = stack.pop()
             cls = type(a)
@@ -94,7 +96,8 @@ class Record(metaclass=_RecordType):
                     return False
             elif cls is not type(b):
                 return False
-            else:
+            elif (pair := (id(a), id(b))) not in seen:  # each pair once
+                seen.add(pair)
                 for f in cls.__match_args__:
                     x, y = getattr(a, f), getattr(b, f)
                     if x is not y:
@@ -108,21 +111,20 @@ class Record(metaclass=_RecordType):
         return True
 
     def __hash__(self) -> int:
-        # The nodes in preorder, last field first: a record by its class, a
-        # tuple by its length, any other value as itself.
-        own, nodes, stack = Record.__hash__, [], [self]
+        # Each distinct record or tuple once, after those in its fields: it
+        # hashes as its class and its fields, where each of those counts as
+        # its hash, so records that are equal hash alike whatever they share.
+        own, hashes, stack = Record.__hash__, {}, [self]
         while stack:
             u = stack.pop()
-            cls = type(u)
-            if cls.__hash__ is own:
-                nodes.append(cls)
-                stack += [getattr(u, f) for f in cls.__match_args__]
-            elif cls is tuple:
-                nodes.append(len(u))
-                stack += u
-            else:
-                nodes.append(u)
-        return hash(tuple(nodes))
+            if type(u) is list:  # [node, its fields], whose nodes are hashed
+                u, fields = u
+                hashes[id(u)] = hash((type(u), *[hashes.get(id(v), v) for v in fields]))
+            elif id(u) not in hashes:
+                fields = u if type(u) is tuple else [getattr(u, f) for f in type(u).__match_args__]
+                stack.append([u, fields])
+                stack += [v for v in fields if type(v).__hash__ is own or type(v) is tuple]
+        return hashes[id(self)]
 
     def __repr__(self) -> str:
         return _write(self, _REPR)
@@ -314,26 +316,37 @@ def children(t: Term) -> tuple[Term, ...]:
 
 
 def free_vars(t: Term) -> frozenset[str]:
-    """The names that occur free in `t`, in one walk over an explicit stack:
+    """The names that occur free in `t`.  A term may be a normal form that
+    shares subterms and stands for a far larger tree, so a first pass finds
+    the ids of the compound nodes that more than one edge reaches; a leaf's
+    free names cost nothing to find.  Then one walk over an explicit stack:
     `bound` counts the Lams around the node at hand that bind each name, and
     a Lam leaves its binder under its body, to be unbound on the way out.
-    A term may be a normal form that shares subterms and stands for a far
-    larger tree, so a node that more than one edge reaches (`_shared_nodes`)
-    is walked once, in a frame of its own, for its own free names, kept in
-    `memo`; where it occurs, those names less the ones bound there join the
-    rest.  That costs the DAG size plus, at each edge into a shared node,
-    that node's number of free names."""
-    shared = _shared_nodes(t)
+    A shared node is walked once, in a frame of its own, for its own free
+    names, kept in `memo`; where it occurs, those names less the ones bound
+    there join the rest.  That costs the DAG size plus, at each edge into a
+    shared node, that node's number of free names."""
+    seen: set[int] = set()
+    shared: set[int] = set()
+    stack: list = [t]
+    while stack:
+        for c in children(stack.pop()):
+            if type(c) not in _LEAF_TERMS:
+                if id(c) in seen:
+                    shared.add(id(c))
+                else:
+                    seen.add(id(c))
+                    stack.append(c)
     memo: dict[int, frozenset[str]] = {}
     frames: list = []  # the walks that wait for a shared node's names
     out: set[str] = set()
     bound: dict[str, int] = {}
-    stack: list = [t]
+    stack = [t]
     while True:
         if not stack:
-            if not frames:
-                return frozenset(out)
             names = frozenset(out)
+            if not frames:
+                return names
             out, bound, stack = frames.pop()
             memo[id(stack[-1])] = names
             continue
@@ -359,25 +372,6 @@ def free_vars(t: Term) -> frozenset[str]:
             stack += (u.binder, u.body)
         else:
             stack += children(u)
-
-
-def _shared_nodes(t: Term) -> set[int]:
-    """The ids of the compound nodes of `t` that more than one edge
-    reaches.  A leaf is left out: its free names cost nothing to find."""
-    seen: set[int] = set()
-    shared: set[int] = set()
-    stack = [t]
-    while stack:
-        for c in children(stack.pop()):
-            if type(c) in _LEAF_TERMS:
-                continue
-            k = id(c)
-            if k in seen:
-                shared.add(k)
-            else:
-                seen.add(k)
-                stack.append(c)
-    return shared
 
 
 _LEAF_TERMS = frozenset((Var, Lit, UnitVal))
@@ -461,10 +455,13 @@ def infer(env: Mapping[str, ObjType], sig, t: Term) -> ObjType:
     binding its binder shadows and puts it back when the body is done.
     The error path is read off the tags only when raising.  Types are
     interned, so every check is one `is`; arrows and products are read
-    from `_TYPES`, and each distinct annotation is validated once."""
+    from `_TYPES`, and each distinct type of `env` and annotation is
+    validated once, those of `env` first."""
     env = dict(env)
     bases, prims = sig.bases, sig.prims
-    checked = set()  # the annotations validated so far
+    checked = set(env.values())  # the types validated so far
+    for a in dict.fromkeys(env.values()):  # an unknown base has the empty path
+        validate_type(a, sig)
     k = None
     while True:
         # Descend: type an atom at once; a compound term pushes its frame

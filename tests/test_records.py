@@ -4,6 +4,7 @@ concrete values, primitive tables and chars terms."""
 import copy
 import pickle
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -322,6 +323,31 @@ def test_deep_records_compare_hash_and_print(build, n, text, leaf):
     assert hash(a) == hash(b)
     assert repr(a) == repr(b) == text * n + leaf + ")" * n
     assert a != build(1)
+
+
+def test_a_shared_normal_form_compares_and_hashes_in_time_linear_in_its_dag():
+    # the normal form of power 2**20 is a small DAG that stands for a tree of
+    # about 2^21 nodes; `==` compares each pair of nodes once and `hash`
+    # hashes each distinct node once
+    assert sys.getrecursionlimit() == 1000
+    sig, prims = rational_signature(), smart_prim_env()
+    a, b = norm(power(2**20), sig, prims), norm(power(2**20), sig, prims)
+    assert a is not b
+    start = time.process_time()
+    assert a == b
+    assert time.process_time() - start < 0.05
+    start = time.process_time()
+    assert hash(a) == hash(b)
+    assert time.process_time() - start < 0.1  # two hashes
+    # sharing changes neither: a shared node and an equal copy of it give
+    # equal records that hash alike, and a difference under a node met
+    # again is still found
+    s, t = a.body, norm(power(2**20), sig, prims).body
+    assert syntax.Pair(s, s) == syntax.Pair(s, t) == syntax.Pair(t, s)
+    assert hash(syntax.Pair(s, s)) == hash(syntax.Pair(s, t))
+    odd = norm(power(2**20 + 1), sig, prims).body
+    assert syntax.Pair(s, s) != syntax.Pair(s, odd)
+    assert syntax.App(syntax.Pair(s, s), s) != syntax.App(syntax.Pair(s, s), odd)
 
 
 @pytest.mark.parametrize("build, n, text, leaf", DEEP.values(), ids=DEEP.keys())

@@ -158,6 +158,20 @@ def test_infer_validates_each_distinct_annotation_once(monkeypatch):
     assert calls == [RAT, Sum(Unit(), RAT)]
 
 
+def test_infer_validates_each_distinct_type_of_its_env_once(monkeypatch):
+    # an unknown base in the environment raises as in an annotation, with
+    # the empty path, whether or not the term uses its name
+    for env in ({"y": Base("R")}, {"y": RAT, "z": Arrow(RAT, Base("R"))}):
+        with pytest.raises(UnknownBaseType) as exc:
+            infer(env, SIG, Var("y"))
+        assert str(exc.value) == "unknown base type 'R'" and exc.value.path == ()
+    calls = []
+    real = syntax.validate_type
+    monkeypatch.setattr(syntax, "validate_type", lambda ty, sig: calls.append(ty) or real(ty, sig))
+    assert infer({"y": RAT, "z": BOOL, "w": RAT}, SIG, Lam("x", RAT, Var("y"))) is Arrow(RAT, RAT)
+    assert calls == [RAT, BOOL]  # the annotation was validated with the env
+
+
 def test_infer_annotation_must_be_sum():
     with pytest.raises(TypeMismatch):
         infer({}, SIG, Inl(lit(1), RAT))
