@@ -33,7 +33,7 @@ Continuations", 1993).  Each rule is one block of the loop.  A source redex
 `(app (lam (y a) b) m)`, a case branch that is a literal lambda and a
 closure call bind the argument through one step that copies the
 environment, binds and runs the body; a literal lambda builds no closure.
-A primitive's entry is the first value its frame gathers, so every call,
+A primitive's frame gathers its arguments from the first, so every call,
 nullary or not, is made and its request reflected in one place.  Reflection
 at a base type or unit is a value at once, so neither a primitive's
 residual result nor the payload of a `shift` takes a step.
@@ -103,8 +103,8 @@ EVAL, RETURN, REIFY, REFLECT = range(4)
     ARG,  # (term, env): the function arrived; evaluate its argument
     CALL,  # (fun,): the argument arrived; apply fun to it
     CALL_WITH,  # (arg,): a case branch arrived; apply it to arg, the payload
-    PRIM_ARG,  # (args, i, acc, env): the value arrives at the end of acc, the
-    # primitive's entry and then the values of args[:i]
+    PRIM_ARG,  # (args, i, acc, env, impl): the value of args[i - 1] joins acc,
+    # the values before it; at i = 0, pushed by the PrimApp, none arrives
     CASE,  # (left, right, env): the scrutinee arrived; pick a branch
     BIND,  # (lam, env): the argument of a source redex arrived
     PAIR_SND,  # (term, env): the first component arrived; evaluate the second
@@ -193,12 +193,12 @@ def _run(mode, k, prims, names, term=None, env=None, ty=None, value=None, code=N
             # operand; an atom, that operand or the term itself, is a value
             # at once and returns to the frame in this same step.
             cls = type(term)
-            if cls is PrimApp:  # the entry is the first value its frame gathers
+            if cls is PrimApp:  # its frame gathers the arguments, then calls impl
                 try:
-                    value = prims[term.name]
+                    impl = prims[term.name]
                 except KeyError:
                     raise UnknownPrimitive(f"no semantic entry for primitive {term.name!r}") from None
-                k = (PRIM_ARG, k, term.args, 0, (), env)
+                k = (PRIM_ARG, k, term.args, 0, (), env, impl)
             else:
                 if cls is App:
                     fun = term.fun
@@ -316,8 +316,9 @@ def _run(mode, k, prims, names, term=None, env=None, ty=None, value=None, code=N
             continue
         tag = k[0]
         if tag is PRIM_ARG:
-            _, k, args, i, acc, env = k
-            acc += (value,)
+            _, k, args, i, acc, env, impl = k
+            if i:  # the value of args[i - 1] arrived
+                acc += (value,)
             n = len(args)
             while i < n:  # the following atoms, in place
                 term = args[i]
@@ -327,10 +328,10 @@ def _run(mode, k, prims, names, term=None, env=None, ty=None, value=None, code=N
                 acc += (value,)
                 i += 1
             if i < n:
-                k = (PRIM_ARG, k, args, i + 1, acc, env)
+                k = (PRIM_ARG, k, args, i + 1, acc, env, impl)
                 mode = EVAL
                 continue
-            value = acc[0](acc[1:], names)
+            value = impl(acc, names)
             if type(value) is tuple:
                 ty, code = value
                 value = _reflect_now(ty, code)

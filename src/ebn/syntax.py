@@ -459,9 +459,11 @@ def infer(env: Mapping[str, ObjType], sig, t: Term) -> ObjType:
     validated once, those of `env` first."""
     env = dict(env)
     bases, prims = sig.bases, sig.prims
-    checked = set(env.values())  # the types validated so far
-    for a in dict.fromkeys(env.values()):  # an unknown base has the empty path
-        validate_type(a, sig)
+    checked = set()  # the types validated so far
+    for a in env.values():  # an unknown base has the empty path
+        if a not in checked:
+            validate_type(a, sig)
+            checked.add(a)
     k = None
     while True:
         # Descend: type an atom at once; a compound term pushes its frame
