@@ -336,9 +336,11 @@ def test_a_shared_normal_form_compares_and_hashes_in_time_linear_in_its_dag():
     start = time.process_time()
     assert a == b
     assert time.process_time() - start < 0.05
-    start = time.process_time()
+    for r in (a, b):
+        start = time.process_time()
+        hash(r)
+        assert time.process_time() - start < 0.05
     assert hash(a) == hash(b)
-    assert time.process_time() - start < 0.1  # two hashes
     # sharing changes neither: a shared node and an equal copy of it give
     # equal records that hash alike, and a difference under a node met
     # again is still found
