@@ -51,6 +51,7 @@ from .primitives import (
     rational_signature,
     smart_prim_env,
 )
+from .reader import AnnotationMissing, ParseError
 from .semantics import (
     Closure,
     Reflected,
@@ -63,7 +64,6 @@ from .semantics import (
     SUnit,
 )
 from .syntax import (
-    AnnotationMissing,
     App,
     ArityMismatch,
     Arrow,
@@ -76,7 +76,6 @@ from .syntax import (
     Lit,
     ObjType,
     Pair,
-    ParseError,
     Prod,
     PrimApp,
     ShapeMismatch,

@@ -4,7 +4,7 @@ syntax itself (difference lists, so concatenation is constant-time).
 
 Canonical forms are right-nested combs ending in the empty string; the
 back-end, `print_chars`, only accepts those.  `format_chars` writes any term
-as an s-expression, through the writer that prints terms (`syntax._write`).
+as an s-expression, through the writer that prints terms (`writer.write`).
 """
 
 from __future__ import annotations
@@ -12,11 +12,13 @@ from __future__ import annotations
 import sys
 from typing import Callable, Iterator, TextIO
 
-from .syntax import _ATOM, _SORT, Record, _add_forms, _form, _itself, _read, _set, _write
+from .reader import ATOM, SORT, add_forms, form, read
+from .records import Record, _set, itself
+from .writer import write
 
 
 class CharsTerm(Record):
-    __deepcopy__ = _itself
+    __deepcopy__ = itself
 
 
 class Eps(CharsTerm):
@@ -128,7 +130,7 @@ _FORMAT = {
 
 
 def format_chars(t: CharsTerm) -> str:
-    return _write(t, _FORMAT)
+    return write(t, _FORMAT)
 
 
 def _chars_atom(tok: str, what: str) -> CharsTerm:
@@ -143,14 +145,14 @@ def _one_char(tok: str, what: str) -> str:
     return tok[1]
 
 
-# The reader's sort of chars terms (see `syntax._read`).
-_CHARS = (_SORT, "a chars term", _chars_atom, {}, "'chr' or 'cat'", "chars", {})
-_add_forms(
+# The reader's sort of chars terms (see `reader.read`).
+_CHARS = (SORT, "a chars term", _chars_atom, {}, "'chr' or 'cat'", "chars", {})
+add_forms(
     _CHARS,
-    chr=_form(Chr, (_ATOM, "a one-character string", _one_char)),
-    cat=_form(Append, _CHARS, _CHARS),
+    chr=form(Chr, (ATOM, "a one-character string", _one_char)),
+    cat=form(Append, _CHARS, _CHARS),
 )
 
 
 def parse_chars(text: str) -> CharsTerm:
-    return _read(text, _CHARS)
+    return read(text, _CHARS)

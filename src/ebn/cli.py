@@ -26,9 +26,9 @@ from .primitives import (
     rational_signature,
     smart_prim_env,
 )
+from .reader import ParseError
 from .syntax import (
     App,
-    ParseError,
     TypingError,
     infer,
     parse_term,

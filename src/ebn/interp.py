@@ -11,6 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping
 
+from .records import Record, _set
 from .syntax import (
     App,
     Case,
@@ -21,7 +22,6 @@ from .syntax import (
     Lit,
     Pair,
     PrimApp,
-    Record,
     ShapeMismatch,
     Snd,
     Term,
@@ -29,9 +29,8 @@ from .syntax import (
     Var,
     children,
     format_rational,
-    _set,
-    _write,
 )
+from .writer import write
 
 
 class RuntimeDivisionByZero(Exception):
@@ -151,7 +150,7 @@ def run(t: Term, env: Mapping[str, ConcreteValue] | None = None) -> ConcreteValu
         stack[-1][1].append(v)
 
 
-# Each value's pieces for `syntax._write`, last first, or a leaf's text.
+# Each value's pieces for `writer.write`, last first, or a leaf's text.
 _FORMAT = {
     CUnit: lambda v: "unit",
     CRat: lambda v: format_rational(v.value),
@@ -163,4 +162,4 @@ _FORMAT = {
 
 
 def format_value(v: ConcreteValue) -> str:
-    return _write(v, _FORMAT)
+    return write(v, _FORMAT)

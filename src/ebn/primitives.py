@@ -17,6 +17,7 @@ import operator
 from fractions import Fraction
 from typing import Callable, Mapping
 
+from .records import Record, _set
 from .semantics import (
     PrimEnv,
     SBase,
@@ -34,7 +35,6 @@ from .syntax import (
     Lit,
     ObjType,
     PrimApp,
-    Record,
     ShapeMismatch,
     Sum,
     Term,
@@ -42,7 +42,6 @@ from .syntax import (
     UnitVal,
     free_vars,
     validate_type,
-    _set,
 )
 
 Rational = Fraction

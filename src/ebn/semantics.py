@@ -10,7 +10,7 @@ of a lambda over its environment, or Reflected code of arrow type.  A client
 may also build an SFun around a host function from value to value, which the
 machine calls in place and whose result it returns to the current frame.
 
-Semantic values are records (`syntax.Record`), immutable like terms:
+Semantic values are records (`records.Record`), immutable like terms:
 assigning or deleting any attribute raises AttributeError.  A Closure
 compares by identity.
 """
@@ -19,7 +19,8 @@ from __future__ import annotations
 
 from typing import Any, Callable, Mapping, Union
 
-from .syntax import Lit, ObjType, Record, ShapeMismatch, Term, _set
+from .records import Record, _set
+from .syntax import Lit, ObjType, ShapeMismatch, Term
 
 
 # ---------------------------------------------------------------------------

@@ -1,151 +1,35 @@
-"""Object-language types and terms: typing, alpha-equivalence, beta-normality,
-the reader of every s-expression (terms, types, chars terms), and the writer
-that prints every text: terms and types as s-expressions or surface syntax,
-a record's repr, chars terms.
+"""The object language: types and terms, typing, alpha-equivalence,
+beta-normality, rational literals, and the tables through which the reader
+(`reader.py`) reads and the writer (`writer.py`) prints terms and types, as
+s-expressions or surface syntax.
 
-Types and terms are records, defined here once for the whole package: each
-record class keeps its fields in slots and raises AttributeError on any
-assignment or deletion, so a record never changes after its `__init__`.
-Types are hash-consed: building a type returns the one node of its class and
-fields, so types compare and hash by identity, in O(1) at any depth.  A term
-may share a subterm by reference (normal forms do), so it is a DAG that
-stands for a tree.  Binders (lam, inl, inr) carry explicit type annotations so
-that type inference is synthesis-only.
-
-The reader keeps a table of the leaf forms it has read, `(lit 4/5 Q)`,
-`(var x)` and `(chr "a")`, by their operand tokens, so it converts each
-distinct leaf once and every read of it returns the one node: reads share
-leaf nodes as normal forms share subterms.  The table holds at most 4,096
-nodes and is emptied when full; a leaf whose operand is malformed is never
-stored.  Bare type atoms map to their interned types.
-
-The writer prints in one pass.  It keeps the span of text that each node's
-first occurrence wrote, and a node met again writes that span, joined once,
-so a normal form that shares subterms makes the pieces of each distinct
-node once, and its text is that of the tree it stands for.
+Types and terms are records (`records.py`).  Types are hash-consed: building
+a type returns the one node of its class and fields, so types compare and
+hash by identity, in O(1) at any depth.  A term may share a subterm by
+reference (normal forms do), so it is a DAG that stands for a tree.  Binders
+(lam, inl, inr) carry explicit type annotations so that type inference is
+synthesis-only.  Bare type atoms read as their interned types.
 """
 
 from __future__ import annotations
 
 import re
-from collections import defaultdict
 from decimal import Decimal
 from fractions import Fraction
 from operator import attrgetter
 from typing import Any, Callable, Mapping
 
-
-# ---------------------------------------------------------------------------
-# Records
-
-
-class _RecordType(type):
-    """The class of record classes.  The parameters of a record class's own
-    `__init__` are its fields: they become its `__slots__` and its
-    `__match_args__`, which equality, hashing, repr and pickling read.  A
-    class without an `__init__` of its own adds no slots."""
-
-    def __new__(mcls, name: str, bases: tuple, ns: dict):
-        init = ns.get("__init__")
-        fields = init.__code__.co_varnames[1 : init.__code__.co_argcount] if init else ()
-        ns.setdefault("__slots__", fields)
-        if init is not None:
-            ns["__match_args__"] = fields
-        return super().__new__(mcls, name, bases, ns)
-
-
-# A record's `__init__` writes each field with `_set(self, name, value)`, past
-# the `__setattr__` that makes records immutable.
-_set = object.__setattr__
-
-
-class Record(metaclass=_RecordType):
-    """An immutable record.  A subclass names its fields once, as the
-    parameters of its `__init__`; they become its slots, and the `__init__`
-    stores each with `_set`.  Two records are equal when they are of one
-    class and their fields are equal, and then they hash alike; `repr` spells
-    the class and its fields by keyword; pickle writes its table of nodes
-    (`tables.py`).  All four walk an explicit stack into tuple fields and
-    into fields whose class keeps them, so a record may nest past the
-    recursion limit, and visit a node that many parents share once (`==`
-    each pair of nodes), so a shared normal form costs its DAG, not the tree
-    it stands for; any other field (a Closure or a type, say) is a plain
-    value, and `copy` copies fields.  Types override equality and hashing:
-    they are interned (see ObjType), so they compare and hash by identity.
-    Assigning or deleting an attribute raises AttributeError, so a node that
-    a normal form shares among many parents cannot be changed through one of
-    them.  No code is generated per class, which keeps `import ebn` cheap."""
-
-    __match_args__: tuple[str, ...] = ()
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        eq, stack, seen = Record.__eq__, [(self, other)], set()
-        while stack:
-            a, b = stack.pop()
-            cls = type(a)
-            if cls.__eq__ is not eq:  # an element of a tuple field
-                if a is not b and a != b:
-                    return False
-            elif cls is not type(b):
-                return False
-            elif (pair := (id(a), id(b))) not in seen:  # each pair once
-                seen.add(pair)
-                for f in cls.__match_args__:
-                    x, y = getattr(a, f), getattr(b, f)
-                    if x is not y:
-                        t = type(x)
-                        if t.__eq__ is eq:
-                            stack.append((x, y))
-                        elif t is tuple and type(y) is tuple and len(x) == len(y):
-                            stack += zip(x, y)
-                        elif x != y:
-                            return False
-        return True
-
-    def __hash__(self) -> int:
-        # Each distinct record or tuple once, after those in its fields: it
-        # hashes as its class and its fields, where each of those counts as
-        # its hash, so records that are equal hash alike whatever they share.
-        own, hashes, stack = Record.__hash__, {}, [self]
-        while stack:
-            u = stack.pop()
-            if type(u) is list:  # [node, its fields], whose nodes are hashed
-                u, fields = u
-                hashes[id(u)] = hash((type(u), *[hashes.get(id(v), v) for v in fields]))
-            elif id(u) not in hashes:
-                fields = u if type(u) is tuple else [getattr(u, f) for f in type(u).__match_args__]
-                stack.append([u, fields])
-                stack += [v for v in fields if type(v).__hash__ is own or type(v) is tuple]
-        return hashes[id(self)]
-
-    def __repr__(self) -> str:
-        return _write(self, _REPR)
-
-    def __reduce__(self):
-        from .tables import table, untable  # compiled on the first pickle only
-        return untable, (table(self),)
-
-    def __copy__(self):
-        return type(self)(*[getattr(self, f) for f in self.__match_args__])
-
-    def __deepcopy__(self, memo: dict):
-        from copy import deepcopy  # imported by whoever calls this
-        return type(self)(*[deepcopy(getattr(self, f), memo) for f in self.__match_args__])
+# `tokenize` is imported for callers of `syntax.tokenize`.
+from .reader import ANNOT, ATOM, PAREN, REST, SORT, add_forms, bare_atom, form, read, tokenize
+from .records import Record, RecordType, _set, itself
+from .writer import write
 
 
 # ---------------------------------------------------------------------------
 # Types
 
 
-class _InternedType(_RecordType):
+class _InternedType(RecordType):
     """The class of type classes.  Calling one returns the node in `_TYPES`
     for its class and fields, built by the first such call."""
 
@@ -162,14 +46,6 @@ class _InternedType(_RecordType):
 _TYPES: dict[tuple, ObjType] = {}
 
 
-def _itself(node: Record, memo: dict) -> Record:
-    """`__deepcopy__` of a type, a term or a chars term: the node itself,
-    without a walk into its fields, so at any depth.  It assumes that their
-    fields are immutable all the way down: names, `Fraction` literals, tuples
-    of nodes and interned types."""
-    return node
-
-
 class ObjType(Record, metaclass=_InternedType):
     """Base class of object-language types.  Types are interned: `Base("Q")`
     is the one node named "Q", and copy, deepcopy and pickle return it too.
@@ -181,7 +57,7 @@ class ObjType(Record, metaclass=_InternedType):
 
     __eq__ = object.__eq__
     __hash__ = object.__hash__
-    __deepcopy__ = _itself
+    __deepcopy__ = itself
 
 
 class Base(ObjType):
@@ -218,7 +94,7 @@ class Sum(ObjType):
 class Term(Record):
     """Base class of object-language terms."""
 
-    __deepcopy__ = _itself
+    __deepcopy__ = itself
 
 
 class Lit(Term):
@@ -734,182 +610,7 @@ def format_rational(q: Fraction) -> str:
 
 
 # ---------------------------------------------------------------------------
-# S-expression reader
-
-
-class ParseError(Exception):
-    def __init__(self, message: str, line: int, col: int):
-        self.message, self.line, self.col = message, line, col
-        super().__init__(f"{line}:{col}: {message}")
-
-
-class AnnotationMissing(ParseError):
-    """A lam/inl/inr form is missing its type annotation."""
-
-
-# A token is a parenthesis, a string (quotes kept), an atom, a line comment,
-# or a lone quote: the start of a string that its line does not close.
-# Whitespace matches nothing, so `findall` skips it.
-_TOKEN_RE = re.compile(r'[()]|"[^"\n]*"|"|[^\s();"]+|;[^\n]*')
-
-
-def tokenize(text: str) -> list[str]:
-    """Split s-expression source into tokens; `;` starts a line comment,
-    double quotes delimit single-character strings for the chars language.
-    A token's first character gives its kind: `(`, `)`, `"` or an atom.
-    A text with neither (every term and type text) is split by `str.split`
-    once its parentheses are spaced out: that gives `_TOKEN_RE`'s tokens,
-    since `str.split` and `re` take the same 29 code points for whitespace,
-    in about half the time."""
-    if '"' not in text and ";" not in text:
-        return text.replace("(", " ( ").replace(")", " ) ").split()
-    tokens = _TOKEN_RE.findall(text)
-    if ";" in text:
-        tokens = [t for t in tokens if t[0] != ";"]
-    if '"' in text and '"' in tokens:
-        raise ParseError("unterminated string", *_position(text, tokens.index('"')))
-    return tokens
-
-
-def _position(text: str, index: int) -> tuple[int, int]:
-    """Line and column of token `index` of `text`, or of the end of the last
-    token when there are not that many.  Only errors pay for this."""
-    pos = 0
-    tokens = (m for m in _TOKEN_RE.finditer(text) if m.group()[0] != ";")
-    for i, m in enumerate(tokens):
-        if i == index:
-            pos = m.start()
-            break
-        pos = m.end()
-    return text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
-
-
-# The reader's slots.  Each is a tuple: its kind, what it expects (for
-# "unexpected end of input, expected ..."), and its data:
-#   (_SORT, what, atom, forms, head_what, name, leaves) reads one value of a
-#       sort: a bare atom as `atom(token, what)`, or a form `(head ...)`
-#       through the slots `forms[head]` (see `_form`); `leaves` holds the
-#       sort's leaf forms (see `_add_forms`);
-#   (_ATOM, what, convert) reads one token as `convert(token, what)`;
-#   (_PAREN, what, paren) reads the token `paren`, and (_CLOSE, "')'", ")",
-#       make) the `)` that ends a form: its value is `make` of its values;
-#   (_ANNOT, message, sort, at_head) reads `sort` unless `)` comes next:
-#       that raises AnnotationMissing with `message.format(last value)` at
-#       the last token or, with `at_head`, at the form's head;
-#   (_REST, what, sort) reads values of `sort` until `)` comes next.
-# `atom` and `convert` raise ValueError for a ParseError at their token.
-_SORT, _ATOM, _CLOSE, _PAREN, _ANNOT, _REST = range(6)
-
-
-def _form(make: Callable, *operands: tuple) -> tuple:
-    """A form's slots, last first as the reader pushes them."""
-    return ((_CLOSE, "')'", ")", make), *operands[::-1])
-
-
-def _add_forms(sort: tuple, **forms: tuple) -> None:
-    """Add `forms` to the form table of `sort`.  A leaf form, one whose
-    operands are all `_ATOM` slots, also goes into the sort's leaf table as
-    `(make, its operand slots in order)`, for `_read` to take in one step."""
-    sort[3].update(forms)
-    for head, form in forms.items():
-        if all(slot[0] == _ATOM for slot in form[1:]):
-            sort[6][head] = form[0][3], form[:0:-1]
-
-
-# `_read`'s leaf nodes by `(make, operand tokens)`: `(lit 4/5 Q)` is keyed
-# `(Lit, "4/5", "Q")`, so no two leaf forms may share a `make`.
-_LEAVES: dict[tuple, Record] = {}
-_LEAF_BOUND = 4096
-
-
-def _read(text: str, sort: tuple) -> Any:
-    """The value of `sort` that `text` spells, with no input left over.  One
-    loop pops slots off an explicit stack, so nesting costs no Python stack.
-    An open form's values wait on a second stack from its `(head` onwards.
-
-    A leaf form whose operand tokens are followed by `)` is read in one step:
-    its node comes from the table `_LEAVES`, so every read of `(var x)`
-    returns one shared node until the table is next emptied, which happens
-    when it holds `_LEAF_BOUND` (4,096) nodes.  On a miss each operand goes
-    through its slot's converter, one token at a time, so an error is
-    reported at the token the slot walk would report it at; a node is
-    stored only once every operand converted."""
-    tokens = tokenize(text)
-    n, i = len(tokens), 0
-    stack, values, heads = [sort], [], []  # heads: (token index, values start)
-    pop, push, append = stack.pop, stack.append, values.append
-    try:  # IndexError: `tokens[i]` past the last token
-        while stack:
-            slot = pop()
-            kind = slot[0]
-            if kind >= _ANNOT:  # these look at the next token before they read
-                if i == n or tokens[i] != ")":
-                    if kind == _REST:
-                        push(slot)
-                    push(slot[2])
-                elif kind == _ANNOT:
-                    at = heads[-1][0] if slot[3] else i - 1
-                    raise AnnotationMissing(slot[1].format(values[-1]), *_position(text, at))
-                continue
-            tok = tokens[i]
-            i += 1
-            if kind == _SORT:
-                if tok != "(":
-                    append(slot[2](tok, slot[1]))
-                    continue
-                if i == n:
-                    raise ParseError(f"unexpected end of input, expected {slot[4]}", *_position(text, i))
-                head = tokens[i]
-                i += 1
-                leaf = slot[6].get(head)
-                if leaf is not None:
-                    make, operands = leaf
-                    j = i + len(operands)  # the `)` that ends the form
-                    if j < n and tokens[j] == ")":
-                        key = (make, *tokens[i:j])
-                        node = _LEAVES.get(key)
-                        if node is None:
-                            args = []
-                            for operand in operands:  # an error is at its token
-                                i += 1
-                                args.append(operand[2](tokens[i - 1], operand[1]))
-                            i += 1
-                            node = make(*args)
-                            if len(_LEAVES) >= _LEAF_BOUND:
-                                _LEAVES.clear()
-                            _LEAVES[key] = node
-                        else:
-                            i = j + 1
-                        append(node)
-                        continue
-                form = slot[3].get(head)
-                if form is None:
-                    raise ValueError(f"unknown {slot[5]} form {_name(head, slot[4])!r}")
-                heads.append((i - 1, len(values)))
-                stack += form
-            elif kind == _ATOM:
-                append(slot[2](tok, slot[1]))
-            elif tok != slot[2]:
-                raise ValueError(f"expected {slot[1]}, found {tok!r}")
-            elif kind == _CLOSE:
-                start = heads.pop()[1]
-                args = values[start:]
-                del values[start:]
-                append(slot[3](*args))
-    except ValueError as e:
-        raise ParseError(str(e), *_position(text, i - 1)) from None
-    except IndexError:
-        raise ParseError(f"unexpected end of input, expected {slot[1]}", *_position(text, i)) from None
-    if i < n:
-        raise ParseError(f"trailing input {tokens[i]!r}", *_position(text, i))
-    return values[0]
-
-
-def _name(tok: str, what: str) -> str:
-    if tok[0] in '()"':
-        raise ValueError(f"expected {what}, found {tok!r}")
-    return tok
-
+# The sorts of terms and types (see `reader.py`)
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_']*")
 
@@ -922,7 +623,7 @@ _TYPE_ATOMS: dict[str, ObjType] = {"unit": Unit()}
 def _type_atom(tok: str, what: str) -> ObjType:
     ty = _TYPE_ATOMS.get(tok)
     if ty is None:
-        if not _NAME_RE.fullmatch(_name(tok, what)):
+        if not _NAME_RE.fullmatch(bare_atom(tok, what)):
             raise ValueError(f"malformed base type name {tok!r}")
         ty = _TYPE_ATOMS[tok] = Base(tok)
     return ty
@@ -931,108 +632,53 @@ def _type_atom(tok: str, what: str) -> ObjType:
 def _term_atom(tok: str, what: str) -> Term:
     if tok == "unit":
         return UnitVal()
-    raise ValueError(f"unexpected atom {_name(tok, what)!r}")
+    raise ValueError(f"unexpected atom {bare_atom(tok, what)!r}")
 
 
 # The sorts of types and terms; their forms name the sorts, so come after.
-_TYPE = (_SORT, "a type", _type_atom, {}, "a type constructor", "type", {})
-_TERM = (_SORT, "a term", _term_atom, {}, "a term constructor", "term", {})
-_add_forms(
-    _TYPE, arrow=_form(Arrow, _TYPE, _TYPE), prod=_form(Prod, _TYPE, _TYPE), sum=_form(Sum, _TYPE, _TYPE)
+_TYPE = (SORT, "a type", _type_atom, {}, "a type constructor", "type", {})
+_TERM = (SORT, "a term", _term_atom, {}, "a term constructor", "term", {})
+add_forms(
+    _TYPE, arrow=form(Arrow, _TYPE, _TYPE), prod=form(Prod, _TYPE, _TYPE), sum=form(Sum, _TYPE, _TYPE)
 )
-_add_forms(
+add_forms(
     _TERM,
-    lit=_form(
+    lit=form(
         Lit,
-        (_ATOM, "a rational literal", lambda tok, what: parse_rational(_name(tok, what))),
-        (_ATOM, "a base type name", _name),
+        (ATOM, "a rational literal", lambda tok, what: parse_rational(bare_atom(tok, what))),
+        (ATOM, "a base type name", bare_atom),
     ),
-    prim=_form(lambda name, *args: PrimApp(name, args), (_ATOM, "a primitive name", _name),
-               (_REST, "a term", _TERM)),
-    var=_form(Var, (_ATOM, "a variable name", _name)),
-    lam=_form(
+    prim=form(lambda name, *args: PrimApp(name, args), (ATOM, "a primitive name", bare_atom),
+               (REST, "a term", _TERM)),
+    var=form(Var, (ATOM, "a variable name", bare_atom)),
+    lam=form(
         Lam,
-        (_PAREN, "'(' before the binder", "("),
-        (_ATOM, "a binder name", _name),
-        (_ANNOT, "binder {!r} has no type annotation", _TYPE, False),
-        (_PAREN, "')' after the binder", ")"),
+        (PAREN, "'(' before the binder", "("),
+        (ATOM, "a binder name", bare_atom),
+        (ANNOT, "binder {!r} has no type annotation", _TYPE, False),
+        (PAREN, "')' after the binder", ")"),
         _TERM,
     ),
-    app=_form(App, _TERM, _TERM),
-    pair=_form(Pair, _TERM, _TERM),
-    fst=_form(Fst, _TERM),
-    snd=_form(Snd, _TERM),
-    inl=_form(Inl, _TERM, (_ANNOT, "inl has no sum type annotation", _TYPE, True)),
-    inr=_form(Inr, _TERM, (_ANNOT, "inr has no sum type annotation", _TYPE, True)),
-    case=_form(Case, _TERM, _TERM, _TERM),
+    app=form(App, _TERM, _TERM),
+    pair=form(Pair, _TERM, _TERM),
+    fst=form(Fst, _TERM),
+    snd=form(Snd, _TERM),
+    inl=form(Inl, _TERM, (ANNOT, "inl has no sum type annotation", _TYPE, True)),
+    inr=form(Inr, _TERM, (ANNOT, "inr has no sum type annotation", _TYPE, True)),
+    case=form(Case, _TERM, _TERM, _TERM),
 )
 
 
 def parse_term(text: str) -> Term:
-    return _read(text, _TERM)
+    return read(text, _TERM)
 
 
 def parse_type(text: str) -> ObjType:
-    return _read(text, _TYPE)
+    return read(text, _TYPE)
 
 
 # ---------------------------------------------------------------------------
 # Printing
-
-
-def _write(root: Record, parts: dict[type, Callable]) -> str:
-    """The text of `root`, in one pass.  `parts[cls](u)` gives a node `u` of
-    class `cls` either as its whole text, a string, or as its pieces last
-    first: strings, and nodes written in turn.  A parent puts any
-    parentheses around a child, so a node's text is the same wherever it
-    occurs, and a normal form may share a node among many parents.  Pieces
-    pop off one stack onto one list, joined once at the end, so time is
-    linear in the bytes written and Python stack use is constant.
-
-    `known` keeps, by id, the text of each leaf met so far, and the span of
-    `out` that each other node's first occurrence wrote, as the one int
-    `start * _SPAN + end`: it holds `start` until the node's id, pushed
-    under its pieces, marks the end.  A node met a second time joins its
-    span once into its text, and every later occurrence writes that text,
-    so each node's parts are made once per call."""
-    out: list[str] = []
-    known: dict[int, Any] = {}
-    stack = [root]
-    pop, write = stack.pop, out.append
-    try:  # KeyError: `u` has no parts, or is an int
-        while stack:
-            u = pop()
-            cls = type(u)
-            if cls is str:
-                write(u)
-            elif cls is int:  # the end of the first text of the node with id `u`
-                known[u] = known[u] * _SPAN + len(out)
-            else:
-                k = id(u)
-                text = known.get(k)
-                if text is None:
-                    pieces = parts[cls](u)
-                    if type(pieces) is str:
-                        known[k] = pieces
-                        write(pieces)
-                    else:
-                        known[k] = len(out)
-                        stack.append(k)
-                        stack += pieces
-                else:
-                    if type(text) is int:
-                        start, end = divmod(text, _SPAN)
-                        known[k] = text = "".join(out[start:end])
-                    write(text)
-    except KeyError:
-        raise TypeError(f"cannot write {u!r}") from None
-    del known  # before the join allocates: it lowers the peak
-    return "".join(out)
-
-
-# `_write` packs a span of its list of pieces into one int, smaller than a
-# pair of them; the list is far shorter than `_SPAN`.
-_SPAN = 1 << 40
 
 
 def _print_prim(u: PrimApp) -> Any:
@@ -1078,11 +724,11 @@ _PRINT: dict[type, Callable] = {
 
 def print_term(t: Term) -> str:
     """Deterministic s-expression rendering; re-parses to an equal term."""
-    return _write(t, _PRINT)
+    return write(t, _PRINT)
 
 
 def print_type(ty: ObjType) -> str:
-    return _write(ty, _PRINT)
+    return write(ty, _PRINT)
 
 
 # The highest operand precedence at which a form needs no parentheses; other
@@ -1127,43 +773,10 @@ def pretty_term(t: Term, prec: int = 0) -> str:
     """Human-oriented surface syntax: `\\x:Q. ...`, `<a, b>`, infix binary
     primitives, parenthesised as an operand at precedence `prec`.
     Deterministic; not meant to be re-parsed."""
-    text = _write(t, _PRETTY)
+    text = write(t, _PRETTY)
     return f"({text})" if _TOP.get(type(t), prec) < prec else text
 
 
 def pretty_type(ty: ObjType) -> str:
-    return _write(ty, _PRETTY)
+    return write(ty, _PRETTY)
 
-
-def _spell(u: Record) -> Any:
-    """`Cls(field=value, ...)` last first, or its whole text when no field
-    holds a record: a record, alone or in a tuple field, is written in turn;
-    any other value's repr joins the piece beside it."""
-    pieces, text = [], f"{type(u).__qualname__}("
-    for i, f in enumerate(u.__match_args__):
-        v = getattr(u, f)
-        text += f", {f}=" if i else f"{f}="
-        if isinstance(v, Record):
-            pieces += (text, v)
-            text = ""
-        elif type(v) is tuple:
-            text += "("
-            for j, x in enumerate(v):
-                if j:
-                    text += ", "
-                if isinstance(x, Record):
-                    pieces += (text, x)
-                    text = ""
-                else:
-                    text += repr(x)
-            text += ",)" if len(v) == 1 else ")"
-        else:
-            text += repr(v)
-    if not pieces:
-        return text + ")"
-    pieces.append(text + ")")
-    return pieces[::-1]
-
-
-# Every record as its constructor call, by keyword.
-_REPR: dict[type, Callable] = defaultdict(lambda: _spell)

@@ -2,7 +2,7 @@
 `Record.__reduce__` imports this module on first use, so `import ebn` does
 not compile it."""
 
-from .syntax import Record
+from .records import Record
 
 
 def table(root: Record) -> list[tuple]:

@@ -5,7 +5,7 @@ import sys
 import pytest
 from hypothesis import given, strategies as st
 
-from ebn import syntax
+from ebn import reader
 from ebn.chars import (
     Append,
     Chr,
@@ -22,7 +22,7 @@ from ebn.chars import (
     reify_fun,
     reify_list,
 )
-from ebn.syntax import ParseError
+from ebn.reader import ParseError
 
 from conftest import gen_chars
 
@@ -127,7 +127,7 @@ def test_parse_and_format():
 
 
 def test_two_reads_share_their_chr_leaves(monkeypatch):
-    monkeypatch.setattr(syntax, "_LEAVES", {})
+    monkeypatch.setattr(reader, "_LEAVES", {})
     src = '(cat (chr "a") (cat eps (cat (chr "b") (chr "a"))))'
     a, b = parse_chars(src), parse_chars(src)
     assert a == b and a is not b

@@ -325,6 +325,29 @@ def test_deep_records_compare_hash_and_print(build, n, text, leaf):
     assert a != build(1)
 
 
+@pytest.mark.parametrize("name", ["SPair chain of 10^4", "CPair chain of 10^4"])
+def test_deepcopy_rebuilds_a_deep_value_at_the_default_limit(name):
+    # one loop rebuilds each distinct node once, so a value may nest past the
+    # recursion limit; a node met again, here or through `memo`, is one copy
+    assert sys.getrecursionlimit() == 1000
+    build = DEEP[name][0]
+    a = build(0)
+    twin = copy.deepcopy(a)
+    assert twin == a and twin != build(1)
+    u, v = a, twin
+    while type(u) is type(a):
+        assert v is not u and type(v) is type(u)
+        if name.startswith("SPair"):  # a term payload is kept as it is
+            assert v.first is not u.first and v.first.payload is u.first.payload
+        u, v = u.second, v.second
+    assert v == u and v is not u
+    memo = {}
+    whole = copy.deepcopy(a, memo)
+    assert copy.deepcopy(a.second.second, memo) is whole.second.second
+    shared = copy.deepcopy(type(a)(a, a))
+    assert shared.first is shared.second and shared.first == a
+
+
 def test_a_shared_normal_form_compares_and_hashes_in_time_linear_in_its_dag():
     # the normal form of power 2**20 is a small DAG that stands for a tree of
     # about 2^21 nodes; `==` compares each pair of nodes once and `hash`

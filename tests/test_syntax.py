@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ebn import chars, syntax
+from ebn import chars, reader, records, syntax
 from ebn.chars import parse_chars
 from ebn.examples import mk_fmap, mk_maybe, power, power_prime
 from ebn.nbe import norm
@@ -23,8 +23,8 @@ from ebn.primitives import (
     rational_signature,
     smart_prim_env,
 )
+from ebn.reader import AnnotationMissing, ParseError
 from ebn.syntax import (
-    AnnotationMissing,
     App,
     ArityMismatch,
     Arrow,
@@ -36,7 +36,6 @@ from ebn.syntax import (
     Lam,
     Lit,
     Pair,
-    ParseError,
     PrimApp,
     Prod,
     Snd,
@@ -855,7 +854,7 @@ _SORTS = {"term": syntax._TERM, "type": syntax._TYPE, "chars": chars._CHARS}
 @pytest.fixture
 def empty_leaves(monkeypatch):
     """An empty leaf table for the test; the old one is put back after it."""
-    monkeypatch.setattr(syntax, "_LEAVES", {})
+    monkeypatch.setattr(reader, "_LEAVES", {})
 
 
 def _error(read, text: str) -> tuple:
@@ -867,7 +866,7 @@ def _error(read, text: str) -> tuple:
 def _leaf_texts(sort: str, text: str) -> list[str]:
     """Each `(head operand ...)` in `text` whose head is a leaf form of `sort`,
     spelled alone."""
-    leaves, tokens = _SORTS[sort][6], syntax._TOKEN_RE.findall(text)
+    leaves, tokens = _SORTS[sort][6], reader._TOKEN_RE.findall(text)
     out = []
     for k in range(len(tokens) - 1):
         if tokens[k] == "(" and tokens[k + 1] in leaves:
@@ -906,7 +905,7 @@ def test_parse_error_table_with_a_cold_and_a_warm_leaf_table(empty_leaves):
     warmed = 0
     for sort, text, cls, message, line, col in _READ_ERRORS:
         read = _READERS[sort]
-        syntax._LEAVES.clear()
+        reader._LEAVES.clear()
         assert _error(read, text) == (cls, message, line, col), ("cold", text)
         for leaf in _leaf_texts(sort, text):
             try:
@@ -925,17 +924,17 @@ def test_parse_error_table_with_a_cold_and_a_warm_leaf_table(empty_leaves):
 def test_a_leaf_that_fails_is_never_stored(empty_leaves, sort, text):
     first = _error(_READERS[sort], text)
     assert _error(_READERS[sort], text) == first
-    assert syntax._LEAVES == {}
+    assert reader._LEAVES == {}
     assert all(syntax._NAME_RE.fullmatch(tok) for tok in syntax._TYPE_ATOMS)
 
 
 def test_leaf_table_is_emptied_when_full(empty_leaves, monkeypatch):
-    monkeypatch.setattr(syntax, "_LEAF_BOUND", 4)
+    monkeypatch.setattr(reader, "_LEAF_BOUND", 4)
     first = parse_term("(lit 0 Q)")
     for i in range(10):
         t = parse_term(f"(pair (lit {i} Q) (lit -{i}/7 Q))")
         assert t == Pair(lit(i), lit(Fraction(-i, 7)))
-        assert len(syntax._LEAVES) <= 4
+        assert len(reader._LEAVES) <= 4
     assert parse_term("(lit 0 Q)") == first and parse_term("(lit 0 Q)") is not first
     assert parse_term("(lit -9/7 Q)") is parse_term("(lit -9/7 Q)")
 
@@ -983,7 +982,7 @@ def test_whitespace_is_the_same_for_re_and_str_split():
 @given(st.text(st.sampled_from("()()ax_'Q*+=é/-0123456789" + _WHITESPACE), max_size=80))
 def test_split_tokenizer_agrees_with_the_regex(text):
     # texts without `"` or `;` take the `str.split` path
-    assert syntax.tokenize(text) == syntax._TOKEN_RE.findall(text)
+    assert syntax.tokenize(text) == reader._TOKEN_RE.findall(text)
 
 
 def test_parse_annotation_missing():
@@ -1096,7 +1095,7 @@ def test_printers_make_each_nodes_pieces_once(monkeypatch):
     t = lit(3)
     for _ in range(12):
         t = PrimApp("*", (t, t))
-    for table, write in ((syntax._PRINT, print_term), (syntax._PRETTY, pretty_term), (syntax._REPR, repr)):
+    for table, write in ((syntax._PRINT, print_term), (syntax._PRETTY, pretty_term), (records._REPR, repr)):
         calls = []
         real = table[PrimApp]
         monkeypatch.setitem(table, PrimApp, lambda u, real=real: calls.append(u) or real(u))
