@@ -17,7 +17,6 @@ from .syntax import (
     Case,
     Fst,
     Inl,
-    Inr,
     Lam,
     Lit,
     Pair,

@@ -49,7 +49,6 @@ from .semantics import (
     SBase,
     SemValue,
     SFun,
-    ShapeMismatch,
     SInl,
     SInr,
     SPair,
@@ -70,6 +69,7 @@ from .syntax import (
     Pair,
     PrimApp,
     Prod,
+    ShapeMismatch,
     Snd,
     Sum,
     Term,

@@ -34,15 +34,16 @@ class Record(metaclass=RecordType):
     parameters of its `__init__`; they become its slots, and the `__init__`
     stores each with `_set`.  Two records are equal when they are of one
     class and their fields are equal, and then they hash alike; `repr` spells
-    the class and its fields by keyword, through the writer; pickle writes
-    its table of nodes (`tables.py`); deepcopy rebuilds each distinct node
-    once.  All five walk an explicit stack into tuple fields and into fields
-    whose class keeps them, so a record may nest past the recursion limit,
-    and visit a node that many parents share once (`==` each pair of
-    nodes), so a shared normal form costs its DAG, not the tree it stands
-    for; any other field (a Closure or a type, say) is a plain value, and
-    `copy` copies fields.  Types override equality and hashing: they are
-    interned (see `syntax.ObjType`), so they compare and hash by identity.
+    the class and its fields by keyword, through the writer; deepcopy
+    rebuilds each distinct node once; pickle writes its `table` of nodes.
+    Hash, deepcopy and pickle share one `fold`; `==` walks its own stack of
+    pairs and `repr` the writer's.  Each goes into tuple fields and into
+    fields whose class keeps its method, and takes any other field as a
+    plain value, so a record may nest past the recursion limit; each visits
+    a node that many parents share once (`==` each pair of nodes), so a
+    shared normal form costs its DAG, not the tree it stands for.  `copy`
+    copies fields.  Types override equality and hashing: they are interned
+    (see `syntax.ObjType`), so they compare and hash by identity.
     Assigning or deleting an attribute raises AttributeError, so a node that
     a normal form shares among many parents cannot be changed through one of
     them.  No code is generated per class, which keeps `import ebn` cheap."""
@@ -82,49 +83,79 @@ class Record(metaclass=RecordType):
         return True
 
     def __hash__(self) -> int:
-        # Each distinct record or tuple once, after those in its fields: it
-        # hashes as its class and its fields, where each of those counts as
-        # its hash, so records that are equal hash alike whatever they share.
-        own, hashes, stack = Record.__hash__, {}, [self]
-        while stack:
-            u = stack.pop()
-            if type(u) is list:  # [node, its fields], whose nodes are hashed
-                u, fields = u
-                hashes[id(u)] = hash((type(u), *[hashes.get(id(v), v) for v in fields]))
-            elif id(u) not in hashes:
-                fields = u if type(u) is tuple else [getattr(u, f) for f in type(u).__match_args__]
-                stack.append([u, fields])
-                stack += [v for v in fields if type(v).__hash__ is own or type(v) is tuple]
-        return hashes[id(self)]
+        # its class and its parts' hashes, so equal records hash alike
+        return fold(self, "__hash__", hash, lambda u, hs: hash((type(u), *hs)))
 
     def __repr__(self) -> str:
         return write(self, _REPR)
 
     def __reduce__(self):
-        from .tables import table, untable  # compiled on the first pickle only
         return untable, (table(self),)
 
     def __copy__(self):
         return type(self)(*[getattr(self, f) for f in self.__match_args__])
 
     def __deepcopy__(self, memo: dict):
-        # Each distinct record whose class keeps this method, alone or in a
-        # tuple field, is rebuilt once, after those in its fields, into `memo`,
-        # where `deepcopy` of a field finds it; it takes any other field whole.
+        # each distinct node is rebuilt once into `memo`, keyed by the
+        # original's id, where `deepcopy` of a part finds it
         from copy import deepcopy  # imported by whoever calls this
-        own, kept, stack = Record.__deepcopy__, memo.setdefault(id(memo), []), [self]
-        while stack:
-            u = stack.pop()
-            if type(u) is list:  # [node, its fields], whose nodes are copied
-                u, fields = u
-                memo[id(u)] = type(u)(*[deepcopy(v, memo) for v in fields])
+        kept = memo.setdefault(id(memo), [])
+
+        def rebuild(u, parts):
+            if id(u) not in memo:  # else an earlier call with `memo` copied it
                 kept.append(u)  # as `deepcopy` keeps each node it copies alive
-            elif id(u) not in memo:
-                fields = [getattr(u, f) for f in type(u).__match_args__]
-                stack.append([u, fields])
-                parts = [x for v in fields for x in (v if type(v) is tuple else (v,))]
-                stack += [x for x in parts if getattr(type(x), "__deepcopy__", None) is own]
-        return memo[id(self)]
+                memo[id(u)] = tuple(parts) if type(u) is tuple else type(u)(*parts)
+            return memo[id(u)]
+
+        return fold(self, "__deepcopy__", lambda v: deepcopy(v, memo), rebuild)
+
+
+_POST = object()  # on `fold`'s stack, over a node that waits for its parts
+
+
+def fold(root: Any, method: str, leaf: Callable, node: Callable) -> Any:
+    """`root` folded in post-order, each distinct value once: a node `u`, a
+    tuple or a record whose class keeps Record's own `method`, gives
+    `node(u, [its parts' results])`, any other value `v` gives `leaf(v)`.
+    One loop, so a record may nest past the recursion limit."""
+    own, done, stack = getattr(Record, method), {}, [root]
+    while stack:
+        u = stack.pop()
+        if u is _POST:  # a node and its parts, each of which is folded
+            parts, u = stack.pop(), stack.pop()
+            done[id(u)] = node(u, [done[id(v)] for v in parts])
+        elif id(u) not in done:
+            cls = type(u)
+            if cls is tuple or getattr(cls, method, None) is own:
+                parts = u if cls is tuple else [getattr(u, f) for f in cls.__match_args__]
+                stack += (u, parts, _POST)
+                stack += parts
+            else:
+                done[id(u)] = leaf(u)
+    return done[id(root)]
+
+
+def table(root: Record) -> list[tuple]:
+    """The distinct values in `root` as rows in post-order, for pickle: a
+    record or tuple is `(its class, *row numbers of its parts)`, any other
+    value `v` is `(None, v)`; a node met again is one row, so a DAG stays one."""
+    rows: list[tuple] = []
+    add = lambda row: rows.append(row) or len(rows) - 1  # its row number
+    fold(root, "__reduce__", lambda v: add((None, v)), lambda u, parts: add((type(u), *parts)))
+    return rows
+
+
+def untable(rows: list[tuple]) -> Record:
+    """The record whose `table` is `rows`, rebuilt row by row through each
+    class in one loop, so a type comes back as its interned node."""
+    nodes: list = []
+    for cls, *args in rows:
+        if cls is None:
+            nodes.append(args[0])
+        else:
+            parts = [nodes[i] for i in args]
+            nodes.append(tuple(parts) if cls is tuple else cls(*parts))
+    return nodes[-1]
 
 
 def itself(node: Record, memo: dict) -> Record:

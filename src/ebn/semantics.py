@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import Any, Callable, Mapping, Union
 
 from .records import Record, _set
-from .syntax import Lit, ObjType, ShapeMismatch, Term
+from .syntax import Lit, ObjType, Term
 
 
 # ---------------------------------------------------------------------------

@@ -590,10 +590,17 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError(f"malformed rational literal {text!r}")
     if "/" in text:
         p, q = text.split("/")
-        if int(q) == 0:
+        if _int(q) == 0:
             raise ValueError(f"zero denominator in {text!r}")
-        return Fraction(int(p), int(q))
-    return Fraction(int(text))
+        return Fraction(_int(p), _int(q))
+    return Fraction(_int(text))
+
+
+def _int(digits: str) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # past sys.get_int_max_str_digits(); Decimal has no cap
+        return int(Decimal(digits))
 
 
 def _digits(n: int) -> str:

@@ -93,9 +93,9 @@ def test_run_shape_errors():
     with pytest.raises(ShapeMismatch):
         run(PrimApp("nope", ()))
     import ebn.interp
-    import ebn.semantics
+    import ebn.nbe
 
-    assert ebn.interp.ShapeMismatch is ebn.semantics.ShapeMismatch
+    assert ebn.interp.ShapeMismatch is ebn.nbe.ShapeMismatch
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
-"""The package's module structure: no module reads another's private names,
-and no module comes near the size at which its compile's memory steps up."""
+"""The package's module structure: no module reads another's private names
+or imports a name it never uses, and no module comes near the size at which
+its compile's memory steps up."""
 
 import ast
 import io
@@ -17,6 +18,22 @@ def test_no_module_imports_a_private_name_of_another():
             if isinstance(node, ast.ImportFrom) and (node.level or node.module.split(".")[0] == "ebn"):
                 found += [(path.name, a.name) for a in node.names if a.name[0] == "_" and a.name != "_set"]
     assert len(MODULES) > 10 and found == []
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # `__init__.py` imports only to export; `syntax` keeps `tokenize`, which
+    # `perfbench` reads from it
+    found = []
+    for path in MODULES:
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", "") != "__future__":
+                names = [(a.asname or a.name).split(".")[0] for a in node.names]
+                found += [(path.name, name) for name in names if name not in used]
+    assert found == [("syntax.py", "tokenize")]
 
 
 def test_every_module_has_fewer_than_7500_tokens():

@@ -27,7 +27,6 @@ from ebn.semantics import (
     SBase,
     SemValue,
     SFun,
-    ShapeMismatch,
     SInl,
     SInr,
     SPair,
@@ -45,6 +44,7 @@ from ebn.syntax import (
     Pair,
     PrimApp,
     Prod,
+    ShapeMismatch,
     Snd,
     Sum,
     UnboundVariable,

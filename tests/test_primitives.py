@@ -21,7 +21,7 @@ from ebn.primitives import (
     rational_signature,
     smart_prim_env,
 )
-from ebn.semantics import SBase, ShapeMismatch, SInl, SInr, SUnit
+from ebn.semantics import SBase, SInl, SInr, SUnit
 from ebn.syntax import (
     Arrow,
     Base,
@@ -31,6 +31,7 @@ from ebn.syntax import (
     Lam,
     Pair,
     PrimApp,
+    ShapeMismatch,
     Unit,
     UnitVal,
     UnknownBaseType,

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from ebn import chars, interp, primitives, semantics, syntax, tables
+from ebn import chars, interp, primitives, records, semantics, syntax
 from ebn.examples import power
 from ebn.nbe import norm
 from ebn.primitives import (
@@ -375,6 +375,24 @@ def test_a_shared_normal_form_compares_and_hashes_in_time_linear_in_its_dag():
     assert syntax.App(syntax.Pair(s, s), s) != syntax.App(syntax.Pair(s, s), odd)
 
 
+
+def test_a_shared_semantic_value_hashes_copies_and_pickles_as_a_dag():
+    # `v = SPair(v, v)` over 10^4 levels is a DAG of 10^4 + 1 nodes that
+    # stands for a tree of 2^10001 - 1; hash, deepcopy and pickle each fold
+    # every distinct node once, so a copy shares as the original does
+    assert sys.getrecursionlimit() == 1000
+    build = lambda: _nest(10_000, lambda v: semantics.SPair(v, v), semantics.SUnit())
+    a, b = build(), build()
+    start = time.process_time()
+    assert a is not b and hash(a) == hash(b)
+    for twin in (copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+        assert twin is not a
+        for _ in range(10_000):
+            assert type(twin) is semantics.SPair and twin.first is twin.second
+            twin = twin.first
+        assert twin == semantics.SUnit()
+    assert time.process_time() - start < 1
+
 @pytest.mark.parametrize("build, n, text, leaf", DEEP.values(), ids=DEEP.keys())
 def test_pickle_round_trips_deep_records(build, n, text, leaf):
     # pickle writes a flat table of the nodes, so any depth loads back
@@ -400,10 +418,10 @@ def test_pickle_keeps_a_normal_form_shared():
     normal = norm(power(2**20), rational_signature(), smart_prim_env())
     back = pickle.loads(pickle.dumps(normal))
     assert _distinct_nodes(normal) == _distinct_nodes(back) == 22
-    assert tables.table(back) == tables.table(normal)  # the same DAG
+    assert records.table(back) == records.table(normal)  # the same DAG
     shared = syntax.PrimApp("*", (normal.body, normal.body))
     back = pickle.loads(pickle.dumps(shared))
-    assert tables.table(back) == tables.table(shared) and back.args[0] is back.args[1]
+    assert records.table(back) == records.table(shared) and back.args[0] is back.args[1]
 
 
 def test_pickle_gives_back_interned_types():

@@ -17,7 +17,6 @@ from ebn.semantics import (
     Closure,
     SBase,
     SFun,
-    ShapeMismatch,
     SInl,
     SPair,
     SUnit,
@@ -32,6 +31,7 @@ from ebn.syntax import (
     Pair,
     PrimApp,
     Prod,
+    ShapeMismatch,
     Sum,
     Unit,
     UnitVal,

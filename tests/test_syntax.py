@@ -732,6 +732,10 @@ def test_parse_rationals():
     assert parse_term("(lit -1/2 Q)") == Lit(Fraction(-1, 2), "Q")
     assert parse_term("(lit 7 Q)") == lit(7)
     assert parse_term("(lit 2/4 Q)") == Lit(Fraction(1, 2), "Q")  # normalized
+    # a folded literal past `int`'s 4,300 digits reads back as it prints
+    big = f"(lit 1{'0' * 3000} Q)"
+    text = print_term(norm(parse_term(f"(prim * {big} {big})"), SIG, smart_prim_env()))
+    assert parse_term(text) == Lit(Fraction(10**6000), "Q")
     with pytest.raises(ParseError):
         parse_term("(lit 1/0 Q)")
     with pytest.raises(ParseError):
