@@ -84,7 +84,7 @@ class Record(metaclass=RecordType):
 
     def __hash__(self) -> int:
         # its class and its parts' hashes, so equal records hash alike
-        return fold(self, "__hash__", hash, lambda u, hs: hash((type(u), *hs)))
+        return fold(self, "__hash__", hash, lambda u, hs: hash((type(u), *hs)), {})
 
     def __repr__(self) -> str:
         return write(self, _REPR)
@@ -96,29 +96,29 @@ class Record(metaclass=RecordType):
         return type(self)(*[getattr(self, f) for f in self.__match_args__])
 
     def __deepcopy__(self, memo: dict):
-        # each distinct node is rebuilt once into `memo`, keyed by the
-        # original's id, where `deepcopy` of a part finds it
+        # each distinct node is rebuilt once into `memo`, by the original's
+        # id, where `deepcopy` of a part, or a later call, finds it
         from copy import deepcopy  # imported by whoever calls this
         kept = memo.setdefault(id(memo), [])
 
         def rebuild(u, parts):
-            if id(u) not in memo:  # else an earlier call with `memo` copied it
-                kept.append(u)  # as `deepcopy` keeps each node it copies alive
-                memo[id(u)] = tuple(parts) if type(u) is tuple else type(u)(*parts)
-            return memo[id(u)]
+            kept.append(u)  # as `deepcopy` keeps each node it copies alive
+            return tuple(parts) if type(u) is tuple else type(u)(*parts)
 
-        return fold(self, "__deepcopy__", lambda v: deepcopy(v, memo), rebuild)
+        return fold(self, "__deepcopy__", lambda v: deepcopy(v, memo), rebuild, memo)
 
 
 _POST = object()  # on `fold`'s stack, over a node that waits for its parts
 
 
-def fold(root: Any, method: str, leaf: Callable, node: Callable) -> Any:
+def fold(root: Any, method: str, leaf: Callable, node: Callable, done: dict) -> Any:
     """`root` folded in post-order, each distinct value once: a node `u`, a
     tuple or a record whose class keeps Record's own `method`, gives
     `node(u, [its parts' results])`, any other value `v` gives `leaf(v)`.
-    One loop, so a record may nest past the recursion limit."""
-    own, done, stack = getattr(Record, method), {}, [root]
+    Each result goes into `done` by the value's id, and a value already
+    there is not folded again.  One loop, so a record may nest past the
+    recursion limit."""
+    own, stack = getattr(Record, method), [root]
     while stack:
         u = stack.pop()
         if u is _POST:  # a node and its parts, each of which is folded
@@ -141,7 +141,7 @@ def table(root: Record) -> list[tuple]:
     value `v` is `(None, v)`; a node met again is one row, so a DAG stays one."""
     rows: list[tuple] = []
     add = lambda row: rows.append(row) or len(rows) - 1  # its row number
-    fold(root, "__reduce__", lambda v: add((None, v)), lambda u, parts: add((type(u), *parts)))
+    fold(root, "__reduce__", lambda v: add((None, v)), lambda u, parts: add((type(u), *parts)), {})
     return rows
 
 

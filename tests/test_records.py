@@ -391,6 +391,10 @@ def test_a_shared_semantic_value_hashes_copies_and_pickles_as_a_dag():
             assert type(twin) is semantics.SPair and twin.first is twin.second
             twin = twin.first
         assert twin == semantics.SUnit()
+    # deepcopy of a list hands one memo to each value, and a value finds
+    # there the part that an earlier one copied, without a walk
+    many = copy.deepcopy([semantics.SPair(semantics.SUnit(), a) for _ in range(1000)])
+    assert all(v.second is many[0].second for v in many)
     assert time.process_time() - start < 1
 
 @pytest.mark.parametrize("build, n, text, leaf", DEEP.values(), ids=DEEP.keys())
