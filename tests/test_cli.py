@@ -297,8 +297,8 @@ def test_import_generates_no_code():
     # Records are plain classes: importing the CLI needs neither dataclasses
     # (which compiles methods for every class) nor the inspect module.  It
     # reads --file with open(), so pathlib and what pathlib imports stay out.
-    # Records import copy only on a first deepcopy.  `ebn.tables` is gone:
-    # pickle's table is built in `records.py`.
+    # Records import copy only on a first deepcopy; pickle's table is part
+    # of `records.py`, so no `ebn.tables` module loads.
     unwanted = {"dataclasses", "inspect", "pathlib", "urllib.parse", "ipaddress", "copy", "ebn.tables"}
     code = f"import sys, ebn.cli; print(sorted({unwanted!r} & set(sys.modules)))"
     done = _python("-c", code)

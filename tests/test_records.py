@@ -375,7 +375,6 @@ def test_a_shared_normal_form_compares_and_hashes_in_time_linear_in_its_dag():
     assert syntax.App(syntax.Pair(s, s), s) != syntax.App(syntax.Pair(s, s), odd)
 
 
-
 def test_a_shared_semantic_value_hashes_copies_and_pickles_as_a_dag():
     # `v = SPair(v, v)` over 10^4 levels is a DAG of 10^4 + 1 nodes that
     # stands for a tree of 2^10001 - 1; hash, deepcopy and pickle each fold
@@ -396,6 +395,7 @@ def test_a_shared_semantic_value_hashes_copies_and_pickles_as_a_dag():
     many = copy.deepcopy([semantics.SPair(semantics.SUnit(), a) for _ in range(1000)])
     assert all(v.second is many[0].second for v in many)
     assert time.process_time() - start < 1
+
 
 @pytest.mark.parametrize("build, n, text, leaf", DEEP.values(), ids=DEEP.keys())
 def test_pickle_round_trips_deep_records(build, n, text, leaf):
