@@ -13,7 +13,7 @@ import sys
 from typing import Callable, Iterator, TextIO
 
 from .reader import ATOM, SORT, add_forms, form, read
-from .records import Record, _set, itself
+from .records import Record, itself
 from .writer import write
 
 
@@ -29,13 +29,14 @@ class Chr(CharsTerm):
     def __init__(self, char: str):
         if len(char) != 1:
             raise ValueError(f"Chr takes exactly one character, got {char!r}")
-        _set(self, "char", char)
+        Chr._setters[0](self, char)
 
 
 class Append(CharsTerm):
     def __init__(self, left: CharsTerm, right: CharsTerm):
-        _set(self, "left", left)
-        _set(self, "right", right)
+        set_left, set_right = Append._setters
+        set_left(self, left)
+        set_right(self, right)
 
 
 class NotCanonical(Exception):

@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping
 
-from .records import Record, _set
+from .records import Record
 from .syntax import (
     App,
     Case,
@@ -46,23 +46,24 @@ class CUnit(ConcreteValue):
 
 class CRat(ConcreteValue):
     def __init__(self, value: Fraction):
-        _set(self, "value", value)
+        CRat._setters[0](self, value)
 
 
 class CPair(ConcreteValue):
     def __init__(self, first: ConcreteValue, second: ConcreteValue):
-        _set(self, "first", first)
-        _set(self, "second", second)
+        set_first, set_second = CPair._setters
+        set_first(self, first)
+        set_second(self, second)
 
 
 class CInl(ConcreteValue):
     def __init__(self, value: ConcreteValue):
-        _set(self, "value", value)
+        CInl._setters[0](self, value)
 
 
 class CInr(ConcreteValue):
     def __init__(self, value: ConcreteValue):
-        _set(self, "value", value)
+        CInr._setters[0](self, value)
 
 
 class CFun(ConcreteValue):
@@ -73,8 +74,9 @@ class CFun(ConcreteValue):
     __hash__ = object.__hash__
 
     def __init__(self, lam: Lam, env: dict[str, ConcreteValue]):
-        _set(self, "lam", lam)
-        _set(self, "env", env)
+        set_lam, set_env = CFun._setters
+        set_lam(self, lam)
+        set_env(self, env)
 
 
 def _rat(v: ConcreteValue) -> Fraction:

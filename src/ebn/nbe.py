@@ -34,9 +34,13 @@ Continuations", 1993).  Each rule is one block of the loop.  A source redex
 closure call bind the argument through one step that copies the
 environment, binds and runs the body; a literal lambda builds no closure.
 A primitive's frame gathers its arguments from the first, so every call,
-nullary or not, is made and its request reflected in one place.  Reflection
-at a base type or unit is a value at once, so neither a primitive's
-residual result nor the payload of a `shift` takes a step.
+nullary or not, is made in one place.  An entry may return a value (the
+table's entries reflect a residual `*` or `/` themselves) or a request
+`(type, code)` at any type (a residual `==` at Bool), which is reflected
+there too.  Reflection at a base type or unit is a value at once, so
+neither a residual result nor the payload of a `shift` takes a step, and a
+`shift` builds a `Var` of a branch's binder only for a side that is not
+unit.  `_atom` is called only on a term whose class is in `_ATOMS`.
 """
 
 from __future__ import annotations
@@ -149,9 +153,10 @@ def _mismatch(expected: str, value) -> ShapeMismatch:
 
 
 def _atom(term, env, prims, lits):
-    """The value of an atomic term, which needs no machine step: a variable,
-    a lambda, a source literal (one value per Lit per run, kept in `lits`,
-    whose payload is the Lit itself) or unit.  None for any other term."""
+    """The value of an atomic term, one whose class is in `_ATOMS`, which
+    needs no machine step: a variable, a lambda, a source literal (one value
+    per Lit per run, kept in `lits`, whose payload is the Lit itself) or
+    unit."""
     cls = type(term)
     if cls is Var:
         try:
@@ -165,9 +170,7 @@ def _atom(term, env, prims, lits):
         return value
     if cls is Lam:
         return Closure(term.binder, term.body, env, prims)
-    if cls is UnitVal:
-        return _UNIT
-    return None
+    return _UNIT
 
 
 def _reflect_now(ty, code):
@@ -219,9 +222,9 @@ def _run(mode, k, prims, names, term=None, env=None, ty=None, value=None, code=N
                     term = term.arg
                 elif cls not in _ATOMS:
                     raise TypeError(f"not a term: {term!r}")
-                value = _atom(term, env, prims, lits)
-                if value is None:
+                if type(term) not in _ATOMS:
                     continue
+                value = _atom(term, env, prims, lits)
         elif mode is REIFY:
             cls = type(ty)
             if cls is Base:  # a literal or residual code is its own code
@@ -268,14 +271,18 @@ def _run(mode, k, prims, names, term=None, env=None, ty=None, value=None, code=N
             cls = type(ty)
             if cls is Sum:  # shift: both branches continue with frames k
                 x = names.fresh()
-                meta.append((SPLIT_RIGHT, code, ty.left, ty.right, k, x, prims))
-                code = Var(x)
-                value = _reflect_now(ty.left, code)
-                if value is None:
-                    k = (INL, k)
-                    ty = ty.left
-                    continue
-                value = _INL_UNIT if value is _UNIT else SInl(value)
+                a = ty.left
+                meta.append((SPLIT_RIGHT, code, a, ty.right, k, x, prims))
+                if type(a) is Unit:  # a unit side's value is SUnit: no Var of x
+                    value = _INL_UNIT
+                else:
+                    code = Var(x)
+                    value = _reflect_now(a, code)
+                    if value is None:
+                        k = (INL, k)
+                        ty = a
+                        continue
+                    value = SInl(value)
             elif cls is Arrow:
                 value = Reflected(code, ty.dom, ty.cod)
             elif cls is Prod:
@@ -302,14 +309,17 @@ def _run(mode, k, prims, names, term=None, env=None, ty=None, value=None, code=N
                 _, code, a, b, k, xl, prims = frame
                 x = names.fresh()
                 meta.append((BUILD_CASE, code, a, b, xl, value, x))
-                code = Var(x)
-                value = _reflect_now(b, code)
-                if value is None:
-                    k = (INR, k)
-                    ty = b
-                    mode = REFLECT
+                if type(b) is Unit:
+                    value = _INR_UNIT
                 else:
-                    value = _INR_UNIT if value is _UNIT else SInr(value)
+                    code = Var(x)
+                    value = _reflect_now(b, code)
+                    if value is None:
+                        k = (INR, k)
+                        ty = b
+                        mode = REFLECT
+                    else:
+                        value = SInr(value)
             else:
                 _, code, a, b, xl, left, xr = frame
                 value = Case(code, Lam(xl, a, left), Lam(xr, b, value))
@@ -322,10 +332,9 @@ def _run(mode, k, prims, names, term=None, env=None, ty=None, value=None, code=N
             n = len(args)
             while i < n:  # the following atoms, in place
                 term = args[i]
-                value = _atom(term, env, prims, lits)
-                if value is None:
+                if type(term) not in _ATOMS:
                     break
-                acc += (value,)
+                acc += (_atom(term, env, prims, lits),)
                 i += 1
             if i < n:
                 k = (PRIM_ARG, k, args, i + 1, acc, env, impl)
@@ -359,11 +368,11 @@ def _run(mode, k, prims, names, term=None, env=None, ty=None, value=None, code=N
             if tag is ARG:
                 _, k, term, env = k
                 fun = value
-                arg = _atom(term, env, prims, lits)
-                if arg is None:
+                if type(term) not in _ATOMS:
                     k = (CALL, k, fun)
                     mode = EVAL
                     continue
+                arg = _atom(term, env, prims, lits)
             elif tag is CALL:
                 _, k, fun = k
                 arg = value
@@ -390,12 +399,11 @@ def _run(mode, k, prims, names, term=None, env=None, ty=None, value=None, code=N
         else:
             if tag is PAIR_SND:
                 _, k, term, env = k
-                second = _atom(term, env, prims, lits)
-                if second is None:
+                if type(term) in _ATOMS:
+                    value = SPair(value, _atom(term, env, prims, lits))
+                else:
                     k = (PAIR, k, value)
                     mode = EVAL
-                else:
-                    value = SPair(value, second)
             elif tag is PAIR:
                 value = SPair(k[2], value)
                 k = k[1]

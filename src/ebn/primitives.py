@@ -3,9 +3,9 @@ everything read from it: the signature and the two semantic environments.
 
 Each row gives an op's type, its fold on two literals and its left and right
 unit.  The smart environment folds literal pairs and drops units online; the
-naive one residualizes every application unchanged.  Both hand residual
-code back to the normalizer, which reflects it at the op's result type, so a
-residual `==` branches through a `case`.
+naive one residualizes every application unchanged.  A residual `*` or `/`
+is a Q value at once; a residual `==` goes back to the normalizer as code
+to reflect at Bool, so it branches through a `case`.
 
 Rationals are exact `fractions.Fraction` values: always in lowest terms with
 a positive denominator, so structural equality is value equality.
@@ -17,7 +17,7 @@ import operator
 from fractions import Fraction
 from typing import Callable, Mapping
 
-from .records import Record, _set
+from .records import Record
 from .semantics import (
     PrimEnv,
     SBase,
@@ -65,8 +65,9 @@ def lit(value) -> Lit:
 
 class PrimType(Record):
     def __init__(self, args: tuple[ObjType, ...], result: ObjType):
-        _set(self, "args", args)
-        _set(self, "result", result)
+        set_args, set_result = PrimType._setters
+        set_args(self, args)
+        set_result(self, result)
 
 
 class PrimSignature(Record):
@@ -76,8 +77,9 @@ class PrimSignature(Record):
     def __init__(
         self, bases: Mapping[str, Callable[[object], bool]], prims: Mapping[str, PrimType]
     ):
-        _set(self, "bases", bases)
-        _set(self, "prims", prims)
+        set_bases, set_prims = PrimSignature._setters
+        set_bases(self, bases)
+        set_prims(self, prims)
         for name, decl in prims.items():
             for ty in (*decl.args, decl.result):
                 validate_type(ty, self)
@@ -106,10 +108,11 @@ class PrimRule(Record):
         left_unit: int | None,
         right_unit: int | None,
     ):
-        _set(self, "type", type)
-        _set(self, "fold", fold)
-        _set(self, "left_unit", left_unit)
-        _set(self, "right_unit", right_unit)
+        set_type, set_fold, set_left_unit, set_right_unit = PrimRule._setters
+        set_type(self, type)
+        set_fold(self, fold)
+        set_left_unit(self, left_unit)
+        set_right_unit(self, right_unit)
 
 
 # No zero-annihilation rule for *: folding 0 * m would drop m's code.
@@ -133,10 +136,10 @@ def rational_signature() -> PrimSignature:
 # Semantic environments
 
 
-def _rat_payload(v: SemValue) -> Term:
-    if type(v) is SBase and v.base == "Q":
-        return v.payload
-    raise ShapeMismatch(f"expected a Q value, found {type(v).__name__}")
+def _not_rational(args: tuple[SemValue, ...]) -> ShapeMismatch:
+    """The error for the first of `args` that is not a Q value."""
+    v = next(v for v in args if type(v) is not SBase or v.base != "Q")
+    return ShapeMismatch(f"expected a Q value, found {type(v).__name__}")
 
 
 def _embed(ty: ObjType, host: object) -> SemValue:
@@ -150,15 +153,20 @@ def _embed(ty: ObjType, host: object) -> SemValue:
 def _entry(op: str, smart: bool):
     """The semantic entry `(args, names)` of a table primitive.  Smart: two
     literals fold, and a unit literal on its side is dropped.  Otherwise the
-    application is residual code, returned for the normalizer to reflect at
-    the result type, so a residual == branches through a case."""
+    application is residual code.  At a base result type the entry reflects
+    it itself, as the `SBase` of that code; at any other (Bool, for ==) it
+    returns the request `(result type, code)`, which the normalizer reflects
+    with a shift, so a residual == branches through a case."""
     rule = RULES[op]
     fold, left_unit, right_unit = rule.fold, rule.left_unit, rule.right_unit
     result = rule.type.result
+    base = result.name if type(result) is Base else None
 
     def apply(args: tuple[SemValue, ...], names) -> SemValue | tuple[ObjType, Term]:
         a, b = args
-        pa, pb = _rat_payload(a), _rat_payload(b)
+        if type(a) is not SBase or type(b) is not SBase or a.base != "Q" or b.base != "Q":
+            raise _not_rational(args)
+        pa, pb = a.payload, b.payload
         if smart:
             if type(pa) is Lit:
                 if type(pb) is Lit:
@@ -167,7 +175,9 @@ def _entry(op: str, smart: bool):
                     return b
             if right_unit is not None and type(pb) is Lit and pb.value == right_unit:
                 return a
-        return result, PrimApp(op, (pa, pb))
+        if base is None:
+            return result, PrimApp(op, (pa, pb))
+        return SBase(base, PrimApp(op, (pa, pb)))
 
     return apply
 

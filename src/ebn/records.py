@@ -13,7 +13,13 @@ class RecordType(type):
     """The class of record classes.  The parameters of a record class's own
     `__init__` are its fields: they become its `__slots__` and its
     `__match_args__`, which equality, hashing, repr and pickling read.  A
-    class without an `__init__` of its own adds no slots."""
+    class without an `__init__` of its own adds no slots.
+
+    Each slot's `__set__`, bound once, goes into the class's `_setters`, in
+    `__match_args__` order.  The `__init__` stores each field with its
+    setter, `Cls._setters[i](self, value)`, past the `__setattr__` that makes
+    records immutable: a bound setter writes the slot at once, where
+    `object.__setattr__` looks the name up on every call."""
 
     def __new__(mcls, name: str, bases: tuple, ns: dict):
         init = ns.get("__init__")
@@ -21,19 +27,18 @@ class RecordType(type):
         ns.setdefault("__slots__", fields)
         if init is not None:
             ns["__match_args__"] = fields
-        return super().__new__(mcls, name, bases, ns)
-
-
-# A record's `__init__` writes each field with `_set(self, name, value)`, past
-# the `__setattr__` that makes records immutable.
-_set = object.__setattr__
+        cls = super().__new__(mcls, name, bases, ns)
+        if init is not None:
+            cls._setters = tuple([vars(cls)[f].__set__ for f in fields])
+        return cls
 
 
 class Record(metaclass=RecordType):
     """An immutable record.  A subclass names its fields once, as the
-    parameters of its `__init__`; they become its slots, and the `__init__`
-    stores each with `_set`.  Two records are equal when they are of one
-    class and their fields are equal, and then they hash alike; `repr` spells
+    parameters of its `__init__`; they become its slots, and the `__init__`,
+    which may validate them, stores each through its class's `_setters`.
+    Two records are equal when they are of one class and their fields are
+    equal, and then they hash alike; `repr` spells
     the class and its fields by keyword, through the writer; deepcopy
     rebuilds each distinct node once; pickle writes its `table` of nodes.
     Hash, deepcopy and pickle share one `fold`; `==` walks its own stack of
@@ -46,9 +51,11 @@ class Record(metaclass=RecordType):
     (see `syntax.ObjType`), so they compare and hash by identity.
     Assigning or deleting an attribute raises AttributeError, so a node that
     a normal form shares among many parents cannot be changed through one of
-    them.  No code is generated per class, which keeps `import ebn` cheap."""
+    them.  No code is generated per class, which keeps `import ebn` cheap:
+    every `__init__` is written by hand, and `RecordType` only binds setters."""
 
     __match_args__: tuple[str, ...] = ()
+    _setters: tuple[Callable[[Any, Any], None], ...] = ()
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Mapping, Union
 
-from .records import Record, _set
+from .records import Record
 from .syntax import Lit, ObjType, Term
 
 
@@ -40,7 +40,7 @@ class SFun(SemValue):
     continuation: applying it is one call, however deeply applications nest."""
 
     def __init__(self, apply: Callable[[SemValue], Any]):
-        _set(self, "apply", apply)
+        SFun._setters[0](self, apply)
 
 
 class Closure(SemValue):
@@ -52,10 +52,11 @@ class Closure(SemValue):
     __hash__ = object.__hash__
 
     def __init__(self, binder: str, body: Term, env: dict[str, SemValue], prims: PrimEnv):
-        _set(self, "binder", binder)
-        _set(self, "body", body)
-        _set(self, "env", env)
-        _set(self, "prims", prims)
+        set_binder, set_body, set_env, set_prims = Closure._setters
+        set_binder(self, binder)
+        set_body(self, body)
+        set_env(self, env)
+        set_prims(self, prims)
 
 
 class Reflected(SemValue):
@@ -63,39 +64,45 @@ class Reflected(SemValue):
     argument at `dom` and reflects the application at `cod`."""
 
     def __init__(self, code: Term, dom: ObjType, cod: ObjType):
-        _set(self, "code", code)
-        _set(self, "dom", dom)
-        _set(self, "cod", cod)
+        set_code, set_dom, set_cod = Reflected._setters
+        set_code(self, code)
+        set_dom(self, dom)
+        set_cod(self, cod)
 
 
 class SPair(SemValue):
     def __init__(self, first: SemValue, second: SemValue):
-        _set(self, "first", first)
-        _set(self, "second", second)
+        set_first, set_second = SPair._setters
+        set_first(self, first)
+        set_second(self, second)
 
 
 class SInl(SemValue):
     def __init__(self, value: SemValue):
-        _set(self, "value", value)
+        SInl._setters[0](self, value)
 
 
 class SInr(SemValue):
     def __init__(self, value: SemValue):
-        _set(self, "value", value)
+        SInr._setters[0](self, value)
 
 
 class SBase(SemValue):
     def __init__(self, base: str, payload: Term):
-        _set(self, "base", base)
-        _set(self, "payload", payload)
+        set_base, set_payload = SBase._setters
+        set_base(self, base)
+        set_payload(self, payload)
 
 
 ValueEnv = Mapping[str, SemValue]
 
 # A primitive's semantic implementation: it takes the tuple of forced
 # argument values and the name supply of the enclosing normalization, and
-# returns either a value or a request `(type, code)` to reflect residual code
-# at its result type (so a residual `==` branches through a case).
+# returns either a value or a request `(type, code)`, which the normalizer
+# reflects at that type.  The table's entries (`primitives.py`) return a
+# residual `*` or `/` as its `SBase`, and a residual `==` as a request at
+# Bool, so it branches through a case; any entry may return a request at
+# any type.
 PrimImpl = Callable[..., Union[SemValue, tuple[ObjType, Term]]]
 PrimEnv = Mapping[str, PrimImpl]
 

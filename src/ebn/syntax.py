@@ -21,7 +21,7 @@ from typing import Any, Callable, Mapping
 
 # `tokenize` is imported for callers of `syntax.tokenize`.
 from .reader import ANNOT, ATOM, PAREN, REST, SORT, add_forms, bare_atom, form, read, tokenize
-from .records import Record, RecordType, _set, itself
+from .records import Record, RecordType, itself
 from .writer import write
 
 
@@ -62,7 +62,7 @@ class ObjType(Record, metaclass=_InternedType):
 
 class Base(ObjType):
     def __init__(self, name: str):
-        _set(self, "name", name)
+        Base._setters[0](self, name)
 
 
 class Unit(ObjType):
@@ -71,20 +71,23 @@ class Unit(ObjType):
 
 class Arrow(ObjType):
     def __init__(self, dom: ObjType, cod: ObjType):
-        _set(self, "dom", dom)
-        _set(self, "cod", cod)
+        set_dom, set_cod = Arrow._setters
+        set_dom(self, dom)
+        set_cod(self, cod)
 
 
 class Prod(ObjType):
     def __init__(self, left: ObjType, right: ObjType):
-        _set(self, "left", left)
-        _set(self, "right", right)
+        set_left, set_right = Prod._setters
+        set_left(self, left)
+        set_right(self, right)
 
 
 class Sum(ObjType):
     def __init__(self, left: ObjType, right: ObjType):
-        _set(self, "left", left)
-        _set(self, "right", right)
+        set_left, set_right = Sum._setters
+        set_left(self, left)
+        set_right(self, right)
 
 
 # ---------------------------------------------------------------------------
@@ -99,14 +102,16 @@ class Term(Record):
 
 class Lit(Term):
     def __init__(self, value: Any, base: str):
-        _set(self, "value", value)
-        _set(self, "base", base)
+        set_value, set_base = Lit._setters
+        set_value(self, value)
+        set_base(self, base)
 
 
 class PrimApp(Term):
     def __init__(self, name: str, args: tuple[Term, ...]):
-        _set(self, "name", name)
-        _set(self, "args", args)
+        set_name, set_args = PrimApp._setters
+        set_name(self, name)
+        set_args(self, args)
 
 
 class UnitVal(Term):
@@ -115,55 +120,61 @@ class UnitVal(Term):
 
 class Var(Term):
     def __init__(self, name: str):
-        _set(self, "name", name)
+        Var._setters[0](self, name)
 
 
 class Lam(Term):
     def __init__(self, binder: str, annot: ObjType, body: Term):
-        _set(self, "binder", binder)
-        _set(self, "annot", annot)
-        _set(self, "body", body)
+        set_binder, set_annot, set_body = Lam._setters
+        set_binder(self, binder)
+        set_annot(self, annot)
+        set_body(self, body)
 
 
 class App(Term):
     def __init__(self, fun: Term, arg: Term):
-        _set(self, "fun", fun)
-        _set(self, "arg", arg)
+        set_fun, set_arg = App._setters
+        set_fun(self, fun)
+        set_arg(self, arg)
 
 
 class Pair(Term):
     def __init__(self, first: Term, second: Term):
-        _set(self, "first", first)
-        _set(self, "second", second)
+        set_first, set_second = Pair._setters
+        set_first(self, first)
+        set_second(self, second)
 
 
 class Fst(Term):
     def __init__(self, arg: Term):
-        _set(self, "arg", arg)
+        Fst._setters[0](self, arg)
 
 
 class Snd(Term):
     def __init__(self, arg: Term):
-        _set(self, "arg", arg)
+        Snd._setters[0](self, arg)
 
 
 class Inl(Term):
     def __init__(self, arg: Term, annot: ObjType):
-        _set(self, "arg", arg)
-        _set(self, "annot", annot)
+        set_arg, set_annot = Inl._setters
+        set_arg(self, arg)
+        set_annot(self, annot)
 
 
 class Inr(Term):
     def __init__(self, arg: Term, annot: ObjType):
-        _set(self, "arg", arg)
-        _set(self, "annot", annot)
+        set_arg, set_annot = Inr._setters
+        set_arg(self, arg)
+        set_annot(self, annot)
 
 
 class Case(Term):
     def __init__(self, scrutinee: Term, left: Term, right: Term):
-        _set(self, "scrutinee", scrutinee)
-        _set(self, "left", left)
-        _set(self, "right", right)
+        set_scrutinee, set_left, set_right = Case._setters
+        set_scrutinee(self, scrutinee)
+        set_left(self, left)
+        set_right(self, right)
 
 
 # Each term class's children, in order; a table lookup costs the same for
@@ -707,13 +718,34 @@ def _print_prim(u: PrimApp) -> Any:
     return ")", b, " ", a, f"(prim {u.name} "
 
 
+def _annot_text(a: ObjType) -> str | None:
+    """The text of a Lam's annotation when it is a leaf, `Base` or `Unit`,
+    which the Lam writes into its own piece; None for any other type."""
+    cls = type(a)
+    return a.name if cls is Base else "unit" if cls is Unit else None
+
+
+def _print_lam(u: Lam) -> tuple:
+    a = _annot_text(u.annot)
+    if a is None:
+        return ")", u.body, ") ", u.annot, f"(lam ({u.binder} "
+    return ")", u.body, f"(lam ({u.binder} {a}) "
+
+
+def _pretty_lam(u: Lam) -> tuple:
+    a = _annot_text(u.annot)
+    if a is None:
+        return u.body, ". ", u.annot, f"\\{u.binder}:"
+    return u.body, f"\\{u.binder}:{a}. "
+
+
 # S-expressions, of terms and of types.  A leaf is its text.
 _PRINT: dict[type, Callable] = {
     Lit: lambda u: f"(lit {format_rational(u.value)} {u.base})",
     PrimApp: _print_prim,
     UnitVal: lambda u: "unit",
     Var: lambda u: f"(var {u.name})",
-    Lam: lambda u: (")", u.body, ") ", u.annot, f"(lam ({u.binder} "),
+    Lam: _print_lam,
     App: lambda u: (")", u.arg, " ", u.fun, "(app "),
     Pair: lambda u: (")", u.second, " ", u.first, "(pair "),
     Fst: lambda u: (")", u.arg, "(fst "),
@@ -758,7 +790,7 @@ _PRETTY: dict[type, Callable] = {
     ),
     UnitVal: lambda u: "unit",
     Var: lambda u: u.name,
-    Lam: lambda u: (u.body, ". ", u.annot, f"\\{u.binder}:"),
+    Lam: _pretty_lam,
     App: lambda u: (*_operand(u.arg, 2), " ", *_operand(u.fun, 1)),
     Pair: lambda u: (">", u.second, ", ", u.first, "<"),
     Fst: lambda u: (*_operand(u.arg, 2), "fst "),

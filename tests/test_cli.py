@@ -12,6 +12,7 @@ import pytest
 from ebn import chars, cli
 from ebn.cli import INTERNAL_ERROR, NO_INPUT, OUT_OF_MEMORY, USAGE_ERROR, main
 from ebn.interp import CRat, format_value
+from ebn.records import Record
 from ebn.syntax import format_rational, print_term
 
 from conftest import ACCEPT_TYPES, TermGen, min_depth
@@ -297,9 +298,18 @@ def test_import_generates_no_code():
     # Records are plain classes: importing the CLI needs neither dataclasses
     # (which compiles methods for every class) nor the inspect module.  It
     # reads --file with open(), so pathlib and what pathlib imports stay out.
-    # Records import copy only on a first deepcopy; pickle's table is part
-    # of `records.py`, so no `ebn.tables` module loads.
-    unwanted = {"dataclasses", "inspect", "pathlib", "urllib.parse", "ipaddress", "copy", "ebn.tables"}
+    # Records import copy only on a first deepcopy.
+    unwanted = {"dataclasses", "inspect", "pathlib", "urllib.parse", "ipaddress", "copy"}
     code = f"import sys, ebn.cli; print(sorted({unwanted!r} & set(sys.modules)))"
     done = _python("-c", code)
     assert (done.returncode, done.stdout) == (0, "[]\n")
+    # Every record class's `__init__` is compiled from a file of the package,
+    # so none is made per class.
+    package = Path(cli.__file__).resolve().parent
+    own = [c for c in _subclasses(Record) if "__init__" in vars(c)]
+    assert len(own) > 30
+    assert {Path(c.__init__.__code__.co_filename).resolve().parent for c in own} == {package}
+
+
+def _subclasses(cls: type) -> list[type]:
+    return [s for sub in cls.__subclasses__() for s in (sub, *_subclasses(sub))]

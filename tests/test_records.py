@@ -134,6 +134,25 @@ def test_copy_rebuilds_every_field(r):
         assert [getattr(twin, f) for f in fields] == [getattr(r, f) for f in fields]
 
 
+@pytest.mark.parametrize("r", SAMPLES, ids=lambda r: type(r).__name__)
+def test_each_field_has_one_bound_setter_in_match_args_order(r):
+    cls = type(r)
+    assert len(cls._setters) == len(cls.__match_args__)
+    for name, setter in zip(cls.__match_args__, cls._setters):
+        assert setter.__self__ is getattr(cls, name)  # the slot's own descriptor
+
+
+@pytest.mark.parametrize("r", SAMPLES, ids=lambda r: type(r).__name__)
+def test_positional_and_keyword_construction_agree(r):
+    cls, fields = type(r), [getattr(r, name) for name in r.__match_args__]
+    by_position = cls(*fields)
+    by_keyword = cls(**dict(zip(r.__match_args__, fields)))
+    for twin in (by_position, by_keyword):
+        assert all(getattr(twin, n) is v for n, v in zip(r.__match_args__, fields))
+    if cls not in (Closure, interp.CFun):  # those equal only themselves
+        assert by_position == by_keyword == r
+
+
 def test_pickle_round_trip():
     source = Lit(Fraction(5), "Q")
     t = Lam("x", Arrow(Q, Sum(Unit(), Q)), App(Var("f"), source))
