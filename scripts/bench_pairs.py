@@ -153,19 +153,18 @@ def traced_medians(runs: list[dict]) -> dict:
 
 def main(argv=None) -> int:
     args = parse_args(argv)
-    bench = json.loads((REPO / "BENCHMARK.json").read_text())
-    workloads = args.workload or [w["name"] for w in bench["workloads"]]
     work = args.workdir or Path(tempfile.mkdtemp(prefix="bench_pairs_"))
     trees = {s: work / s for s in SIDES}
     commits = {s: extract(getattr(args, s), trees[s]) for s in SIDES}
     bench = json.loads((trees["change"] / "BENCHMARK.json").read_text())
+    workloads = args.workload or [w["name"] for w in bench["workloads"]]
 
     runs: list[dict] = []
 
-    def record(side, workload, pair, trace, seconds):
-        run = {"workload": workload, "seed": args.seed, "trace": trace, "seconds": seconds,
+    def record(side, workload, pair, trace):
+        run = {"workload": workload, "seed": args.seed, "trace": trace, "seconds": args.seconds,
                "side": side, "pair": pair}
-        run.update(run_once(trees[side], workload, args.seed, seconds, trace))
+        run.update(run_once(trees[side], workload, args.seed, args.seconds, trace))
         runs.append(run)
         value = _value(run, "items_per_s")
         print(f"pair {pair} {workload} {side} trace {trace}: rc {run['returncode']}, "
@@ -175,11 +174,11 @@ def main(argv=None) -> int:
         order = SIDES if pair % 2 else SIDES[::-1]
         for workload in workloads:
             for side in order:
-                record(side, workload, pair, 0, args.seconds)
+                record(side, workload, pair, 0)
     for n in range(args.traced):
         for workload in workloads:
             for side in SIDES if n % 2 == 0 else SIDES[::-1]:
-                record(side, workload, None, 1, args.seconds)
+                record(side, workload, None, 1)
 
     doc = {
         "parent_commit": commits["parent"],

@@ -38,9 +38,9 @@ class Record(metaclass=RecordType):
     parameters of its `__init__`; they become its slots, and the `__init__`,
     which may validate them, stores each through its class's `_setters`.
     Two records are equal when they are of one class and their fields are
-    equal, and then they hash alike; `repr` spells
-    the class and its fields by keyword, through the writer; deepcopy
-    rebuilds each distinct node once; pickle writes its `table` of nodes.
+    equal, and then they hash alike; `repr` spells the class and its fields
+    by keyword, through the writer; deepcopy rebuilds each distinct node
+    once; pickle writes its `table` of nodes.
     Hash, deepcopy and pickle share one `fold`; `==` walks its own stack of
     pairs and `repr` the writer's.  Each goes into tuple fields and into
     fields whose class keeps its method, and takes any other field as a

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ebn.control import reset, ret
+from ebn.examples import power, power_prime
 from ebn.interp import CRat, run
 from ebn.nbe import NameSupply, norm, reflect, reify
 from ebn.primitives import (
@@ -29,6 +30,7 @@ from ebn.syntax import (
     Inl,
     Inr,
     Lam,
+    Lit,
     Pair,
     PrimApp,
     ShapeMismatch,
@@ -332,3 +334,53 @@ def test_mul_by_one_preserves_meaning():
             continue
         assert alpha_eq(got, want)
         checked += 1
+
+
+# ---------------------------------------------------------------------------
+# What an entry returns: a value, or a request the normalizer reflects
+
+
+@pytest.mark.parametrize("env", [SMART, naive_prim_env()], ids=["smart", "naive"])
+@pytest.mark.parametrize("op", ["*", "/"])
+def test_a_residual_base_result_is_its_sbase(env, op):
+    for a, b in ((exp(M), val(3)), (val(3), exp(N)), (exp(M), exp(N))):
+        out = env[op]((a, b), NameSupply())
+        assert type(out) is SBase and out == exp(PrimApp(op, (a.payload, b.payload)))
+
+
+@pytest.mark.parametrize("env", [SMART, naive_prim_env()], ids=["smart", "naive"])
+def test_a_residual_eq_is_still_a_request_at_bool(env):
+    assert env["=="]((exp(M), val(0)), NameSupply()) == (BOOL, PrimApp("==", (M, lit(0))))
+
+
+def _requesting(env):
+    """`env` with each residual base result handed back as a `(RAT, code)`
+    request, the way a client's entry may return it."""
+
+    def wrap(impl):
+        def entry(args, names):
+            out = impl(args, names)
+            if type(out) is SBase and type(out.payload) is not Lit:
+                return RAT, out.payload
+            return out
+
+        return entry
+
+    return {op: wrap(impl) for op, impl in env.items()}
+
+
+@pytest.mark.parametrize("env", [SMART, naive_prim_env()], ids=["smart", "naive"])
+def test_requests_at_q_normalize_like_the_table(env):
+    terms = [power(n) for n in (-5, 0, 3, 13)] + [power_prime(n) for n in (-2, 5, 11)]
+    gen = TermGen(random.Random(23))
+    terms += [gen.gen(Arrow(RAT, RAT), {}, 5) for _ in range(40)]
+    requesting = _requesting(env)
+
+    def outcome(t, prims):
+        try:
+            return print_term(norm(t, SIG, prims))
+        except DivisionByZero:  # a generated literal division by zero
+            return DivisionByZero
+
+    for t in terms:
+        assert outcome(t, requesting) == outcome(t, env)
