@@ -37,10 +37,12 @@ A primitive's frame gathers its arguments from the first, so every call,
 nullary or not, is made in one place.  An entry may return a value (the
 table's entries reflect a residual `*` or `/` themselves) or a request
 `(type, code)` at any type (a residual `==` at Bool), which is reflected
-there too.  Reflection at a base type or unit is a value at once, so
-neither a residual result nor the payload of a `shift` takes a step, and a
-`shift` builds a `Var` of a branch's binder only for a side that is not
-unit.  `_atom` is called only on a term whose class is in `_ATOMS`.
+there too; a residual test is built once per call per pair of operands
+(`NameSupply.tests`), however many paths reach it.  Reflection at a base
+type or unit is a value at once, so neither a residual result nor the
+payload of a `shift` takes a step, and a `shift` builds a `Var` of a
+branch's binder only for a side that is not unit.  `_atom` is called only
+on a term whose class is in `_ATOMS`.
 """
 
 from __future__ import annotations
@@ -87,10 +89,18 @@ from .syntax import (
 
 
 class NameSupply:
-    """Issues x0, x1, ... deterministically; one per normalization call."""
+    """Issues x0, x1, ... deterministically; one per normalization call.
+
+    It reaches every primitive entry `(args, names)`, so it also keeps the
+    call's table of residual tests, `tests`: a table entry stores the
+    request for a residual `==` under `(op, id(a), id(b))`, and the copies of
+    a test that a shift's two runs meet are one node.  The ids stay valid
+    because each stored node holds its operands, and a new supply starts an
+    empty table, so two calls share no node through it."""
 
     def __init__(self):
         self.counter = 0
+        self.tests = {}
 
     def fresh(self) -> str:
         name = f"x{self.counter}"

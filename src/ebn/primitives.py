@@ -156,7 +156,10 @@ def _entry(op: str, smart: bool):
     application is residual code.  At a base result type the entry reflects
     it itself, as the `SBase` of that code; at any other (Bool, for ==) it
     returns the request `(result type, code)`, which the normalizer reflects
-    with a shift, so a residual == branches through a case."""
+    with a shift, so a residual == branches through a case.  That request is
+    built once per call per pair of operand objects, in the table
+    `names.tests`, so the test a shift's continuation meets on both paths is
+    one node; a residual `*` or `/` is built anew each time."""
     rule = RULES[op]
     fold, left_unit, right_unit = rule.fold, rule.left_unit, rule.right_unit
     result = rule.type.result
@@ -175,8 +178,12 @@ def _entry(op: str, smart: bool):
                     return b
             if right_unit is not None and type(pb) is Lit and pb.value == right_unit:
                 return a
-        if base is None:
-            return result, PrimApp(op, (pa, pb))
+        if base is None:  # one request per call and pair of operands
+            key = (op, id(pa), id(pb))
+            request = names.tests.get(key)
+            if request is None:
+                request = names.tests[key] = result, PrimApp(op, (pa, pb))
+            return request
         return SBase(base, PrimApp(op, (pa, pb)))
 
     return apply

@@ -732,6 +732,25 @@ def _print_lam(u: Lam) -> tuple:
     return ")", u.body, f"(lam ({u.binder} {a}) "
 
 
+def _print_case(u: Case) -> tuple:
+    """`(case s l r)` last first.  When both branches are Lams, as every
+    residual case's are, the case writes their text with its own, a leaf
+    annotation inlined and any other pushed as a piece, so a branch lambda
+    makes no pieces of its own."""
+    l, r = u.left, u.right
+    if type(l) is not Lam or type(r) is not Lam:
+        return ")", r, " ", l, " ", u.scrutinee, "(case "
+    a, b = _annot_text(l.annot), _annot_text(r.annot)
+    if a is not None and b is not None:
+        return (
+            "))", r.body, f") (lam ({r.binder} {b}) ", l.body, f" (lam ({l.binder} {a}) ",
+            u.scrutinee, "(case ",
+        )
+    left = (f" (lam ({l.binder} {a}) ",) if a is not None else (") ", l.annot, f" (lam ({l.binder} ")
+    right = (f") (lam ({r.binder} {b}) ",) if b is not None else (") ", r.annot, f") (lam ({r.binder} ")
+    return "))", r.body, *right, l.body, *left, u.scrutinee, "(case "
+
+
 def _pretty_lam(u: Lam) -> tuple:
     a = _annot_text(u.annot)
     if a is None:
@@ -752,7 +771,7 @@ _PRINT: dict[type, Callable] = {
     Snd: lambda u: (")", u.arg, "(snd "),
     Inl: lambda u: (")", u.annot, " ", u.arg, "(inl "),
     Inr: lambda u: (")", u.annot, " ", u.arg, "(inr "),
-    Case: lambda u: (")", u.right, " ", u.left, " ", u.scrutinee, "(case "),
+    Case: _print_case,
     Base: lambda u: u.name,
     Unit: lambda u: "unit",
     Arrow: lambda u: (")", u.cod, " ", u.dom, "(arrow "),

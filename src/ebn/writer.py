@@ -4,7 +4,7 @@ surface syntax, a record's repr, chars terms and concrete values.
 The writer prints in one pass.  It keeps the span of text that each node's
 first occurrence wrote, and a node met again writes that span, joined once,
 so a normal form that shares subterms makes the pieces of each distinct
-node once, and its text is that of the tree it stands for.
+node at most once, and its text is that of the tree it stands for.
 """
 
 from __future__ import annotations
@@ -26,7 +26,10 @@ def write(root: Any, parts: dict[type, Callable]) -> str:
     `start * _SPAN + end`: it holds `start` until the node's id, pushed
     under its pieces, marks the end.  A node met a second time joins its
     span once into its text, and every later occurrence writes that text,
-    so each node's parts are made once per call."""
+    so each node's parts are made at most once per call.  A parent may
+    write a child's pieces among its own, as a case writes its branch
+    lambdas in `syntax._PRINT`; such a child is no node of the pass there,
+    and its own children are."""
     out: list[str] = []
     known: dict[int, Any] = {}
     stack = [root]
