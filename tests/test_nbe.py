@@ -666,3 +666,15 @@ def test_infer_and_norm_10000_deep_lam_chain_at_default_limit():
     lams, body = _spine(norm(t, SIG, smart_prim_env()), Lam, "body")
     assert [lam.binder for lam in lams] == [f"x{i}" for i in range(10_000)]
     assert body == Var("x9999")
+
+
+@pytest.mark.parametrize("env", [smart_prim_env(), naive_prim_env()], ids=["smart", "naive"])
+def test_norm_builds_each_residual_test_once_per_call(env):
+    for k in range(1, 11):
+        t = bool_chain(k)
+        first, second = (
+            {id(u): u for u in _nodes(norm(t, SIG, env)) if type(u) is PrimApp and u.name == "=="}
+            for _ in range(2)
+        )
+        assert len(first) == len(second) == k
+        assert not first.keys() & second.keys()  # two calls share no test node

@@ -384,3 +384,29 @@ def test_requests_at_q_normalize_like_the_table(env):
 
     for t in terms:
         assert outcome(t, requesting) == outcome(t, env)
+
+
+# ---------------------------------------------------------------------------
+# The per-call table of residual tests
+
+
+@pytest.mark.parametrize("env", [SMART, naive_prim_env()], ids=["smart", "naive"])
+def test_a_residual_eq_is_built_once_per_supply_and_pair_of_operands(env):
+    names = NameSupply()
+    a, b = exp(M), val(0)
+    _, code = env["=="]((a, b), names)
+    assert env["=="]((a, b), names)[1] is code
+    assert env["=="]((exp(M), SBase("Q", b.payload)), names)[1] is code  # by code, not value
+    # equal but distinct operands, or a new supply, make a new node
+    for args, supply in (((exp(Var("m")), b), names), ((a, val(0)), names), ((a, b), NameSupply())):
+        _, other = env["=="](args, supply)
+        assert other == code and other is not code
+
+
+@pytest.mark.parametrize("env", [SMART, naive_prim_env()], ids=["smart", "naive"])
+@pytest.mark.parametrize("op", ["*", "/"])
+def test_a_residual_base_result_is_built_anew_each_call(env, op):
+    names = NameSupply()
+    a, b = exp(M), exp(N)
+    first, second = env[op]((a, b), names), env[op]((a, b), names)
+    assert first == second and first.payload is not second.payload

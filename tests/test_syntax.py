@@ -1361,3 +1361,89 @@ def test_printers_write_a_node_first_met_10_to_the_5_deep_as_a_tree():
         + ")" * n
     )
     assert repr(t) == f"Pair(first={spelled}, second={spelled})"
+
+
+# ---------------------------------------------------------------------------
+# a case writes its branch lambdas with its own text
+
+
+_FORMS = {
+    App: "app", Pair: "pair", Fst: "fst", Snd: "snd", Inl: "inl", Inr: "inr", Case: "case",
+    Arrow: "arrow", Prod: "prod", Sum: "sum",
+}
+
+
+def _print_by_recursion(t) -> str:
+    """The s-expression of a term or type, by recursion on the tree it
+    stands for."""
+    cls = type(t)
+    if cls is Lit:
+        return f"(lit {syntax.format_rational(t.value)} {t.base})"
+    if cls is Var:
+        return f"(var {t.name})"
+    if cls is UnitVal or cls is Unit:
+        return "unit"
+    if cls is Base:
+        return t.name
+    if cls is Lam:
+        return f"(lam ({t.binder} {_print_by_recursion(t.annot)}) {_print_by_recursion(t.body)})"
+    if cls is PrimApp:
+        return f"(prim {t.name}" + "".join(" " + _print_by_recursion(a) for a in t.args) + ")"
+    fields = " ".join(_print_by_recursion(getattr(t, f)) for f in t.__match_args__)
+    return f"({_FORMS[cls]} {fields})"
+
+
+def _branch_cases():
+    """Cases whose branches are variables, lambdas with leaf and compound
+    annotations, one Lam object twice, and a Lam also shared by a pair."""
+    s, q = Var("s"), Var("q")
+    unit = Lam("u", Unit(), lit(1))
+    pair = Lam("p", Prod(RAT, RAT), Fst(Var("p")))
+    arrow = Lam("f", Arrow(RAT, RAT), App(Var("f"), lit(2)))
+    shared = Lam("y", RAT, PrimApp("*", (Var("y"), q)))
+    yield Case(s, Var("f"), Var("g"))
+    yield Case(s, unit, Var("g"))
+    yield Case(s, Var("f"), unit)
+    for left in (unit, pair, arrow):
+        for right in (unit, pair, arrow):
+            yield Case(s, left, right)
+    yield Case(s, shared, shared)
+    yield Pair(shared, Case(s, shared, unit))
+    yield Pair(Case(s, unit, shared), shared)
+    yield Case(Case(s, unit, unit), Lam("a", Unit(), Case(q, shared, shared)), shared)
+
+
+def test_print_agrees_with_the_recursive_printer(oracle_corpus):
+    terms = list(_branch_cases())
+    terms += [u for t, _, normal in oracle_corpus for u in (t, normal)]
+    terms.append(norm(bool_chain(4), SIG, naive_prim_env()))
+    for t in terms:
+        text = print_term(t)
+        assert text == _print_by_recursion(t)
+        assert parse_term(text) == t
+
+
+def test_a_16_level_case_dag_prints_in_under_a_second():
+    # each level's two branch lambdas share the level below as their body,
+    # and in the second DAG one Lam object is both branches
+    for twin in (False, True):
+        t, want = lit(0), "(lit 0 Q)"
+        for i in range(16):
+            left = Lam("a", Unit(), t)
+            t = Case(Var(f"s{i}"), left, left if twin else Lam("b", Prod(RAT, RAT), t))
+            right = "(lam (a unit)" if twin else "(lam (b (prod Q Q))"
+            want = f"(case (var s{i}) (lam (a unit) {want}) {right} {want}))"
+        start = time.process_time()
+        text = print_term(t)
+        assert time.process_time() - start < 1
+        assert text == want
+        assert parse_term(text) == t
+
+
+def test_a_case_makes_the_pieces_of_its_branch_lambdas(monkeypatch):
+    normal = norm(bool_chain(3), SIG, smart_prim_env())
+    calls = []
+    real = syntax._PRINT[Lam]
+    monkeypatch.setitem(syntax._PRINT, Lam, lambda u: calls.append(u) or real(u))
+    assert print_term(normal).count("(case ") == 7
+    assert calls == [normal]  # the outer lambda only
