@@ -8,20 +8,22 @@ semantic value.  At sum types reflection captures the continuation with
 consuming a residual sum is branched over once, at the point the sum is
 destructed.
 
-These equations are the CPS evaluator of `control.py` defunctionalised
-(Danvy & Nielsen, "Defunctionalization at Work", 2001): one loop `_run` in
-four modes (evaluate a term, return a value to the continuation, reify a
-value, reflect code).  A continuation is an immutable linked list of tuple
-frames `(tag, rest, ...)` that ends in `None`, the delimiter of the nearest
-`reset`.  The resets themselves are meta-frames on a Python list: the body of
-a lambda being reified, and each branch of a residual case.  `shift` at a
-sum keeps a pointer to the current frames and runs them once per branch;
-frames are never mutated, so the second run copies nothing.  The left branch
-finishes before the right branch's binder is drawn, so fresh names come out
-in the same order as from the CPS code.  Python stack use does not grow with
-the term.  A closure's body runs with the primitives the closure was made
-with: a frame under the body gives the caller's back when they differ, and a
-shift keeps the primitives at its point for the right branch.
+The machine defunctionalises the `shift` and `reset` of these equations (the
+monad of `control.py`; Danvy & Nielsen, "Defunctionalization at Work",
+2001): one loop `_run` in four modes (evaluate a term, return a value to the
+continuation, reify a value, reflect code).  A continuation is an immutable
+linked list of frames `(tag, rest, ...)` ending in `None`, the delimiter of
+the nearest `reset`; the resets are meta-frames on a Python list: a lambda
+body being reified and each branch of a residual case.  `shift` at a sum
+keeps a pointer to the current frames and runs them once per branch, with
+no copy, as frames are never mutated.  The left branch finishes before the
+right branch's binder is drawn, so fresh names come out in the order of the
+monadic equations.  Python stack use does not grow with the term.  The
+primitives are bound in the environment, as type-directed partial
+evaluation binds a program's operators (Danvy, POPL 1996): `eval_term` and
+`norm` bind them under `_PRIMS`, so a closure, its `Lam` and its
+environment, calls those it was made with, and so does a shift's second
+run, whose frames hold their environments.
 
 A machine step is taken only where control can move.  A non-atomic term
 takes one: an application, a case, a pair, a projection or an injection
@@ -41,14 +43,16 @@ there too; a residual test is built once per call per pair of operands
 (`NameSupply.tests`), however many paths reach it.  Reflection at a base
 type or unit is a value at once, so neither a residual result nor the
 payload of a `shift` takes a step, and a `shift` builds a `Var` of a
-branch's binder only for a side that is not unit.  `_atom` is called only
-on a term whose class is in `_ATOMS`.
+branch's binder only for a side that is not unit.
 """
 
 from __future__ import annotations
 
 from .control import Residual
 from .semantics import (
+    INL_UNIT,
+    INR_UNIT,
+    UNIT,
     Closure,
     PrimEnv,
     Reflected,
@@ -134,15 +138,14 @@ EVAL, RETURN, REIFY, REFLECT = range(4)
     WRAP_INR,
     REFLECT_APP,  # (code, cod): the argument's code arrived
     REFLECT_SND,  # (ty, code): the first projection's value arrived
-    PRIMS,  # (prims,): a closure returned; restore its caller's primitives
     HOST,  # (f,): the host function f takes the value
-) = range(21)
+) = range(20)
 
 # Meta-frames, one per reset in progress; each receives the answer (a term)
 # that reaches the delimiter.
 (
     LAM_BODY,  # (outer frames, x, a): build Lam(x, a, answer)
-    SPLIT_RIGHT,  # (code, a, b, captured frames, xl, prims): run the right branch
+    SPLIT_RIGHT,  # (code, a, b, captured frames, xl): run the right branch
     BUILD_CASE,  # (code, a, b, xl, left answer, xr): build the case
 ) = range(3)
 
@@ -151,18 +154,16 @@ _UNARY = {Fst: FST, Snd: SND, Inl: INL, Inr: INR}
 
 _ATOMS = frozenset((Var, Lit, Lam, UnitVal))
 
-_UNIT = SUnit()
-# What a shift hands to a branch whose side of the sum is unit (both sides of
-# Bool); values are immutable, so every branch shares one.
-_INL_UNIT = SInl(_UNIT)
-_INR_UNIT = SInr(_UNIT)
+# The primitives' key in an environment, "the entries PrimApp nodes call": a
+# class, which deepcopy and pickle keep, never a string, which names a variable.
+_PRIMS = PrimApp
 
 
 def _mismatch(expected: str, value) -> ShapeMismatch:
     return ShapeMismatch(f"expected {expected}, found {type(value).__name__}")
 
 
-def _atom(term, env, prims, lits):
+def _atom(term, env, lits):
     """The value of an atomic term, one whose class is in `_ATOMS`, which
     needs no machine step: a variable, a lambda, a source literal (one value
     per Lit per run, kept in `lits`, whose payload is the Lit itself) or
@@ -179,8 +180,8 @@ def _atom(term, env, prims, lits):
             value = lits[id(term)] = SBase(term.base, term)
         return value
     if cls is Lam:
-        return Closure(term.binder, term.body, env, prims)
-    return _UNIT
+        return Closure(term, env)
+    return UNIT
 
 
 def _reflect_now(ty, code):
@@ -190,11 +191,11 @@ def _reflect_now(ty, code):
     if cls is Base:
         return SBase(ty.name, code)
     if cls is Unit:
-        return _UNIT
+        return UNIT
     return None
 
 
-def _run(mode, k, prims, names, term=None, env=None, ty=None, value=None, code=None):
+def _run(mode, k, names, term=None, env=None, ty=None, value=None, code=None):
     """Run the machine from one state to the answer at its outermost
     delimiter.  The registers: `term` and `env` in EVAL, `value` in RETURN,
     `ty` and `value` in REIFY, `ty` and `code` in REFLECT."""
@@ -208,7 +209,7 @@ def _run(mode, k, prims, names, term=None, env=None, ty=None, value=None, code=N
             cls = type(term)
             if cls is PrimApp:  # its frame gathers the arguments, then calls impl
                 try:
-                    impl = prims[term.name]
+                    impl = env[_PRIMS][term.name]
                 except KeyError:
                     raise UnknownPrimitive(f"no semantic entry for primitive {term.name!r}") from None
                 k = (PRIM_ARG, k, term.args, 0, (), env, impl)
@@ -234,7 +235,7 @@ def _run(mode, k, prims, names, term=None, env=None, ty=None, value=None, code=N
                     raise TypeError(f"not a term: {term!r}")
                 if type(term) not in _ATOMS:
                     continue
-                value = _atom(term, env, prims, lits)
+                value = _atom(term, env, lits)
         elif mode is REIFY:
             cls = type(ty)
             if cls is Base:  # a literal or residual code is its own code
@@ -282,9 +283,9 @@ def _run(mode, k, prims, names, term=None, env=None, ty=None, value=None, code=N
             if cls is Sum:  # shift: both branches continue with frames k
                 x = names.fresh()
                 a = ty.left
-                meta.append((SPLIT_RIGHT, code, a, ty.right, k, x, prims))
+                meta.append((SPLIT_RIGHT, code, a, ty.right, k, x))
                 if type(a) is Unit:  # a unit side's value is SUnit: no Var of x
-                    value = _INL_UNIT
+                    value = INL_UNIT
                 else:
                     code = Var(x)
                     value = _reflect_now(a, code)
@@ -316,11 +317,11 @@ def _run(mode, k, prims, names, term=None, env=None, ty=None, value=None, code=N
                 _, k, x, a = frame
                 value = Lam(x, a, value)
             elif tag is SPLIT_RIGHT:
-                _, code, a, b, k, xl, prims = frame
+                _, code, a, b, k, xl = frame
                 x = names.fresh()
                 meta.append((BUILD_CASE, code, a, b, xl, value, x))
                 if type(b) is Unit:
-                    value = _INR_UNIT
+                    value = INR_UNIT
                 else:
                     code = Var(x)
                     value = _reflect_now(b, code)
@@ -344,7 +345,7 @@ def _run(mode, k, prims, names, term=None, env=None, ty=None, value=None, code=N
                 term = args[i]
                 if type(term) not in _ATOMS:
                     break
-                acc += (_atom(term, env, prims, lits),)
+                acc += (_atom(term, env, lits),)
                 i += 1
             if i < n:
                 k = (PRIM_ARG, k, args, i + 1, acc, env, impl)
@@ -382,7 +383,7 @@ def _run(mode, k, prims, names, term=None, env=None, ty=None, value=None, code=N
                     k = (CALL, k, fun)
                     mode = EVAL
                     continue
-                arg = _atom(term, env, prims, lits)
+                arg = _atom(term, env, lits)
             elif tag is CALL:
                 _, k, fun = k
                 arg = value
@@ -390,11 +391,9 @@ def _run(mode, k, prims, names, term=None, env=None, ty=None, value=None, code=N
                 _, k, arg = k
                 fun = value
             cls = type(fun)
-            if cls is Closure:  # its body runs with its own primitives
-                if fun.prims is not prims:
-                    k = (PRIMS, k, prims)
-                    prims = fun.prims
+            if cls is Closure:
                 env = fun.env
+                fun = fun.lam
             elif cls is Reflected:
                 k = (REFLECT_APP, k, fun.code, fun.cod)
                 ty = fun.dom
@@ -410,7 +409,7 @@ def _run(mode, k, prims, names, term=None, env=None, ty=None, value=None, code=N
             if tag is PAIR_SND:
                 _, k, term, env = k
                 if type(term) in _ATOMS:
-                    value = SPair(value, _atom(term, env, prims, lits))
+                    value = SPair(value, _atom(term, env, lits))
                 else:
                     k = (PAIR, k, value)
                     mode = EVAL
@@ -448,15 +447,13 @@ def _run(mode, k, prims, names, term=None, env=None, ty=None, value=None, code=N
                 k = (PAIR, rest, value)
                 code = Snd(whole)
                 mode = REFLECT
-            elif tag is PRIMS:
-                _, k, prims = k
             else:  # HOST
                 value = k[2](value)
                 k = k[1]
             continue
 
-        # Bind `arg` to the binder of `fun`, a literal lambda in `env` or a
-        # closure over it, and run the body.
+        # Bind `arg` to the binder of `fun`, a literal lambda in `env` or the
+        # lambda of a closure over it, and run the body.
         env = env.copy()
         env[fun.binder] = arg
         term = fun.body
@@ -470,19 +467,19 @@ def eval_term(t: Term, prims: PrimEnv, env: ValueEnv, names: NameSupply) -> Resi
     primitive arguments are forced left to right before dispatch, lambdas
     close over their environment, and case evaluates only the branch
     selected by the scrutinee's tag."""
-    return Residual(lambda kf: _run(EVAL, (HOST, None, kf), prims, names, term=t, env=dict(env)))
+    return Residual(lambda kf: _run(EVAL, (HOST, None, kf), names, term=t, env={**env, _PRIMS: prims}))
 
 
 def reify(ty: ObjType, value: SemValue, names: NameSupply) -> Term:
     """Map a semantic value of type ty back to a term."""
-    return _run(REIFY, None, None, names, ty=ty, value=value)
+    return _run(REIFY, None, names, ty=ty, value=value)
 
 
 def reflect(ty: ObjType, code: Term, names: NameSupply) -> Residual[SemValue]:
     """Map a term of type ty into the semantic domain.  At sum type this asks
     for the continuation and duplicates it into both branches of a residual
     case on `code`."""
-    return Residual(lambda kf: _run(REFLECT, (HOST, None, kf), None, names, ty=ty, code=code))
+    return Residual(lambda kf: _run(REFLECT, (HOST, None, kf), names, ty=ty, code=code))
 
 
 def norm(t: Term, sig, prims: PrimEnv) -> Term:
@@ -490,4 +487,4 @@ def norm(t: Term, sig, prims: PrimEnv) -> Term:
     at its inferred type.  Output is closed, beta-normal, type-preserving,
     and deterministic (fresh names start at x0)."""
     ty = infer({}, sig, t)
-    return _run(EVAL, (REIFY_AT, None, ty), prims, NameSupply(), term=t, env={})
+    return _run(EVAL, (REIFY_AT, None, ty), NameSupply(), term=t, env={_PRIMS: prims})

@@ -19,12 +19,11 @@ from typing import Callable, Mapping
 
 from .records import Record
 from .semantics import (
+    INL_UNIT,
+    INR_UNIT,
     PrimEnv,
     SBase,
     SemValue,
-    SInl,
-    SInr,
-    SUnit,
 )
 from .syntax import (
     Base,
@@ -147,7 +146,7 @@ def _embed(ty: ObjType, host: object) -> SemValue:
     literal at a base type, a tag at Bool."""
     if isinstance(ty, Base):
         return SBase(ty.name, Lit(host, ty.name))
-    return SInr(SUnit()) if host else SInl(SUnit())
+    return INR_UNIT if host else INL_UNIT
 
 
 def _entry(op: str, smart: bool):

@@ -5,8 +5,8 @@ base-type value carries a Term: a `Lit` is a known literal, which the smart
 primitives fold, and any other term is residual code.  Reflection and
 reification at a base type are the identity on that term, so a source
 literal reifies to its own node.
-Functions are records the normalizer's machine (`nbe.py`) applies: a Closure
-of a lambda over its environment, or Reflected code of arrow type.  A client
+Functions are records the normalizer's machine (`nbe.py`) applies: a Closure,
+a lambda and its environment, or Reflected code of arrow type.  A client
 may also build an SFun around a host function from value to value, which the
 machine calls in place and whose result it returns to the current frame.
 
@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import Any, Callable, Mapping, Union
 
 from .records import Record
-from .syntax import Lit, ObjType, Term
+from .syntax import Lam, Lit, ObjType, Term
 
 
 # ---------------------------------------------------------------------------
@@ -44,19 +44,17 @@ class SFun(SemValue):
 
 
 class Closure(SemValue):
-    """The value of `Lam(binder, _, body)` in `env`.  It keeps the primitive
-    environment it was made with, so that a closure returned by `eval_term`
-    can still be applied by a later `reify`.  It equals only itself."""
+    """A `Lam` and the environment it was evaluated in (Landin, 1964), which
+    binds the primitives too, so the body calls those the closure was made
+    with, even in a later `reify`.  It equals only itself."""
 
     __eq__ = object.__eq__
     __hash__ = object.__hash__
 
-    def __init__(self, binder: str, body: Term, env: dict[str, SemValue], prims: PrimEnv):
-        set_binder, set_body, set_env, set_prims = Closure._setters
-        set_binder(self, binder)
-        set_body(self, body)
+    def __init__(self, lam: Lam, env: dict):
+        set_lam, set_env = Closure._setters
+        set_lam(self, lam)
         set_env(self, env)
-        set_prims(self, prims)
 
 
 class Reflected(SemValue):
@@ -94,15 +92,20 @@ class SBase(SemValue):
         set_payload(self, payload)
 
 
+# Shared values tagged over unit: a shift's unit-side payload, a folded `==`.
+UNIT = SUnit()
+INL_UNIT = SInl(UNIT)
+INR_UNIT = SInr(UNIT)
+
 ValueEnv = Mapping[str, SemValue]
 
-# A primitive's semantic implementation: it takes the tuple of forced
-# argument values and the name supply of the enclosing normalization, and
-# returns either a value or a request `(type, code)`, which the normalizer
-# reflects at that type.  The table's entries (`primitives.py`) return a
-# residual `*` or `/` as its `SBase`, and a residual `==` as a request at
-# Bool, so it branches through a case; any entry may return a request at
-# any type.
+# A primitive's semantic implementation, an entry of a `PrimEnv`, which the
+# normalizer binds in its environment: it takes the tuple of forced argument
+# values and the name supply of the enclosing normalization, and returns
+# either a value or a request `(type, code)`, which the normalizer reflects
+# at that type.  The table's entries (`primitives.py`) return a residual `*`
+# or `/` as its `SBase`, and a residual `==` as a request at Bool, so it
+# branches through a case; any entry may return a request at any type.
 PrimImpl = Callable[..., Union[SemValue, tuple[ObjType, Term]]]
 PrimEnv = Mapping[str, PrimImpl]
 

@@ -61,7 +61,7 @@ SAMPLES = [
     syntax.Case(Var("s"), Var("l"), Var("r")),
     semantics.SUnit(),
     semantics.SFun(print),
-    Closure("x", Var("x"), {}, smart_prim_env()),
+    Closure(Lam("x", Q, Var("x")), {}),
     semantics.Reflected(Var("f"), Q, Q),
     semantics.SPair(semantics.SUnit(), semantics.SUnit()),
     semantics.SInl(semantics.SUnit()),
@@ -235,17 +235,17 @@ def test_different_classes_with_equal_fields_differ():
 
 
 def test_closure_equals_only_itself():
-    env = smart_prim_env()
-    c = Closure("x", Var("x"), {}, env)
+    lam = Lam("x", Q, Var("x"))
+    c = Closure(lam, {})
     assert c == c
-    assert c != Closure("x", Var("x"), {}, env)
+    assert c != Closure(lam, {})
     assert {c: 1}[c] == 1
     # inside a record too: a record holding a closure hashes, and two
     # closures of one lambda stay unequal
     pair = semantics.SPair(c, semantics.SUnit())
     assert pair == semantics.SPair(c, semantics.SUnit())
     assert hash(pair) == hash(semantics.SPair(c, semantics.SUnit()))
-    assert pair != semantics.SPair(Closure("x", Var("x"), {}, env), semantics.SUnit())
+    assert pair != semantics.SPair(Closure(lam, {}), semantics.SUnit())
 
 
 def test_plain_fields_compare_as_values():
