@@ -19,8 +19,9 @@ median and quartiles, the pairs the change won and lost, `change_worse_by`
 (the change's median against the parent's, as a fraction of the parent's,
 positive when worse) and the parent's interquartile distance; then, per
 workload, the median of each per-layer metric of the traced runs.  `--extra`
-names a JSON object whose keys are added to the file as they are.  Only the
-standard library is used.
+names a JSON object whose keys are added to the file as they are.  The file is
+written in any case; the exit status is 1 unless every run exited 0 and
+reported correct output (`all_correct`).  Only the standard library is used.
 """
 
 from __future__ import annotations
@@ -190,14 +191,14 @@ def main(argv=None) -> int:
                  "from its own git archive of its commit, with PYTHONDONTWRITEBYTECODE=1.",
         "host": {"python": sys.version.split()[0], "cpus": os.cpu_count()},
         "summary": summarize(runs, bench["end_to_end"]),
-        "all_correct": all(r.get("result") and r["result"].get("correct") for r in runs),
+        "all_correct": all(not r["returncode"] and r["result"] and r["result"].get("correct") for r in runs),
         "traced": traced_medians(runs),
     }
     if args.extra:
         doc.update(json.loads(args.extra.read_text()))
     doc["runs"] = runs
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
-    return 0
+    return 0 if doc["all_correct"] else 1
 
 
 if __name__ == "__main__":

@@ -256,6 +256,30 @@ def agree_on_probes(t1: Term, t2: Term, ty) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# Long texts
+
+
+def assert_same_text(got: str, want: str) -> None:
+    """`got == want`; on a mismatch, report the first offset where they differ
+    and 40 characters on each side of it in each text.  pytest's own report
+    of a failing `==` on two strings diffs them with difflib, which on one
+    long line takes minutes for texts of megabytes."""
+    __tracebackhide__ = True
+    if got == want:
+        return
+    i, n, step = 0, min(len(got), len(want)), 4096
+    while i < n and got[i : i + step] == want[i : i + step]:
+        i += step
+    while i < n and got[i] == want[i]:
+        i += 1
+    lo, hi = max(i - 40, 0), i + 40
+    raise AssertionError(
+        f"texts of {len(got)} and {len(want)} characters differ at offset {i}: "
+        f"got {got[lo:hi]!r}, want {want[lo:hi]!r}"
+    )
+
+
+# ---------------------------------------------------------------------------
 # Shared corpora
 
 

@@ -1,3 +1,4 @@
+import copy
 import random
 import sys
 
@@ -24,6 +25,7 @@ from ebn.primitives import (
     smart_prim_env,
 )
 from ebn.semantics import (
+    Closure,
     SBase,
     SemValue,
     SFun,
@@ -231,13 +233,39 @@ RIGHT_COMPOUND = {
 }
 
 
-@pytest.mark.parametrize("src, expected, args", RIGHT_COMPOUND.values(), ids=RIGHT_COMPOUND.keys())
-def test_norm_shift_with_a_compound_right_summand_golden(src, expected, args):
+def _golden_and_oracle(src, expected, args):
     t = parse_term(src)
     got = norm(t, SIG, smart_prim_env())
     assert print_term(got) == expected
     for arg in map(parse_term, args):
         assert run(App(got, arg)) == run(App(t, arg))
+
+
+@pytest.mark.parametrize("src, expected, args", RIGHT_COMPOUND.values(), ids=RIGHT_COMPOUND.keys())
+def test_norm_shift_with_a_compound_right_summand_golden(src, expected, args):
+    _golden_and_oracle(src, expected, args)
+
+
+# Reflection at unit: a variable, an application's result or a component of
+# unit type is the unit value, with no code of its own.
+AT_UNIT = {
+    "var": ("(lam (u unit) (var u))", "(lam (x0 unit) unit)", ["unit"]),
+    "app": (
+        "(lam (f (arrow Q unit)) (app (var f) (lit 1 Q)))",
+        "(lam (x0 (arrow Q unit)) unit)",
+        ["(lam (y Q) unit)"],
+    ),
+    "prod": (
+        "(lam (p (prod unit Q)) (var p))",
+        "(lam (x0 (prod unit Q)) (pair unit (snd (var x0))))",
+        ["(pair unit (lit 5 Q))"],
+    ),
+}
+
+
+@pytest.mark.parametrize("src, expected, args", AT_UNIT.values(), ids=AT_UNIT.keys())
+def test_norm_reflects_at_unit_golden(src, expected, args):
+    _golden_and_oracle(src, expected, args)
 
 
 def test_norm_shares_a_folded_literal_used_twice():
@@ -487,6 +515,20 @@ def test_shift_inside_a_closure_keeps_its_primitives_for_the_right_branch():
         "(lam (x1 unit) (prim * (prim * (lit 2 Q) (lit 3 Q)) (lit 42 Q))) "
         "(lam (x2 unit) (prim * (prim * (lit 4 Q) (lit 5 Q)) (lit 42 Q)))))"
     )
+
+
+def test_a_deep_copied_closure_keeps_its_primitives():
+    # the key that binds the primitives in a closure's env survives deepcopy
+    f = _eval("(lam (x Q) (prim * (lit 2 Q) (lit 3 Q)))", {}, naive_prim_env())
+    twin = copy.deepcopy(f)
+    assert twin is not f and twin.env is not f.env
+    assert print_term(reify(Arrow(RAT, RAT), twin, NameSupply())) == "(lam (x0 Q) (prim * (lit 2 Q) (lit 3 Q)))"
+
+
+def test_a_closure_whose_env_binds_no_primitives_reports_the_primitive():
+    f = Closure(parse_term("(lam (x Q) (prim * (var x) (lit 2 Q)))"), {})
+    with pytest.raises(UnknownPrimitive, match="'\\*'"):
+        reify(Arrow(RAT, RAT), f, NameSupply())
 
 
 def test_nested_host_function_applications_run_in_constant_stack():

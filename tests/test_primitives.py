@@ -22,7 +22,7 @@ from ebn.primitives import (
     rational_signature,
     smart_prim_env,
 )
-from ebn.semantics import SBase, SInl, SInr, SUnit
+from ebn.semantics import INL_UNIT, INR_UNIT, SBase, SInl, SInr, SUnit
 from ebn.syntax import (
     Arrow,
     Base,
@@ -94,6 +94,12 @@ def test_eq_val_val_true():
 
 def test_eq_val_val_false():
     assert payload_of(prim("==", val(2), val(3))) == SInl(SUnit())
+
+
+def test_a_folded_eq_is_the_shared_unit_tagged_value():
+    # the values a shift hands to a unit branch, not a new one per fold
+    assert SMART["=="]((val(2), val(2)), NameSupply()) is INR_UNIT
+    assert SMART["=="]((val(2), val(3)), NameSupply()) is INL_UNIT
 
 
 def _expected_branching(code):

@@ -255,6 +255,7 @@ def test_plain_fields_compare_as_values():
     assert syntax.PrimApp("f", (Lit(1, "Q"),)) == syntax.PrimApp("f", (Lit(Fraction(1), "Q"),))
     assert syntax.PrimApp("f", (Var("x"),)) != syntax.PrimApp("f", (Var("x"), Var("x")))
     assert PrimType((RAT, RAT), RAT) != PrimType((RAT, Q), Unit())
+    assert PrimType((RAT, RAT), RAT) != PrimType((RAT, Unit()), RAT)  # a tuple element differs
 
 
 def test_repr_golden():

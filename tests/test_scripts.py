@@ -1,3 +1,4 @@
+import json
 import runpy
 from pathlib import Path
 
@@ -51,3 +52,41 @@ def test_bench_pairs_marks_a_metric_with_no_run_of_a_side_unresolved():
     runs = [_run(1, "parent", 100, 20), _run(1, "change", 0, 0, returncode=1)]
     out = _bench_pairs()["summarize"](runs, metrics)
     assert out == {"w": {"items_per_s": {"unresolved": "a side has no successful run"}}}
+
+
+def _stubbed_main(monkeypatch, tmp_path, outcome):
+    """`bench_pairs.main` on one pair of one workload, with `extract` making
+    an empty tree that holds only BENCHMARK.json and `run_once` answering
+    `outcome(side)` for each run: its exit status and the file it wrote."""
+    main = _bench_pairs()["main"]
+    bench = {"workloads": [{"name": "w"}], "end_to_end": [{"name": "items_per_s", "better": "higher", "bound": 0.25}]}
+
+    def extract(rev, dest):
+        dest.mkdir(parents=True)
+        (dest / "BENCHMARK.json").write_text(json.dumps(bench))
+        return rev
+
+    def run_once(tree, workload, seed, seconds, trace):
+        returncode, correct = outcome(tree.name)
+        return {"returncode": returncode, "wall_s": 0.0,
+                "result": {"correct": correct, "metrics": {"items_per_s": {"value": 100.0}}}}
+
+    monkeypatch.setitem(main.__globals__, "extract", extract)
+    monkeypatch.setitem(main.__globals__, "run_once", run_once)
+    out = tmp_path / "bench.json"
+    status = main(["--parent", "a", "--change", "b", "--seed", "1", "--pairs", "1", "--traced", "0",
+                   "--out", str(out), "--workdir", str(tmp_path / "work")])
+    return status, json.loads(out.read_text())
+
+
+def test_bench_pairs_exits_0_when_every_run_is_correct(monkeypatch, tmp_path):
+    status, doc = _stubbed_main(monkeypatch, tmp_path, lambda side: (0, True))
+    assert status == 0 and doc["all_correct"] is True
+    assert (doc["parent_commit"], doc["change_commit"], len(doc["runs"])) == ("a", "b", 2)
+
+
+@pytest.mark.parametrize("failure", [(0, False), (1, True)], ids=["incorrect output", "non-zero exit"])
+def test_bench_pairs_writes_its_file_and_exits_1_on_a_bad_run(monkeypatch, tmp_path, failure):
+    status, doc = _stubbed_main(monkeypatch, tmp_path, lambda side: failure if side == "change" else (0, True))
+    assert status == 1 and doc["all_correct"] is False
+    assert len(doc["runs"]) == 2

@@ -62,7 +62,7 @@ from ebn.syntax import (
     validate_type,
 )
 
-from conftest import TermGen, ACCEPT_TYPES, bool_chain
+from conftest import TermGen, ACCEPT_TYPES, assert_same_text, bool_chain
 
 SIG = rational_signature()
 
@@ -471,6 +471,9 @@ def test_alpha_eq_examples():
         Lam("x", RAT, Lam("y", RAT, Var("x"))),
         Lam("a", RAT, Lam("b", RAT, Var("b"))),
     )
+    assert not alpha_eq(lit(1), lit(2))
+    assert not alpha_eq(PrimApp("*", (lit(1), lit(2))), PrimApp("/", (lit(1), lit(2))))
+    assert not alpha_eq(PrimApp("*", (lit(1),)), PrimApp("*", (lit(1), lit(2))))
 
 
 def test_alpha_eq_annotations_matter():
@@ -1338,8 +1341,23 @@ def test_printers_take_a_100000_element_tuple():
     for i in range(n):
         printed.append(f"(pair (lit {i} Q) ")
         pretty.append(f"<{i}, ")
-    assert print_term(normal) == "".join(printed) + "(lit 0 Q)" + ")" * n
-    assert pretty_term(normal) == "".join(pretty) + "0" + ">" * n
+    assert_same_text(print_term(normal), "".join(printed) + "(lit 0 Q)" + ")" * n)
+    assert_same_text(pretty_term(normal), "".join(pretty) + "0" + ">" * n)
+
+
+def test_assert_same_text_reports_a_long_mismatch_at_once():
+    # 3.2 MB that differ 10 characters from the end: the report names the
+    # offset and a short window, with no diff of the whole texts
+    want = "(pair (lit 1 Q) " * 200_000
+    got = want[:-10] + "X" + want[-9:]
+    start = time.process_time()
+    with pytest.raises(AssertionError, match=f"differ at offset {len(want) - 10}: ") as e:
+        assert_same_text(got, want)
+    assert time.process_time() - start < 1
+    assert "X" in str(e.value) and len(str(e.value)) < 300
+    with pytest.raises(AssertionError, match=f"differ at offset {len(want)}: "):
+        assert_same_text(want + ")", want)
+    assert_same_text(want, "".join(["(pair (lit 1 Q) "] * 200_000))
 
 
 def test_printers_write_a_node_first_met_10_to_the_5_deep_as_a_tree():
@@ -1352,15 +1370,15 @@ def test_printers_write_a_node_first_met_10_to_the_5_deep_as_a_tree():
         c = Pair(lit(i), c)
     t = Pair(c, c)
     printed = "".join([f"(pair (lit {i} Q) " for i in range(n)]) + "(lit 0 Q)" + ")" * n
-    assert print_term(t) == f"(pair {printed} {printed})"
+    assert_same_text(print_term(t), f"(pair {printed} {printed})")
     pretty = "".join([f"<{i}, " for i in range(n)]) + "0" + ">" * n
-    assert pretty_term(t) == f"<{pretty}, {pretty}>"
+    assert_same_text(pretty_term(t), f"<{pretty}, {pretty}>")
     spelled = (
         "".join([f"Pair(first=Lit(value=Fraction({i}, 1), base='Q'), second=" for i in range(n)])
         + "Lit(value=Fraction(0, 1), base='Q')"
         + ")" * n
     )
-    assert repr(t) == f"Pair(first={spelled}, second={spelled})"
+    assert_same_text(repr(t), f"Pair(first={spelled}, second={spelled})")
 
 
 # ---------------------------------------------------------------------------
@@ -1436,7 +1454,7 @@ def test_a_16_level_case_dag_prints_in_under_a_second():
         start = time.process_time()
         text = print_term(t)
         assert time.process_time() - start < 1
-        assert text == want
+        assert_same_text(text, want)
         assert parse_term(text) == t
 
 
