@@ -35,7 +35,7 @@ from .examples import (
     power_prime,
 )
 from .interp import ConcreteValue, RuntimeDivisionByZero, format_value, run
-from .nbe import NameSupply, eval_term, norm, reflect, reify
+from .nbe import NameSupply, norm, reify
 from .primitives import (
     BOOL,
     RAT,
@@ -57,7 +57,6 @@ from .semantics import (
     Reflected,
     SBase,
     SemValue,
-    SFun,
     SInl,
     SInr,
     SPair,

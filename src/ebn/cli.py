@@ -2,10 +2,10 @@
 
 Exit codes: 0 success, 1 syntax/type error, 2 runtime error (division by
 zero), 64 usage error (also a `demo power` exponent n with |n| > 2**20), 66
-unreadable input file, 70 internal error (the two chars domains disagree;
-no other input is known to reach it), 71 out of memory.  Reading, type
-checking, normalization, interpretation and printing run in constant Python
-stack.
+unreadable input file, 70 internal error (the two chars domains disagree, or
+Python's recursion limit is exceeded; no input is known to reach either), 71
+out of memory.  Reading, type checking, normalization, interpretation and
+printing run in constant Python stack.
 """
 
 from __future__ import annotations

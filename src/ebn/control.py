@@ -5,10 +5,9 @@ Term; `shift` may invoke the captured continuation zero or more times, and
 `reset` delimits how far it reaches.  There is no global continuation state,
 so the monad laws are directly testable.
 
-This is the executable specification of the normalizer's control: `nbe.py`
-runs the same equations as a defunctionalised machine, and uses `Residual`
-only at its edges, where a host continuation meets the machine: `eval_term`
-and `reflect` return a computation.
+This is the monad the normalizer's equations are written in: the reference
+normaliser `tests/spec_nbe.py` runs them over it, and `nbe.py` runs the same
+equations as a defunctionalised machine, which the tests compare with it.
 """
 
 from __future__ import annotations

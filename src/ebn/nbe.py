@@ -8,10 +8,12 @@ semantic value.  At sum types reflection captures the continuation with
 consuming a residual sum is branched over once, at the point the sum is
 destructed.
 
-The machine defunctionalises the `shift` and `reset` of these equations (the
-monad of `control.py`; Danvy & Nielsen, "Defunctionalization at Work",
-2001): one loop `_run` in four modes (evaluate a term, return a value to the
-continuation, reify a value, reflect code).  A continuation is an immutable
+The machine defunctionalises these equations (Danvy & Nielsen,
+"Defunctionalization at Work", 2001), which `tests/spec_nbe.py` writes as
+recursive functions over the `shift` and `reset` of `control.py`; the tests
+compare the two byte for byte.  It is one loop `_run` in four modes
+(evaluate a term, return a value to the continuation, reify a value, reflect
+code), entered by `norm` and `reify`.  A continuation is an immutable
 linked list of frames `(tag, rest, ...)` ending in `None`, the delimiter of
 the nearest `reset`; the resets are meta-frames on a Python list: a lambda
 body being reified and each branch of a residual case.  `shift` at a sum
@@ -20,10 +22,10 @@ no copy, as frames are never mutated.  The left branch finishes before the
 right branch's binder is drawn, so fresh names come out in the order of the
 monadic equations.  Python stack use does not grow with the term.  The
 primitives are bound in the environment, as type-directed partial
-evaluation binds a program's operators (Danvy, POPL 1996): `eval_term` and
-`norm` bind them under `_PRIMS`, so a closure, its `Lam` and its
-environment, calls those it was made with, and so does a shift's second
-run, whose frames hold their environments.
+evaluation binds a program's operators (Danvy, POPL 1996): `norm` binds
+them under `_PRIMS`, so a closure, its `Lam` and its environment, calls
+those it was made with, and so does a shift's second run, whose frames hold
+their environments.
 
 A machine step is taken only where control can move.  A non-atomic term
 takes one: an application, a case, a pair, a projection or an injection
@@ -48,7 +50,6 @@ branch's binder only for a side that is not unit.
 
 from __future__ import annotations
 
-from .control import Residual
 from .semantics import (
     INL_UNIT,
     INR_UNIT,
@@ -58,12 +59,10 @@ from .semantics import (
     Reflected,
     SBase,
     SemValue,
-    SFun,
     SInl,
     SInr,
     SPair,
     SUnit,
-    ValueEnv,
 )
 from .syntax import (
     App,
@@ -138,8 +137,7 @@ EVAL, RETURN, REIFY, REFLECT = range(4)
     WRAP_INR,
     REFLECT_APP,  # (code, cod): the argument's code arrived
     REFLECT_SND,  # (ty, code): the first projection's value arrived
-    HOST,  # (f,): the host function f takes the value
-) = range(20)
+) = range(19)
 
 # Meta-frames, one per reset in progress; each receives the answer (a term)
 # that reaches the delimiter.
@@ -195,10 +193,11 @@ def _reflect_now(ty, code):
     return None
 
 
-def _run(mode, k, names, term=None, env=None, ty=None, value=None, code=None):
+def _run(mode, k, names, term=None, env=None, ty=None, value=None):
     """Run the machine from one state to the answer at its outermost
     delimiter.  The registers: `term` and `env` in EVAL, `value` in RETURN,
-    `ty` and `value` in REIFY, `ty` and `code` in REFLECT."""
+    `ty` and `value` in REIFY, `ty` and `code` in REFLECT, which only a step
+    of the machine enters."""
     meta = []
     lits = {}  # id of a source Lit -> its value, which keeps the Lit alive
     while True:
@@ -243,7 +242,7 @@ def _run(mode, k, names, term=None, env=None, ty=None, value=None, code=None):
                     raise _mismatch(f"a {ty.name} value", value)
                 value = value.payload
             elif cls is Arrow:
-                if type(value) not in (Closure, Reflected, SFun):
+                if type(value) not in (Closure, Reflected):
                     raise _mismatch("a function value", value)
                 x = names.fresh()
                 meta.append((LAM_BODY, k, x, ty.dom))
@@ -400,9 +399,6 @@ def _run(mode, k, names, term=None, env=None, ty=None, value=None, code=None):
                 value = arg
                 mode = REIFY
                 continue
-            elif cls is SFun:
-                value = fun.apply(arg)
-                continue
             else:
                 raise _mismatch("a function value", fun)
         else:
@@ -442,14 +438,11 @@ def _run(mode, k, names, term=None, env=None, ty=None, value=None, code=None):
             elif tag is WRAP_INL or tag is WRAP_INR:
                 value = (Inl if tag is WRAP_INL else Inr)(value, k[2])
                 k = k[1]
-            elif tag is REFLECT_SND:
+            else:  # REFLECT_SND
                 _, rest, ty, whole = k
                 k = (PAIR, rest, value)
                 code = Snd(whole)
                 mode = REFLECT
-            else:  # HOST
-                value = k[2](value)
-                k = k[1]
             continue
 
         # Bind `arg` to the binder of `fun`, a literal lambda in `env` or the
@@ -460,26 +453,9 @@ def _run(mode, k, names, term=None, env=None, ty=None, value=None, code=None):
         mode = EVAL
 
 
-def eval_term(t: Term, prims: PrimEnv, env: ValueEnv, names: NameSupply) -> Residual[SemValue]:
-    """Evaluate a well-typed term, as a computation whose continuation is a
-    host function.  Each source literal becomes one value per run, whose
-    payload is the Lit itself, so reification gives back the source node;
-    primitive arguments are forced left to right before dispatch, lambdas
-    close over their environment, and case evaluates only the branch
-    selected by the scrutinee's tag."""
-    return Residual(lambda kf: _run(EVAL, (HOST, None, kf), names, term=t, env={**env, _PRIMS: prims}))
-
-
 def reify(ty: ObjType, value: SemValue, names: NameSupply) -> Term:
     """Map a semantic value of type ty back to a term."""
     return _run(REIFY, None, names, ty=ty, value=value)
-
-
-def reflect(ty: ObjType, code: Term, names: NameSupply) -> Residual[SemValue]:
-    """Map a term of type ty into the semantic domain.  At sum type this asks
-    for the continuation and duplicates it into both branches of a residual
-    case on `code`."""
-    return Residual(lambda kf: _run(REFLECT, (HOST, None, kf), names, ty=ty, code=code))
 
 
 def norm(t: Term, sig, prims: PrimEnv) -> Term:

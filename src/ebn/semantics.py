@@ -6,9 +6,7 @@ primitives fold, and any other term is residual code.  Reflection and
 reification at a base type are the identity on that term, so a source
 literal reifies to its own node.
 Functions are records the normalizer's machine (`nbe.py`) applies: a Closure,
-a lambda and its environment, or Reflected code of arrow type.  A client
-may also build an SFun around a host function from value to value, which the
-machine calls in place and whose result it returns to the current frame.
+a lambda and its environment, or Reflected code of arrow type.
 
 Semantic values are records (`records.Record`), immutable like terms:
 assigning or deleting any attribute raises AttributeError.  A Closure
@@ -17,7 +15,7 @@ compares by identity.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Mapping, Union
+from typing import Callable, Mapping, Union
 
 from .records import Record
 from .syntax import Lam, Lit, ObjType, Term
@@ -33,14 +31,6 @@ class SemValue(Record):
 
 class SUnit(SemValue):
     pass
-
-
-class SFun(SemValue):
-    """A host function from a value to a value.  It cannot capture the
-    continuation: applying it is one call, however deeply applications nest."""
-
-    def __init__(self, apply: Callable[[SemValue], Any]):
-        SFun._setters[0](self, apply)
 
 
 class Closure(SemValue):
@@ -96,8 +86,6 @@ class SBase(SemValue):
 UNIT = SUnit()
 INL_UNIT = SInl(UNIT)
 INR_UNIT = SInr(UNIT)
-
-ValueEnv = Mapping[str, SemValue]
 
 # A primitive's semantic implementation, an entry of a `PrimEnv`, which the
 # normalizer binds in its environment: it takes the tuple of forced argument

@@ -21,7 +21,7 @@ from ebn.interp import (
     RuntimeDivisionByZero,
     run,
 )
-from ebn.nbe import norm
+from ebn.nbe import _PRIMS, NameSupply, norm, reify
 from ebn.primitives import (
     BOOL,
     RAT,
@@ -31,6 +31,7 @@ from ebn.primitives import (
     rational_signature,
     smart_prim_env,
 )
+from ebn.semantics import Closure
 from ebn.syntax import (
     App,
     Arrow,
@@ -196,6 +197,15 @@ def term_depth(t: Term) -> int:
     if not kids:
         return 0
     return 1 + max(term_depth(c) for c in kids)
+
+
+def run_in_machine(t: Term, env: dict | None = None, prims=None, ty=RAT) -> Term:
+    """The code of the value of `t` at `ty`, run by the machine in `env` and
+    `prims` (smart by default): the body of `(lam (u unit) t)`, a closure over
+    them, reified at `unit -> ty`."""
+    prims = smart_prim_env() if prims is None else prims
+    thunk = Closure(Lam("u", Unit(), t), {**(env or {}), _PRIMS: prims})
+    return reify(Arrow(Unit(), ty), thunk, NameSupply()).body
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from ebn.chars import Append, Chr, Eps, is_canonical, norm_chars
 from ebn.control import reset, ret
 from ebn.examples import power, power_dprime
 from ebn.interp import CUnit, run
-from ebn.nbe import NameSupply, norm, reify
+from ebn.nbe import norm
 from ebn.primitives import (
     BOOL,
     RAT,
@@ -17,7 +17,7 @@ from ebn.primitives import (
     rational_signature,
     smart_prim_env,
 )
-from ebn.semantics import SBase, SFun, SInl, SInr, SUnit
+from ebn.semantics import SBase, SInl, SInr, SUnit
 from ebn.syntax import (
     App,
     Arrow,
@@ -212,7 +212,7 @@ def test_criterion_8_smart_table_exactness():
 
 def test_criterion_9_sum_reification_shape():
     ty = Arrow(Sum(Unit(), Unit()), Unit())
-    got = reify(ty, SFun(lambda v: SUnit()), NameSupply())
+    got = norm(Lam("b", Sum(Unit(), Unit()), UnitVal()), SIG, smart_prim_env())
     assert got == Lam(
         "x0",
         Sum(Unit(), Unit()),

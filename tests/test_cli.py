@@ -202,7 +202,7 @@ def _mul_tree(depth: int) -> str:
     return f"(prim * {_mul_tree(depth - 1)} {_mul_tree(depth - 1)})"
 
 
-def test_recursion_limit_exits_70(capsys):
+def test_deep_terms_run_in_constant_stack_and_a_500_bit_exponent_exits_64(capsys):
     # norm runs in constant Python stack, so a 256-leaf tree normalizes
     tree = _mul_tree(8)
     assert main(["norm", "--inline", f"(lam (x Q) {tree})"]) == 0
@@ -232,6 +232,18 @@ def test_demo_power_refuses_exponents_past_2_to_the_20(n, capsys, monkeypatch):
     assert out == ""
     assert err == f"ebn: error: demo power takes |n| <= 2**20 ({2**20})\n"
     assert cli.MAX_DEMO_POWER == 2**20
+
+
+def test_a_recursion_error_exits_70(monkeypatch, capsys):
+    # no input is known to reach it, since every layer is a loop
+    def too_deep(*args):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(cli, "norm", too_deep)
+    assert main(["norm", "--inline", IDENTITY_APP]) == INTERNAL_ERROR == 70
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "ebn: internal error: term too deep for Python's recursion limit\n"
 
 
 def test_out_of_memory_exits_71(monkeypatch, capsys):

@@ -7,13 +7,7 @@ import pytest
 from ebn.control import reset
 from ebn.examples import power
 from ebn.interp import run
-from ebn.nbe import (
-    NameSupply,
-    eval_term,
-    norm,
-    reflect,
-    reify,
-)
+from ebn.nbe import _PRIMS, NameSupply, norm, reify
 from ebn.primitives import (
     BOOL,
     PrimSignature,
@@ -28,7 +22,6 @@ from ebn.semantics import (
     Closure,
     SBase,
     SemValue,
-    SFun,
     SInl,
     SInr,
     SPair,
@@ -62,7 +55,8 @@ from ebn.syntax import (
     print_term,
 )
 
-from conftest import TermGen, agree_on_probes, bool_chain
+from conftest import TermGen, agree_on_probes, bool_chain, run_in_machine
+from spec_nbe import reflect
 
 SIG = rational_signature()
 
@@ -78,14 +72,14 @@ def test_name_supply_is_deterministic():
 
 
 def test_reify_semantic_identity():
-    v = SFun(lambda arg: arg)
+    v = Closure(Lam("y", RAT, Var("y")), {})
     t = reify(Arrow(RAT, RAT), v, NameSupply())
     assert t == Lam("x0", RAT, Var("x0"))
 
 
 def test_reify_constant_unit_function_over_sum():
     ty = Arrow(Sum(Unit(), Unit()), Unit())
-    t = reify(ty, SFun(lambda v: SUnit()), NameSupply())
+    t = reify(ty, Closure(Lam("b", Sum(Unit(), Unit()), UnitVal()), {}), NameSupply())
     assert t == Lam(
         "x0",
         Sum(Unit(), Unit()),
@@ -121,7 +115,8 @@ def test_reify_shape_mismatch():
 
 
 # ---------------------------------------------------------------------------
-# reflect
+# reflect, as the reference normaliser writes it; the machine's is compared
+# with it in test_spec_nbe.py
 
 
 def test_reflect_base_is_residual_code():
@@ -374,9 +369,8 @@ def test_norm_propagates_typing_errors():
 # Atoms evaluated in place and source redexes bound directly
 
 
-def _eval(src: str, env: dict, prims=None) -> SemValue:
-    prims = smart_prim_env() if prims is None else prims
-    return eval_term(parse_term(src), prims, env, NameSupply()).run(lambda v: v)
+def _eval(src: str, env: dict, prims=None):
+    return run_in_machine(parse_term(src), env, prims)
 
 
 def test_eval_unbound_primitive_arguments_leftmost_first():
@@ -425,20 +419,18 @@ def test_norm_variable_functions_and_unit_shift_golden(src, expected):
 
 
 def test_eval_nullary_primitives_and_host_function():
-    # a client's constants, one folded and one residual, and a host function
-    # applied to a non-atomic argument and to an atom
+    # a client's constants, one folded and one residual, and a client's entry,
+    # a host function, applied to a non-atomic argument and to an atom
     prims = {
         "one": lambda args, names: SBase("Q", lit(1)),
         "c": lambda args, names: (RAT, Var("c")),
+        "double": lambda args, names: SBase("Q", PrimApp("*", (args[0].payload, lit(2)))),
         **smart_prim_env(),
     }
-    double = SFun(lambda v: SBase("Q", PrimApp("*", (reify(RAT, v, NameSupply()), lit(2)))))
-    env = {"f": double, "y": SBase("Q", Var("y"))}
-    t = parse_term("(prim * (prim one) (prim * (app (var f) (prim c)) (app (var f) (var y))))")
-    value = eval_term(t, prims, env, NameSupply()).run(lambda v: v)
-    assert value == SBase("Q", parse_term(
+    src = "(prim * (prim one) (prim * (prim double (prim c)) (prim double (var y))))"
+    assert _eval(src, {"y": SBase("Q", Var("y"))}, prims) == parse_term(
         "(prim * (prim * (var c) (lit 2 Q)) (prim * (var y) (lit 2 Q)))"
-    ))
+    )
 
 
 def test_a_nullary_primitive_reflects_its_request_at_bool():
@@ -484,33 +476,33 @@ def test_a_source_redex_binds_in_its_own_environment():
 
 def test_applying_a_term_that_a_host_function_returns_is_a_shape_mismatch():
     # a raw lambda is not a function value, even where a literal one binds
-    g = SFun(lambda v: Lam("y", RAT, Var("y")))
+    prims = {"g": lambda args, names: Lam("y", RAT, Var("y"))}
     with pytest.raises(ShapeMismatch, match="^expected a function value, found Lam$"):
-        _eval("(app (app (var g) unit) (lit 1 Q))", {"g": g})
+        _eval("(app (prim g unit) (lit 1 Q))", {}, prims)
 
 
 def test_closure_primitives_do_not_leak_into_the_caller():
     # f was made with naive primitives; the smart code that applies it folds
     # its own product after f returns
-    f = _eval("(lam (x Q) (var x))", {}, naive_prim_env())
+    f = Closure(parse_term("(lam (x Q) (var x))"), {_PRIMS: naive_prim_env()})
     src = "(prim * (app (var f) (lit 2 Q)) (prim * (lit 3 Q) (lit 4 Q)))"
-    value = _eval(src, {"f": f})
-    assert print_term(reify(RAT, value, NameSupply())) == "(lit 24 Q)"
+    assert print_term(_eval(src, {"f": f})) == "(lit 24 Q)"
 
 
 def test_shift_inside_a_closure_keeps_its_primitives_for_the_right_branch():
     # g (naive) cases on a residual sum; the shift happens inside g's body,
     # so both branches run g's rest naively and the smart caller's rest
     # smartly
-    g = _eval(
-        "(lam (h (arrow Q (sum unit unit))) (case (app (var h) (lit 1 Q)) "
-        "(lam (u unit) (prim * (lit 2 Q) (lit 3 Q))) (lam (u unit) (prim * (lit 4 Q) (lit 5 Q)))))",
-        {},
-        naive_prim_env(),
+    g = Closure(
+        parse_term(
+            "(lam (h (arrow Q (sum unit unit))) (case (app (var h) (lit 1 Q)) "
+            "(lam (u unit) (prim * (lit 2 Q) (lit 3 Q))) (lam (u unit) (prim * (lit 4 Q) (lit 5 Q)))))"
+        ),
+        {_PRIMS: naive_prim_env()},
     )
     src = "(lam (h (arrow Q (sum unit unit))) (prim * (app (var g) (var h)) (prim * (lit 6 Q) (lit 7 Q))))"
-    value = _eval(src, {"g": g})
-    assert print_term(reify(Arrow(Arrow(RAT, BOOL), RAT), value, NameSupply())) == (
+    f = Closure(parse_term(src), {"g": g, _PRIMS: smart_prim_env()})
+    assert print_term(reify(Arrow(Arrow(RAT, BOOL), RAT), f, NameSupply())) == (
         "(lam (x0 (arrow Q (sum unit unit))) (case (app (var x0) (lit 1 Q)) "
         "(lam (x1 unit) (prim * (prim * (lit 2 Q) (lit 3 Q)) (lit 42 Q))) "
         "(lam (x2 unit) (prim * (prim * (lit 4 Q) (lit 5 Q)) (lit 42 Q)))))"
@@ -519,7 +511,7 @@ def test_shift_inside_a_closure_keeps_its_primitives_for_the_right_branch():
 
 def test_a_deep_copied_closure_keeps_its_primitives():
     # the key that binds the primitives in a closure's env survives deepcopy
-    f = _eval("(lam (x Q) (prim * (lit 2 Q) (lit 3 Q)))", {}, naive_prim_env())
+    f = Closure(parse_term("(lam (x Q) (prim * (lit 2 Q) (lit 3 Q)))"), {_PRIMS: naive_prim_env()})
     twin = copy.deepcopy(f)
     assert twin is not f and twin.env is not f.env
     assert print_term(reify(Arrow(RAT, RAT), twin, NameSupply())) == "(lam (x0 Q) (prim * (lit 2 Q) (lit 3 Q)))"
@@ -532,17 +524,15 @@ def test_a_closure_whose_env_binds_no_primitives_reports_the_primitive():
 
 
 def test_nested_host_function_applications_run_in_constant_stack():
-    # each application calls the host function in place, with no machine
-    # re-entered for the frames around it
+    # a client's entry, a host function, called 10^4 deep: each call is one
+    # step of the machine, which no call re-enters
     assert sys.getrecursionlimit() == 1000
     depth = 10**4
     t = Var("y")
     for _ in range(depth):
-        t = App(Var("f"), t)
-    succ = SFun(lambda v: SBase("Q", lit(v.payload.value + 1)))
-    env = {"f": succ, "y": SBase("Q", lit(0))}
-    value = eval_term(t, smart_prim_env(), env, NameSupply()).run(lambda v: v)
-    assert value == SBase("Q", lit(depth))
+        t = PrimApp("succ", (t,))
+    prims = {"succ": lambda args, names: SBase("Q", lit(args[0].payload.value + 1))}
+    assert run_in_machine(t, {"y": SBase("Q", lit(0))}, prims) == lit(depth)
 
 
 def test_norm_bool_chain_2_golden():

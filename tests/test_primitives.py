@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 from ebn.control import reset, ret
 from ebn.examples import power, power_prime
 from ebn.interp import CRat, run
-from ebn.nbe import NameSupply, norm, reflect, reify
+from ebn.nbe import NameSupply, norm, reify
 from ebn.primitives import (
     BOOL,
     RAT,
@@ -44,6 +44,7 @@ from ebn.syntax import (
 )
 
 from conftest import TermGen, gen_rational
+from spec_nbe import reflect
 
 SIG = rational_signature()
 SMART = smart_prim_env()
@@ -51,7 +52,8 @@ SMART = smart_prim_env()
 
 def prim(op, a, b, env=SMART, names=None):
     """The entry `env[op]` applied to two argument values, as a computation:
-    a request to reflect residual code runs through `reflect`."""
+    a request to reflect residual code runs through the reference
+    normaliser's `reflect`."""
     names = names or NameSupply()
     out = env[op]((a, b), names)
     return reflect(*out, names) if isinstance(out, tuple) else ret(out)

@@ -4,6 +4,7 @@ import re
 import shlex
 from pathlib import Path
 
+import ebn
 from ebn.cli import main
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
@@ -42,3 +43,11 @@ def test_readme_library_snippet(capsys):
         line[2:] + "\n" for line in snippet.splitlines() if line.startswith("# ")
     )
     assert capsys.readouterr().out == expected
+
+
+def test_every_call_the_readme_shows_is_a_name_of_the_package():
+    # a call form such as `reify(ty, value, names)` documents an entry of
+    # `ebn`; one that is gone from the package fails here
+    names = set(re.findall(r"`([A-Za-z_]\w*)\(", README))
+    assert {"norm", "reify"} <= names
+    assert sorted(name for name in names if not hasattr(ebn, name)) == []

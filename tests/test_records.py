@@ -60,7 +60,6 @@ SAMPLES = [
     Inr(U, Sum(Q, Unit())),
     syntax.Case(Var("s"), Var("l"), Var("r")),
     semantics.SUnit(),
-    semantics.SFun(print),
     Closure(Lam("x", Q, Var("x")), {}),
     semantics.Reflected(Var("f"), Q, Q),
     semantics.SPair(semantics.SUnit(), semantics.SUnit()),
@@ -271,6 +270,9 @@ def test_repr_golden():
     assert repr(chars.Chr("a")) == "Chr(char='a')"
     assert repr(syntax.PrimApp("f", (Var("x"),))) == "PrimApp(name='f', args=(Var(name='x'),))"
     assert repr(syntax.PrimApp("f", ())) == "PrimApp(name='f', args=())"
+    # a tuple field's elements that are not records are spelled by their repr
+    assert repr(syntax.PrimApp("f", (Var("x"), 2, "y"))) == "PrimApp(name='f', args=(Var(name='x'), 2, 'y'))"
+    assert repr(syntax.PrimApp("f", (3,))) == "PrimApp(name='f', args=(3,))"
     assert repr(PrimType((RAT, Q), RAT)) == (
         "PrimType(args=(Base(name='Q'), Base(name='Q')), result=Base(name='Q'))"
     )

@@ -2,8 +2,9 @@ import random
 
 import pytest
 
+import spec_nbe
 from ebn.control import reset
-from ebn.nbe import NameSupply, eval_term, norm, reify
+from ebn.nbe import _PRIMS, NameSupply, norm, reify
 from ebn.primitives import (
     BOOL,
     RAT,
@@ -16,7 +17,6 @@ from ebn.primitives import (
 from ebn.semantics import (
     Closure,
     SBase,
-    SFun,
     SInl,
     SPair,
     SUnit,
@@ -42,7 +42,7 @@ from ebn.syntax import (
     parse_term,
 )
 
-from conftest import TermGen, ACCEPT_TYPES
+from conftest import TermGen, ACCEPT_TYPES, run_in_machine
 
 SIG = rational_signature()
 
@@ -61,15 +61,16 @@ def force_value(comp):
 
 
 def eval_closed(t):
-    names = NameSupply()
-    return force_value(eval_term(t, smart_prim_env(), {}, names))
+    """The value of a closed term, evaluated by the reference normaliser."""
+    return force_value(spec_nbe.eval(t, {_PRIMS: smart_prim_env()}, NameSupply()))
 
 
 def test_eval_literal_reifies_to_itself():
     names = NameSupply()
-    comp = eval_term(lit(3), smart_prim_env(), {}, names)
+    comp = spec_nbe.eval(lit(3), {_PRIMS: smart_prim_env()}, names)
     out = reset(comp.map(lambda v: reify(RAT, v, names)))
     assert out == lit(3)
+    assert run_in_machine(lit(3)) == lit(3)
 
 
 def test_eval_literal_payload_is_the_source_lit():
@@ -77,11 +78,13 @@ def test_eval_literal_payload_is_the_source_lit():
     t = parse_term("(lit 5 Q)")
     value = eval_closed(t)
     assert value == SBase("Q", t) and value.payload is t
+    assert run_in_machine(t) is t and norm(t, SIG, smart_prim_env()) is t
 
 
 def test_eval_beta_at_semantic_level():
     t = App(Lam("x", RAT, Var("x")), lit(3))
     assert eval_closed(t) == eval_closed(lit(3)) == SBase("Q", lit(3))
+    assert run_in_machine(t) == lit(3)
 
 
 def test_eval_case_dispatches_left():
@@ -91,6 +94,7 @@ def test_eval_case_dispatches_left():
         Lam("b", Unit(), lit(0)),
     )
     assert eval_closed(t) == SBase("Q", lit(1))
+    assert run_in_machine(t) == lit(1)
 
 
 def test_eval_case_only_runs_chosen_branch():
@@ -102,17 +106,23 @@ def test_eval_case_only_runs_chosen_branch():
         Lam("b", Unit(), PrimApp("/", (lit(1), lit(0)))),
     )
     assert eval_closed(t) == SBase("Q", lit(1))
+    assert run_in_machine(t) == lit(1)
 
 
 def test_eval_structural_values():
     assert eval_closed(UnitVal()) == SUnit()
     assert eval_closed(Pair(lit(1), UnitVal())) == SPair(SBase("Q", lit(1)), SUnit())
     assert isinstance(eval_closed(Lam("x", RAT, Var("x"))), Closure)
+    assert run_in_machine(UnitVal(), ty=Unit()) == UnitVal()
+    assert run_in_machine(Pair(lit(1), UnitVal()), ty=Prod(RAT, Unit())) == Pair(lit(1), UnitVal())
+    assert run_in_machine(Lam("x", RAT, Var("x")), ty=Arrow(RAT, RAT)) == Lam("x1", RAT, Var("x1"))
 
 
 def test_eval_unknown_primitive():
     with pytest.raises(UnknownPrimitive):
         eval_closed(PrimApp("+", (lit(1), lit(1))))
+    with pytest.raises(UnknownPrimitive):
+        run_in_machine(PrimApp("+", (lit(1), lit(1))))
 
 
 def test_eval_left_to_right_argument_order():
@@ -200,7 +210,7 @@ def test_shape_matches():
     assert shape_matches(SPair(SUnit(), SBase("Q", lit(2))), Prod(Unit(), RAT))
     assert shape_matches(SInl(SUnit()), BOOL)
     assert not shape_matches(SInl(SUnit()), Sum(RAT, Unit()))
-    assert shape_matches(SFun(lambda v: v), Arrow(RAT, RAT))
+    assert shape_matches(Closure(Lam("x", RAT, Var("x")), {}), Arrow(RAT, RAT))
 
 
 def test_eval_results_match_type_shapes():
@@ -222,3 +232,5 @@ def test_eval_results_match_type_shapes():
 def test_apply_non_function_is_shape_mismatch():
     with pytest.raises(ShapeMismatch):
         eval_closed(App(UnitVal(), UnitVal()))
+    with pytest.raises(ShapeMismatch):
+        run_in_machine(App(UnitVal(), UnitVal()), ty=Unit())
